@@ -58,6 +58,19 @@ def _read_json(path: Optional[str]):
         raise jsonio.SchemaError("input", f"invalid JSON: {e}") from None
 
 
+def _order(args, doc, default: int) -> int:
+    """--order, else the document's "order", else the default."""
+    if args.order is not None:
+        return args.order
+    try:
+        order = int(doc.get("order", default))
+    except (TypeError, ValueError):
+        raise jsonio.SchemaError("input.order", "expected an integer") from None
+    if order < 0:
+        raise jsonio.SchemaError("input.order", "must be non-negative")
+    return order
+
+
 def _emit(text: str, args) -> None:
     out = getattr(args, "out", None)
     if out:
@@ -258,7 +271,7 @@ def cmd_schwarz_term(args) -> int:
     b = jsonio.series_from_json(doc["b"], "b")
     h = [jsonio.series_from_json(x, f"h[{i}]") for i, x in enumerate(doc.get("h", []))]
     c = parse_rational(str(doc.get("c", "1")))
-    order = args.order if args.order is not None else int(doc.get("order", 6))
+    order = _order(args, doc, 6)
     _emit_series(projective_term(s_xi, s_pi, s_eta, a, b, h, c, order), args)
     return 0
 
@@ -293,7 +306,7 @@ def cmd_sew_run(args) -> int:
         int(k): QVec.from_list([parse_rational(x) for x in v])
         for k, v in doc.get("inputs", {}).items()
     }
-    order = args.order if args.order is not None else int(doc.get("order", 6))
+    order = _order(args, doc, 6)
     series = sew(block, inputs, module, order, normalized=bool(doc.get("normalized", False)))
     _emit_series(series, args)
     return 0
@@ -359,7 +372,7 @@ def cmd_sew_invariance(args) -> int:
 def cmd_fuchs_solve(args) -> int:
     doc = _read_json(args.input)
     system, seeds = jsonio.fuchs_system_from_json(doc)
-    order = args.order if args.order is not None else int(doc.get("order", 10))
+    order = _order(args, doc, 10)
     log_bound = int(doc.get("log_bound", 0))
     psi = solve_formal(system, seeds, order=order, log_bound=log_bound)
     _emit_series(psi, args)
@@ -371,8 +384,14 @@ def cmd_fuchs_certify(args) -> int:
     system, seeds = jsonio.fuchs_system_from_json(doc)
     if "psi" in doc:
         psi = jsonio.series_from_json(doc["psi"], "psi")
+        # a supplied psi must solve the system before its growth is certified
+        res = residual(system, psi)
+        if not res.is_zero():
+            first = min(exps[0] for exps, _logs in res.terms)
+            message = f"psi does not solve the system: residual nonzero at n={first}"
+            return _fail({"violation_index": first, "message": message}, args)
     else:
-        order = args.order if args.order is not None else int(doc.get("order", 30))
+        order = _order(args, doc, 30)
         psi = solve_formal(system, seeds, order=order, log_bound=int(doc.get("log_bound", 0)))
     try:
         cert = certify(system, psi, parse_rational(str(doc.get("r1", args.r1))))
@@ -496,7 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# size arguments; a negative value would silently give an empty result
+_SIZES = ("order", "trunc", "weight_cap", "wmax", "bidegree", "range", "count")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    # exact output may need integers longer than CPython's default str limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     # byte-identical outputs are a function of this record plus input files
     args.config = RunConfig(
@@ -508,6 +534,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         out=getattr(args, "out", None),
     )
     try:
+        for name in _SIZES:
+            if (getattr(args, name, None) or 0) < 0:
+                raise jsonio.SchemaError("--" + name.replace("_", "-"), "must be non-negative")
         return args.fn(args)
     except jsonio.SchemaError as e:
         sys.stderr.write(f"schema error: {e}\n")

@@ -157,6 +157,7 @@ def u_apply(rho: CoordJet, module: FockModule, vec, coeffs: Optional[ExpCoeffs] 
 
     The exponential is a finite sum because positive Virasoro modes strictly
     lower the weight.  Works for ring-valued vectors as well (family jets).
+    ``coeffs`` may come from a solve of rho at any order covering the weight.
     """
     if not vec:
         return {}
@@ -170,7 +171,7 @@ def u_apply(rho: CoordJet, module: FockModule, vec, coeffs: Optional[ExpCoeffs] 
                 f"jet order {rho.order} insufficient for weight {wmax} (need {need})"
             )
     ec = coeffs if coeffs is not None else extract_c(rho.truncate(need) if rho.order > need else rho)
-    cs = ec.cs
+    cs = ec.cs[:wmax]  # L_n kills every vector of weight below n
     acc = dict(vec)
     term = dict(vec)
     k = 1
@@ -205,25 +206,34 @@ def u_apply(rho: CoordJet, module: FockModule, vec, coeffs: Optional[ExpCoeffs] 
     return out
 
 
+def _exp_sum_cn_ln(rho: CoordJet, module: FockModule, n_max: int, sign: int):
+    """rho'(0) and the finite exponential exp(sum c_n L_{sign n}) on the truncation."""
+    need = _required_order(n_max)
+    if rho.order < need and not rho.exact:
+        raise InsufficientJetOrder(f"jet order {rho.order} insufficient for truncation {n_max}")
+    ec = extract_c(rho.truncate(need))
+    dim = module.dim(n_max)
+    t = QMat(dim, dim)
+    for n, cn in enumerate(ec.cs, start=1):
+        if cn:
+            t = t + module.virasoro_matrix(sign * n, n_max, n_max).scale(cn)
+    exp = term = QMat.identity(dim)
+    for k in range(1, n_max + 2):
+        term = (t @ term).scale(Q(1, k))
+        if term.is_zero():
+            break
+        exp = exp + term
+    return ec.c0, exp
+
+
 def u_matrix(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
     """Matrix of the coordinate-change operator on the weight truncation.
 
     Block lower-triangular in the weight filtration: the induced map on each
     graded quotient is the scalar rho'(0)^n.
     """
-    need = _required_order(n_max)
-    if rho.order < need and not rho.exact:
-        raise InsufficientJetOrder(f"jet order {rho.order} insufficient for truncation {n_max}")
-    rho_n = rho.truncate(need)
-    ec = extract_c(rho_n)
-    basis = module.basis(n_max)
-    table = module._index_table(n_max)
-    mat = QMat(len(basis), len(basis))
-    for col, mu in enumerate(basis):
-        img = u_apply(rho_n, module, {mu: Q(1)}, coeffs=ec)
-        for tau, c in img.items():
-            mat.add_(table[tau], col, c)
-    return mat
+    c0, exp = _exp_sum_cn_ln(rho, module, n_max, 1)
+    return module.scalar_pow_weight(c0, n_max) @ exp
 
 
 def u_matrix_inverse(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
@@ -237,23 +247,8 @@ def u_matrix_dual(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
     exponential factor is the transpose of exp(sum c_n L_{-n}); weight-raising
     factors make its compression to the truncation exact.
     """
-    need = _required_order(n_max)
-    if rho.order < need and not rho.exact:
-        raise InsufficientJetOrder(f"jet order {rho.order} insufficient for truncation {n_max}")
-    ec = extract_c(rho.truncate(need))
-    dim = module.dim(n_max)
-    t = QMat(dim, dim)
-    for n, cn in enumerate(ec.cs, start=1):
-        if cn:
-            t = t + module.virasoro_matrix(-n, n_max, n_max).scale(cn)
-    exp = QMat.identity(dim)
-    term = QMat.identity(dim)
-    k = 1
-    while not term.is_zero() and k <= n_max + 1:
-        term = (t @ term).scale(Q(1, k))
-        exp = exp + term
-        k += 1
-    return module.scalar_pow_weight(ec.c0, n_max) @ exp.transpose()
+    c0, exp = _exp_sum_cn_ln(rho, module, n_max, -1)
+    return module.scalar_pow_weight(c0, n_max) @ exp.transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +308,13 @@ def huang_conjugation_check(
         raise InsufficientJetOrder(f"alpha must be known to order {need}")
     alpha_inv = reverse_jet(alpha_fwd, order=need)
     w_in = u_apply(alpha_inv, module, w)
+    # c_n depends on a_1..a_{n+1} only, so one solve serves every z-mode
+    fwd_coeffs = extract_c(alpha_fwd.truncate(need))
     lhs: Dict[tuple, Dict[int, Fraction]] = {}
     for e in range(z_lo, z_hi + 1):
         k = -e - 1
         vec = module.apply_vertex(v, k, w_in)
-        vec = u_apply(alpha_fwd, module, vec)
+        vec = u_apply(alpha_fwd, module, vec, coeffs=fwd_coeffs)
         for mu, c in vec.items():
             lhs.setdefault(mu, {})[e] = c
 

@@ -412,7 +412,11 @@ class CoordJet:
             return self.coeffs == other.coeffs and self.exact == other.exact
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        # __eq__ reads past the shorter jet as zeros, so trailing zeros must not count
+        coeffs = list(self.coeffs)
+        while len(coeffs) > 1 and _is_ring_zero(coeffs[-1]):
+            coeffs.pop()
+        return hash(tuple(coeffs))
 
     def __repr__(self):
         body = " + ".join(f"({c})*z^{k+1}" for k, c in enumerate(self.coeffs) if not _is_ring_zero(c)) or "0"

@@ -171,14 +171,6 @@ class SewingBlock:
                 table[k1 + k2] = v1 * v2
         return SewingBlock(self.slot_dims + other.slot_dims, table, None)
 
-    def weight_of_index(self, s: int, idx: int) -> int:
-        acc = 0
-        for n, d in enumerate(self.slot_dims[s]):
-            if idx < acc + d:
-                return n
-            acc += d
-        raise IndexError(idx)
-
     def evaluate(self, vectors: Sequence[QVec]) -> Fraction:
         if len(vectors) != self.arity:
             raise ValueError("one vector per slot")
@@ -584,6 +576,8 @@ def genus0_invariance_check(
         raise ValueError("one marked point per slot")
     dv = vec_is_homogeneous(v)
     work = weight_cap + abs(k) + dv + 6
+    # indices below limits[s] are the inputs of weight <= weight_cap in slot s
+    limits = [sum(dims[: weight_cap + 1]) for dims in block.slot_dims]
     acted_tables: List[SewingBlock] = []
     for s, pt in enumerate(points):
         n_slot = block.slot_trunc(s)
@@ -617,17 +611,24 @@ def genus0_invariance_check(
                 else:
                     mode = pt.module.vertex_matrix({mu_u: Q(1)}, e, n_slot, n_slot)
                 act = act + mode.scale(c)
-        acted_tables.append(block.contract_slot(s, act))
+        # only checked keys are computed: other slots and the new index of
+        # slot s stay within the weight cap
+        checked = SewingBlock(
+            block.slot_dims,
+            {
+                key: c
+                for key, c in block.table.items()
+                if all(idx < limits[t] for t, idx in enumerate(key) if t != s)
+            },
+            block.pair_slots,
+        )
+        acted_tables.append(checked.contract_slot(s, act.submatrix((0, act.nrows), (0, limits[s]))))
 
     failures = []
     keys = set()
     for t in acted_tables:
         keys.update(t.table)
     for key in sorted(keys):
-        if any(
-            block.weight_of_index(s, idx) > weight_cap for s, idx in enumerate(key)
-        ):
-            continue
         total = sum((t.table.get(key, Q(0)) for t in acted_tables), Q(0))
         if total:
             failures.append((key, total))

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -223,6 +224,40 @@ class TestFuchsCommands:
         doc = json.loads(out)
         assert doc["ok"] is False and doc["violation_index"] == 17
 
+    def test_certify_rejects_supplied_non_solution(self, tmp_path, capsys):
+        # psi = 7 - q^3/9 does not solve q psi' = q psi: a certificate would be wrong
+        system = {
+            "A": [[["0"]], [["1"]]],
+            "omega": [["0"]],
+            "psi": {
+                "vars": ["q"],
+                "trunc": {"q": 3},
+                "terms": [{"n": [0], "l": [0], "c": ["7"]}, {"n": [3], "l": [0], "c": ["-1/9"]}],
+            },
+        }
+        code, out = run(["fuchs", "certify", write(tmp_path, "sys.json", system)], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False and doc["violation_index"] == 1
+
+    def test_solve_prints_integers_beyond_the_default_digit_limit(self, tmp_path, capsys):
+        import sys
+
+        a1 = 10**99 + 7  # psi_n = a1^n / n!, past 4300 digits from n = 44 on
+        system = {"A": [[["0"]], [[str(a1)]]], "omega": [["0"]], "seeds": {"0,0": ["1"]}}
+        path = write(tmp_path, "sys.json", system)
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        try:
+            if limit is not None:
+                sys.set_int_max_str_digits(4300)
+            code, out = run(["fuchs", "solve", path, "--order", "50"], capsys)
+            assert code == 0
+            psi = jsonio.series_from_json(json.loads(out))
+            assert psi.terms[((50,), (0,))] == QVec.from_list([Q(a1**50, math.factorial(50))])
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
     def test_empty_input_is_schema_error(self, tmp_path, capsys):
         p = tmp_path / "empty.json"
         p.write_text("", encoding="utf-8")
@@ -231,6 +266,36 @@ class TestFuchsCommands:
     def test_malformed_rational_reports_path(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", {"A": [[["0.5"]]], "omega": []})
         assert main(["fuchs", "solve", path]) == 2
+
+
+class TestNegativeSizes:
+    """A negative size is an input error, never an empty result with exit 0."""
+
+    def rejected(self, argv, capsys, path):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"schema error: {path}: "), (argv, err)
+
+    def test_coord(self, tmp_path, capsys):
+        jet = write(tmp_path, "jet.json", {"taylor": ["2"], "exact": True})
+        self.rejected(["coord", "u-op", jet, "--trunc", "-1"], capsys, "--trunc")
+        self.rejected(["coord", "check-huang", "--wmax", "-1"], capsys, "--wmax")
+
+    def test_voa(self, capsys):
+        self.rejected(["voa", "dump-mode", "--kind", "virasoro", "--index", "1", "--trunc", "-2"], capsys, "--trunc")
+
+    def test_schwarz(self, capsys):
+        self.rejected(["schwarz", "cocycle", "--order", "-1"], capsys, "--order")
+
+    def test_sew(self, capsys):
+        self.rejected(["sew", "character", "--order", "-1"], capsys, "--order")
+        self.rejected(["sew", "invariance", "--weight-cap", "-1"], capsys, "--weight-cap")
+
+    def test_fuchs(self, tmp_path, capsys):
+        system = {"A": [[["0"]], [["1"]]], "omega": [["0"]], "seeds": {"0,0": ["1"]}}
+        self.rejected(["fuchs", "solve", write(tmp_path, "a.json", system), "--order", "-1"], capsys, "--order")
+        doc = write(tmp_path, "b.json", {**system, "order": -3})
+        self.rejected(["fuchs", "solve", doc], capsys, "input.order")
 
 
 class TestJsonRoundTrip:

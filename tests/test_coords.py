@@ -17,7 +17,7 @@ from blocksew.coords import (
     u_matrix_inverse,
     varrho,
 )
-from blocksew.fock import BOSON, CONFORMAL, VACUUM, partitions_of, vacuum_module, weight
+from blocksew.fock import BOSON, CONFORMAL, VACUUM, FockModule, partitions_of, vacuum_module, weight
 from blocksew.linalg import QMat
 from blocksew.series import CoordJet, LaurentJet, NotInvertible, compose_jets
 from helpers import random_jet_coeffs
@@ -124,6 +124,26 @@ class TestUOperator:
         for mu in partitions_of(3):
             out = u_apply(CoordJet.from_poly([2]), module, {mu: Q(1)})
             assert out == {mu: Q(8)}
+
+    def test_matrix_matches_u_apply_column_by_column(self):
+        # reference: the operator applied to each basis vector as a dict vector
+        rnd = random.Random(SEED + 7)
+        heights = {"small": (4, 3), "large": (10**9, 997)}
+        for momentum in (Q(0), Q(-5, 3)):
+            module = FockModule(momentum)
+            for n in (3, 6):
+                index = {mu: i for i, mu in enumerate(module.basis(n))}
+                for num, den in heights.values():
+                    rho = CoordJet(
+                        [Q(rnd.choice([-3, -2, 2, 5]))]
+                        + [Q(rnd.randint(-num, num), rnd.randint(1, den)) for _ in range(n + 2)]
+                    )
+                    for jet in (rho, CoordJet.from_poly([rho.a1, rho.coefficient(2)])):
+                        ref = QMat(len(index), len(index))
+                        for mu, col in index.items():
+                            for tau, c in u_apply(jet, module, {mu: Q(1)}).items():
+                                ref.set_(index[tau], col, c)
+                        assert u_matrix(jet, module, n) == ref, (momentum, n, jet)
 
     def test_identity_matrix(self):
         module = vacuum_module()

@@ -100,6 +100,18 @@ class TestRingAxioms:
             assert a * (b + c) == a * b + a * c
 
 
+class TestCoordJetEquality:
+    def test_equal_jets_hash_equal(self):
+        pairs = [
+            (CoordJet([1, 2], exact=True), CoordJet([1, 2, 0], exact=True)),
+            (CoordJet([1, 2], exact=True), CoordJet([1, 2, 0, 0])),
+            (CoordJet([Q(3), Q(0), Q(-1, 2)]), CoordJet([Q(3), Q(0), Q(-1, 2)], exact=True)),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b), (a, b)
+        assert len({a for pair in pairs[:2] for a in pair}) == 1
+
+
 class TestCompose:
     def test_identity_outer(self):
         rho = CoordJet(random_jet_coeffs(random.Random(SEED), 5))

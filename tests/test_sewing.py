@@ -11,6 +11,7 @@ from blocksew.fock import (
     FockModule,
     NilpotentToyModule,
     vacuum_module,
+    weight,
 )
 from blocksew.linalg import QMat, QVec
 from blocksew.series import CoordJet, TruncSeries, reverse_jet
@@ -20,6 +21,7 @@ from blocksew.sewing import (
     SewingBlock,
     SpherePoint,
     TruncationShortfall,
+    expand_section_at_point,
     genus0_invariance_check,
     l0_times,
     q_l0_resolvent,
@@ -273,6 +275,62 @@ class TestGenus0Invariance:
             for k in (-1, 0, 1):
                 ok, fails = genus0_invariance_check(tblock, tpoints, v, k, 3)
                 assert ok, (v, k, fails[:2])
+
+    @staticmethod
+    def full_then_filter(block, points, v, k, weight_cap):
+        """Reference: act on every slot of the whole block, then drop the
+        keys that have an index above the weight cap."""
+        dv = weight(next(iter(v)))
+        work = weight_cap + abs(k) + dv + 6
+        tables = []
+        for s, pt in enumerate(points):
+            n_slot = block.slot_trunc(s)
+            mode = pt.module.contragredient_matrix if pt.dual else pt.module.vertex_matrix
+            act = QMat(block.slot_dim(s), block.slot_dim(s))
+            for mu_u, jet in expand_section_at_point(v, k, pt, work).items():
+                if jet.valuation() is None:
+                    continue
+                for e in range(jet.valuation(), weight(mu_u) + weight_cap):
+                    if jet.coeff(e):
+                        act = act + mode({mu_u: Q(1)}, e, n_slot, n_slot).scale(jet.coeff(e))
+            tables.append(block.contract_slot(s, act).table)
+        weights = [[w for w, d in enumerate(dims) for _ in range(d)] for dims in block.slot_dims]
+        failures = []
+        for key in sorted(set().union(*tables)):
+            if any(weights[s][idx] > weight_cap for s, idx in enumerate(key)):
+                continue
+            total = sum((t.get(key, Q(0)) for t in tables), Q(0))
+            if total:
+                failures.append((key, total))
+        return not failures, failures
+
+    def test_restricted_check_matches_full_contraction(self):
+        n, cap = 8, 3
+        block = SewingBlock.pairing(self.m, n)
+        broken = SewingBlock(block.slot_dims, dict(block.table), block.pair_slots)
+        broken.table[(0, 1)] = Q(1)
+        rnd = random.Random(SEED + 1)
+        noisy = SewingBlock(block.slot_dims, dict(block.table), block.pair_slots)
+        for _ in range(40):
+            # entries on both sides of the cap, in both slots
+            noisy.table[(rnd.randrange(block.slot_dim(0)), rnd.randrange(block.slot_dim(1)))] = random_rational(rnd)
+        r1, r2 = CoordJet.from_poly([1, 1]), CoordJet.from_poly([2, 0, 1])
+        twisted = [
+            SpherePoint(Q(0), r1, self.m, dual=False),
+            SpherePoint(INFINITY, r2, self.m, dual=True),
+        ]
+        cases = [
+            (block, self.points, CONFORMAL, -1),
+            (broken, self.points, BOSON, 1),
+            (noisy, self.points, BOSON, 0),
+            (noisy, twisted, CONFORMAL, 1),
+        ]
+        failing = 0
+        for blk, pts, v, k in cases:
+            got = genus0_invariance_check(blk, pts, v, k, cap)
+            assert got == self.full_then_filter(blk, pts, v, k, cap), (v, k)
+            failing += not got[0]
+        assert failing >= 2
 
     def test_slot_truncation_shortfall(self):
         small = SewingBlock.pairing(self.m, 3)
