@@ -22,12 +22,11 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
 from . import jsonio
-from .coords import c2_formula, extract_c, huang_conjugation_check, u_matrix
+from .coords import c2_formula, extract_c, huang_conjugation_checks, u_matrix
 from .fock import CONFORMAL, BOSON, VACUUM, FockModule, NilpotentToyModule, partitions_of, vacuum_module
 from .fuchs import BoundViolation, FuchsError, certify, ode_residual, residual, solve_formal
 from .linalg import QMat, QVec, format_rational, parse_rational
@@ -38,24 +37,17 @@ from .sewing import INFINITY, SewingBlock, SpherePoint, genus0_invariance_check,
 Q = Fraction
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    inputs: List[str]
-    order: Optional[int]
-    fmt: str
-    seed: int
-    out: Optional[str]
-
-
 def _read_json(path: Optional[str]):
     raw = sys.stdin.read() if path in (None, "-") else open(path, "r", encoding="utf-8").read()
     if not raw.strip():
         raise jsonio.SchemaError("input", "empty document")
     try:
-        return json.loads(raw)
+        doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise jsonio.SchemaError("input", f"invalid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise jsonio.SchemaError("input", "expected a JSON object")
+    return doc
 
 
 def _order(args, doc, default: int) -> int:
@@ -143,20 +135,18 @@ def cmd_coord_check_huang(args) -> int:
     alpha = cases[args.case]
     lo, hi = args.window
     failures = []
-    vs = [{mu: Q(1)} for w in range(args.wmax + 1) for mu in partitions_of(w)]
-    ws = [{mu: Q(1)} for w in range(args.wmax + 1) for mu in partitions_of(w)]
-    for v in vs:
-        for w in ws:
-            ok, rep = huang_conjugation_check(alpha, v, w, module, lo, hi)
-            if not ok:
-                failures.append(
-                    {
-                        "v": [list(k) for k in v],
-                        "w": [list(k) for k in w],
-                        "first": [str(x) for x in rep["discrepancies"][0]],
-                    }
-                )
-    report = {"case": args.case, "window": [lo, hi], "checked": len(vs) * len(ws), "failures": failures}
+    states = [{mu: Q(1)} for w in range(args.wmax + 1) for mu in partitions_of(w)]
+    pairs = [(v, w) for v in states for w in states]
+    for (v, w), (ok, rep) in zip(pairs, huang_conjugation_checks(alpha, pairs, module, lo, hi)):
+        if not ok:
+            failures.append(
+                {
+                    "v": [list(k) for k in v],
+                    "w": [list(k) for k in w],
+                    "first": [str(x) for x in rep["discrepancies"][0]],
+                }
+            )
+    report = {"case": args.case, "window": [lo, hi], "checked": len(pairs), "failures": failures}
     return _ok(report, args) if not failures else _fail(report, args)
 
 
@@ -264,11 +254,10 @@ def cmd_schwarz_cocycle(args) -> int:
 
 def cmd_schwarz_term(args) -> int:
     doc = _read_json(args.input)
-    s_xi = jsonio.series_from_json(doc["S_xi"], "S_xi")
-    s_pi = jsonio.series_from_json(doc["S_pi"], "S_pi")
+    s_xi, s_pi, a, b = (
+        jsonio.series_from_json(jsonio.require(doc, k, "input"), k) for k in ("S_xi", "S_pi", "a", "b")
+    )
     s_eta = [jsonio.series_from_json(x, f"S_eta[{i}]") for i, x in enumerate(doc.get("S_eta", []))]
-    a = jsonio.series_from_json(doc["a"], "a")
-    b = jsonio.series_from_json(doc["b"], "b")
     h = [jsonio.series_from_json(x, f"h[{i}]") for i, x in enumerate(doc.get("h", []))]
     c = parse_rational(str(doc.get("c", "1")))
     order = _order(args, doc, 6)
@@ -279,15 +268,17 @@ def cmd_schwarz_term(args) -> int:
 # -- sew ---------------------------------------------------------------------
 
 
-def _module_from_json(doc, path="module"):
+def _module_from_json(doc, path):
+    if not isinstance(doc, dict):
+        raise jsonio.SchemaError(path, "expected an object")
     kind = doc.get("type", "fock")
     if kind == "fock":
         return FockModule(parse_rational(str(doc.get("momentum", "0"))))
     if kind == "toy":
-        dims = [int(d) for d in doc["dims"]]
+        dims = [int(d) for d in jsonio.require(doc, "dims", path)]
         nil = [
-            QMat.from_rows([[parse_rational(x) for x in row] for row in m]) if m else QMat(d, d)
-            for d, m in zip(dims, doc["nilpotents"])
+            jsonio.matrix_rows_from_json(m, f"{path}.nilpotents[{i}]") if m else QMat(d, d)
+            for i, (d, m) in enumerate(zip(dims, jsonio.require(doc, "nilpotents", path)))
         ]
         return NilpotentToyModule(dims, nil, offset=parse_rational(str(doc.get("offset", "0"))))
     raise jsonio.SchemaError(path, f"unknown module type {kind!r}")
@@ -295,15 +286,20 @@ def _module_from_json(doc, path="module"):
 
 def cmd_sew_run(args) -> int:
     doc = _read_json(args.input)
-    module = _module_from_json(doc.get("module", {}))
-    block_doc = doc["block"]
+    module = _module_from_json(doc.get("module", {}), "input.module")
+    block_doc = jsonio.require(doc, "block", "input")
+    entries = {}
+    for n, e in enumerate(block_doc.get("entries", [])):
+        path = f"input.block.entries[{n}]"
+        idx = tuple(int(i) for i in jsonio.require(e, "idx", path))
+        entries[idx] = jsonio.rational_from_json(jsonio.require(e, "c", path), f"{path}.c")
     block = SewingBlock(
-        [list(map(int, d)) for d in block_doc["slots"]],
-        {tuple(int(i) for i in e["idx"]): parse_rational(e["c"]) for e in block_doc.get("entries", [])},
+        [list(map(int, d)) for d in jsonio.require(block_doc, "slots", "input.block")],
+        entries,
         pair_slots=tuple(block_doc["pair"]) if "pair" in block_doc else None,
     )
     inputs = {
-        int(k): QVec.from_list([parse_rational(x) for x in v])
+        int(k): QVec.from_list([jsonio.rational_from_json(x, f"input.inputs.{k}[{i}]") for i, x in enumerate(v)])
         for k, v in doc.get("inputs", {}).items()
     }
     order = _order(args, doc, 6)
@@ -403,7 +399,7 @@ def cmd_fuchs_certify(args) -> int:
 
 def cmd_fuchs_residual(args) -> int:
     doc = _read_json(args.input)
-    psi = jsonio.series_from_json(doc["psi"], "psi")
+    psi = jsonio.series_from_json(jsonio.require(doc, "psi", "input"), "psi")
     if "system" in doc:
         system, _ = jsonio.fuchs_system_from_json(doc["system"])
         res = residual(system, psi)
@@ -524,15 +520,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
-    # byte-identical outputs are a function of this record plus input files
-    args.config = RunConfig(
-        subcommand=f"{args.group} {args.cmd}",
-        inputs=[getattr(args, "input", None) or ""],
-        order=getattr(args, "order", None),
-        fmt=args.format,
-        seed=args.seed,
-        out=getattr(args, "out", None),
-    )
     try:
         for name in _SIZES:
             if (getattr(args, name, None) or 0) < 0:

@@ -285,6 +285,7 @@ def huang_conjugation_check(
     module: FockModule,
     z_lo: int,
     z_hi: int,
+    shared: Optional[Dict] = None,
 ) -> Tuple[bool, Dict]:
     """Check the change-of-variable rule for vertex operators on a z-window.
 
@@ -292,7 +293,11 @@ def huang_conjugation_check(
     Right side: Y(U(alpha-family) v, alpha(z)) w, expanded with exact window
     tracking.  Returns (equal, report); the report lists any coefficient
     discrepancies as (partition, exponent, lhs, rhs).
+
+    ``shared`` memoizes the work that depends on alpha alone; only calls with
+    the same alpha may pass the same dict (huang_conjugation_checks does).
     """
+    shared = {} if shared is None else shared
     voa = vacuum_module()
     dv = vec_is_homogeneous(v)
     if dv is None:
@@ -303,13 +308,18 @@ def huang_conjugation_check(
 
     # -- left side
     need = _required_order(ww + dv + max(z_hi, 0) + 1)
-    alpha_fwd = alpha.truncate(need) if alpha.exact else alpha
-    if alpha_fwd.order < need:
-        raise InsufficientJetOrder(f"alpha must be known to order {need}")
-    alpha_inv = reverse_jet(alpha_fwd, order=need)
-    w_in = u_apply(alpha_inv, module, w)
-    # c_n depends on a_1..a_{n+1} only, so one solve serves every z-mode
-    fwd_coeffs = extract_c(alpha_fwd.truncate(need))
+    if ("left", need) not in shared:
+        if alpha.order < need and not alpha.exact:
+            raise InsufficientJetOrder(f"alpha must be known to order {need}")
+        # c_n depends on a_1..a_{n+1} only, so one solve serves every z-mode
+        alpha_fwd = alpha.truncate(need)
+        alpha_inv = reverse_jet(alpha_fwd, order=need)
+        shared["left", need] = (alpha_fwd, extract_c(alpha_fwd), alpha_inv)
+    alpha_fwd, fwd_coeffs, alpha_inv = shared["left", need]
+    if ("inverse", need, ww) not in shared:
+        # U(alpha_inv) w reads c_0..c_ww only
+        shared["inverse", need, ww] = extract_c(alpha_inv.truncate(_required_order(ww)))
+    w_in = u_apply(alpha_inv, module, w, coeffs=shared["inverse", need, ww])
     lhs: Dict[tuple, Dict[int, Fraction]] = {}
     for e in range(z_lo, z_hi + 1):
         k = -e - 1
@@ -319,19 +329,19 @@ def huang_conjugation_check(
             lhs.setdefault(mu, {})[e] = c
 
     # -- right side
-    fam = family_jet(alpha, var="z", work_order=work, max_degree=max(dv + 1, 2))
-    gvec = u_apply(fam, voa, {mu: LaurentJet.const(c, var="z") for mu, c in v.items()})
-    alpha_lt = alpha.to_laurent("z")
-    if alpha_lt.hi is None:
-        alpha_lt = alpha_lt.truncated(work)
-    apows: Dict[int, LaurentJet] = {0: LaurentJet.const(1, var="z")}
+    gkey = ("g", tuple(sorted(v.items())), work)
+    if gkey not in shared:
+        fam = family_jet(alpha, var="z", work_order=work, max_degree=max(dv + 1, 2))
+        shared[gkey] = u_apply(fam, voa, {mu: LaurentJet.const(c, var="z") for mu, c in v.items()})
+    gvec = shared[gkey]
+    if ("powers", work) not in shared:
+        alpha_lt = alpha.to_laurent("z").truncated(work)
+        shared["powers", work] = {0: LaurentJet.const(1, var="z"), 1: alpha_lt, -1: alpha_lt.inv()}
+    apows = shared["powers", work]
 
     def apow(e: int) -> LaurentJet:
         if e not in apows:
-            if e > 0:
-                apows[e] = apow(e - 1) * alpha_lt
-            else:
-                apows[e] = apow(e + 1) * alpha_lt.inv()
+            apows[e] = apow(e - 1) * apows[1] if e > 0 else apow(e + 1) * apows[-1]
         return apows[e]
 
     rhs: Dict[tuple, Dict[int, Fraction]] = {}
@@ -366,3 +376,20 @@ def huang_conjugation_check(
             if a != b:
                 report.append((tau, e, a, b))
     return (not report), {"discrepancies": report, "window": (z_lo, z_hi)}
+
+
+def huang_conjugation_checks(
+    alpha: CoordJet,
+    pairs: Sequence[Tuple[Vector, Vector]],
+    module: FockModule,
+    z_lo: int,
+    z_hi: int,
+) -> List[Tuple[bool, Dict]]:
+    """huang_conjugation_check for every (v, w) pair, in order.
+
+    The reversion of alpha, the c_n of alpha and of its inverse, the powers
+    of alpha and U(family jet) v are computed once per jet order, working
+    order and v, and shared by the pairs that need them.
+    """
+    shared: Dict = {}
+    return [huang_conjugation_check(alpha, v, w, module, z_lo, z_hi, shared) for v, w in pairs]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import QMat, QVec, as_q
+from .linalg import QMat, as_q
 
 Q = Fraction
 
@@ -108,6 +108,9 @@ class FockModule:
         self.momentum = as_q(momentum)
         self.l0_offset = self.momentum * self.momentum / 2
         self._matrix_cache: Dict[tuple, QMat] = {}
+        # exact images of basis monomials: L_n mu keyed (n, mu), Y(nu)_m mu keyed (nu, m, mu)
+        self._virasoro_images: Dict[Tuple[int, Partition], Vector] = {}
+        self._vertex_images: Dict[Tuple[Partition, int, Partition], Vector] = {}
 
     # -- basis bookkeeping ---------------------------------------------------
 
@@ -127,22 +130,6 @@ class FockModule:
     def _index_table(n_max: int) -> Dict[Partition, int]:
         return {mu: i for i, mu in enumerate(FockModule.basis(n_max))}
 
-    @classmethod
-    def index_of(cls, mu: Partition, n_max: int) -> int:
-        return cls._index_table(n_max)[mu]
-
-    def to_qvec(self, vec: Vector, n_max: int) -> QVec:
-        table = self._index_table(n_max)
-        data = {}
-        for mu, c in vec.items():
-            if weight(mu) <= n_max:
-                data[table[mu]] = c
-        return QVec(self.dim(n_max), data)
-
-    def from_qvec(self, qv: QVec, n_max: int) -> Vector:
-        basis = self.basis(n_max)
-        return {basis[i]: v for i, v in qv.data.items()}
-
     # -- exact mode actions ----------------------------------------------------
 
     def apply_heisenberg(self, k: int, vec: Vector) -> Vector:
@@ -161,25 +148,31 @@ class FockModule:
                     _acc(out, tuple(nu), c * k * mult)
         return out
 
-    def _apply_normal_pair(self, j: int, k: int, vec: Vector) -> Vector:
-        # :a_j a_k: with j <= k means the annihilation-most factor acts first
-        return self.apply_heisenberg(j, self.apply_heisenberg(k, vec))
-
     def apply_virasoro(self, n: int, vec: Vector) -> Vector:
-        """Sugawara L_n = (1/2) sum_j :a_j a_{n-j}: applied exactly."""
-        if not vec:
-            return {}
-        wmax = vec_weight_max(vec)
+        """Sugawara L_n = (1/2) sum_j :a_j a_{n-j}: applied exactly.
+
+        Coefficients may be rationals or ring elements such as LaurentJets."""
         out: Vector = {}
-        for j in range(n - wmax, n // 2 + 1):
-            k = n - j
-            if k > wmax and k > 0 and j >= 0:
-                continue  # pure annihilation beyond support
-            half = Q(1, 2) if j == k else Q(1)
-            term = self._apply_normal_pair(j, k, vec)
-            for mu, c in term.items():
-                _acc(out, mu, half * c)
+        for mu, c in vec.items():
+            for tau, x in self._virasoro_monomial(n, mu).items():
+                _acc(out, tau, c * x)
         return out
+
+    def _virasoro_monomial(self, n: int, mu: Partition) -> Vector:
+        img = self._virasoro_images.get((n, mu))
+        if img is None:
+            img = {}
+            wmax = weight(mu)
+            for j in range(n - wmax, n // 2 + 1):
+                k = n - j
+                if k > wmax and k > 0 and j >= 0:
+                    continue  # pure annihilation beyond support
+                half = Q(1, 2) if j == k else Q(1)
+                # :a_j a_k: with j <= k means the annihilation-most factor acts first
+                for tau, c in self.apply_heisenberg(j, self.apply_heisenberg(k, {mu: Q(1)})).items():
+                    _acc(img, tau, half * c)
+            self._virasoro_images[(n, mu)] = img
+        return img
 
     def apply_vertex(self, v: Vector, m: int, vec: Vector) -> Vector:
         """Mode of the vertex operator attached to a vacuum-module vector v.
@@ -195,12 +188,13 @@ class FockModule:
                 for nu, w in self.apply_vertex({mu: c}, m, vec).items():
                     _acc(out, nu, w)
             return out
-        if d > MAX_VERTEX_WEIGHT:
-            raise UnsupportedVertexWeight(f"vertex modes supported up to weight {MAX_VERTEX_WEIGHT}, got {d}")
+        _check_vertex_weight(d)
         out = {}
         for nu_parts, cv in v.items():
             for mu, cw in vec.items():
-                img = self._vertex_monomial(nu_parts, m, mu)
+                img = self._vertex_images.get((nu_parts, m, mu))
+                if img is None:
+                    img = self._vertex_images[(nu_parts, m, mu)] = self._vertex_monomial(nu_parts, m, mu)
                 for tau, x in img.items():
                     _acc(out, tau, cv * cw * x)
         return out
@@ -253,7 +247,7 @@ class FockModule:
             tgt_n = src_n + max(0, -k)
         key = ("a", k, src_n, tgt_n)
         if key not in self._matrix_cache:
-            self._matrix_cache[key] = self._snapshot(lambda vec: self.apply_heisenberg(k, vec), src_n, tgt_n)
+            self._matrix_cache[key] = self._snapshot(lambda mu: self.apply_heisenberg(k, {mu: Q(1)}), -k, src_n, tgt_n)
         return self._matrix_cache[key]
 
     def virasoro_matrix(self, n: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
@@ -261,18 +255,21 @@ class FockModule:
             tgt_n = src_n + max(0, -n)
         key = ("L", n, src_n, tgt_n)
         if key not in self._matrix_cache:
-            self._matrix_cache[key] = self._snapshot(lambda vec: self.apply_virasoro(n, vec), src_n, tgt_n)
+            self._matrix_cache[key] = self._snapshot(lambda mu: self._virasoro_monomial(n, mu), -n, src_n, tgt_n)
         return self._matrix_cache[key]
 
     def vertex_matrix(self, v: Vector, m: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
         d = vec_is_homogeneous(v)
         if d is None:
             raise ValueError("vertex modes need a homogeneous vector")
+        _check_vertex_weight(d)
         if tgt_n is None:
             tgt_n = src_n + max(0, d - m - 1)
         key = ("Y", _vec_key(v), m, src_n, tgt_n)
         if key not in self._matrix_cache:
-            self._matrix_cache[key] = self._snapshot(lambda vec: self.apply_vertex(v, m, vec), src_n, tgt_n)
+            self._matrix_cache[key] = self._snapshot(
+                lambda mu: self.apply_vertex(v, m, {mu: Q(1)}), d - m - 1, src_n, tgt_n
+            )
         return self._matrix_cache[key]
 
     def contragredient_matrix(self, v: Vector, m: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
@@ -305,16 +302,17 @@ class FockModule:
         self._matrix_cache[key] = total
         return total
 
-    def _snapshot(self, action, src_n: int, tgt_n: int) -> QMat:
-        cols = self.basis(src_n)
+    def _snapshot(self, image, shift: int, src_n: int, tgt_n: int) -> QMat:
+        """Matrix of a mode raising the weight by ``shift``, from the images of
+        the basis monomials; columns whose image lies outside [0, tgt_n] are
+        never computed."""
         table = self._index_table(tgt_n)
-        mat = QMat(self.dim(tgt_n), self.dim(src_n))
-        for cidx, mu in enumerate(cols):
-            img = action({mu: Q(1)})
-            for tau, c in img.items():
-                if weight(tau) <= tgt_n:
-                    mat.add_(table[tau], cidx, c)
-        return mat
+        rows: Dict[int, Dict[int, Fraction]] = {}
+        for cidx, mu in enumerate(self.basis(src_n)):
+            if 0 <= weight(mu) + shift <= tgt_n:
+                for tau, c in image(mu).items():
+                    rows.setdefault(table[tau], {})[cidx] = c
+        return QMat._of_clean(self.dim(tgt_n), self.dim(src_n), rows)
 
     # -- gradings ------------------------------------------------------------
 
@@ -347,6 +345,11 @@ class FockModule:
     @property
     def log_bound(self) -> int:
         return 0
+
+
+def _check_vertex_weight(d: int) -> None:
+    if d > MAX_VERTEX_WEIGHT:
+        raise UnsupportedVertexWeight(f"vertex modes supported up to weight {MAX_VERTEX_WEIGHT}, got {d}")
 
 
 def _acc(out: Vector, mu: Partition, c: Fraction) -> None:

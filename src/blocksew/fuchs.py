@@ -135,9 +135,6 @@ class ResonanceData:
 
     resonant: Dict[int, int]
 
-    def is_resonant(self, n: int) -> bool:
-        return n in self.resonant
-
 
 def resonances(sys: FuchsSystem, order: int) -> ResonanceData:
     a0 = sys.a0()

@@ -29,10 +29,24 @@ class SchemaError(ValueError):
         self.path = path
 
 
-def _req(obj: dict, key: str, path: str):
+def require(obj: dict, key: str, path: str):
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "missing field")
     return obj[key]
+
+
+def rational_from_json(x, path: str) -> Fraction:
+    try:
+        return parse_rational(x)
+    except ValueError as e:
+        raise SchemaError(path, str(e)) from None
+
+
+def matrix_rows_from_json(rows, path: str) -> QMat:
+    """A matrix given as a list of rows of rational strings."""
+    return QMat.from_rows(
+        [[rational_from_json(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    )
 
 
 def value_to_json(v):
@@ -47,14 +61,11 @@ def value_to_json(v):
 
 def value_from_json(c, path: str):
     if isinstance(c, str):
-        try:
-            return parse_rational(c)
-        except ValueError as e:
-            raise SchemaError(path, str(e)) from None
+        return rational_from_json(c, path)
     if isinstance(c, list):
         if c and isinstance(c[0], list):
-            return QMat.from_rows([[parse_rational(x) for x in row] for row in c])
-        return QVec.from_list([parse_rational(x) for x in c])
+            return matrix_rows_from_json(c, path)
+        return QVec.from_list([rational_from_json(x, f"{path}[{i}]") for i, x in enumerate(c)])
     raise SchemaError(path, "coefficient must be a rational string or (nested) list")
 
 
@@ -74,16 +85,16 @@ def series_to_json(s: TruncSeries) -> dict:
 def series_from_json(obj: dict, path: str = "series") -> TruncSeries:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
-    vars_ = _req(obj, "vars", path)
-    trunc = {v: int(t) for v, t in _req(obj, "trunc", path).items()}
-    offset = {v: parse_rational(o) for v, o in obj.get("offset", {}).items()}
+    vars_ = require(obj, "vars", path)
+    trunc = {v: int(t) for v, t in require(obj, "trunc", path).items()}
+    offset = {v: rational_from_json(o, f"{path}.offset.{v}") for v, o in obj.get("offset", {}).items()}
     logmax = {v: int(m) for v, m in obj.get("logmax", {}).items()}
     s = TruncSeries(tuple(vars_), trunc, offset=offset, logmax=logmax)
     for i, term in enumerate(obj.get("terms", [])):
         tp = f"{path}.terms[{i}]"
-        exps = tuple(int(x) for x in _req(term, "n", tp))
-        logs = tuple(int(x) for x in _req(term, "l", tp))
-        s._store(exps, logs, value_from_json(_req(term, "c", tp), f"{tp}.c"))
+        exps = tuple(int(x) for x in require(term, "n", tp))
+        logs = tuple(int(x) for x in require(term, "l", tp))
+        s._store(exps, logs, value_from_json(require(term, "c", tp), f"{tp}.c"))
     return s
 
 
@@ -94,10 +105,11 @@ def jet_to_json(j: CoordJet) -> dict:
 def jet_from_json(obj: dict, path: str = "jet") -> CoordJet:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
-    taylor = _req(obj, "taylor", path)
+    taylor = require(obj, "taylor", path)
     if not taylor:
         raise SchemaError(f"{path}.taylor", "empty jet")
-    return CoordJet([parse_rational(c) for c in taylor], exact=bool(obj.get("exact", False)))
+    coeffs = [rational_from_json(c, f"{path}.taylor[{i}]") for i, c in enumerate(taylor)]
+    return CoordJet(coeffs, exact=bool(obj.get("exact", False)))
 
 
 def matrix_to_json(m: QMat, labels: Optional[List[str]] = None) -> dict:
@@ -115,7 +127,7 @@ def matrix_to_json(m: QMat, labels: Optional[List[str]] = None) -> dict:
 
 
 def matrix_from_json(obj: dict, path: str = "matrix") -> QMat:
-    shape = _req(obj, "shape", path)
+    shape = require(obj, "shape", path)
     m = QMat(int(shape[0]), int(shape[1]))
     for e in obj.get("entries", []):
         m.set_(int(e["i"]), int(e["j"]), parse_rational(e["c"]))
@@ -126,20 +138,19 @@ def fuchs_system_from_json(obj: dict, path: str = "system") -> Tuple[FuchsSystem
     """Single-variable system {A: [..], omega: [..], tail: {C, a}, seeds: {..}}."""
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
-    a_raw = _req(obj, "A", path)
-    w_raw = _req(obj, "omega", path)
+    a_raw = require(obj, "A", path)
+    w_raw = require(obj, "omega", path)
     if not isinstance(a_raw, list) or not isinstance(w_raw, list):
         raise SchemaError(path, "A and omega must be coefficient lists")
     a_coeffs = []
     dim = None
     for k, mat in enumerate(a_raw):
-        rows = [[parse_rational(x) for x in row] for row in mat]
+        a_coeffs.append(matrix_rows_from_json(mat, f"{path}.A[{k}]"))
         if dim is None:
-            dim = len(rows)
-        a_coeffs.append(QMat.from_rows(rows))
+            dim = a_coeffs[-1].nrows
     w_coeffs = []
     for k, vec in enumerate(w_raw):
-        w_coeffs.append(QVec.from_list([parse_rational(x) for x in vec]))
+        w_coeffs.append(QVec.from_list([rational_from_json(x, f"{path}.omega[{k}][{i}]") for i, x in enumerate(vec)]))
         if dim is None:
             dim = w_coeffs[-1].n
     if dim is None:

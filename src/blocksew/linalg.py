@@ -26,6 +26,8 @@ def as_q(x) -> Fraction:
 
 def parse_rational(s: str) -> Fraction:
     """Parse a decimal-free rational string like '3/4' or '-2'."""
+    if not isinstance(s, str):
+        raise ValueError(f"not a rational string: {s!r}")
     t = s.strip()
     body = t[1:] if t[:1] in "+-" else t
     if not body or not all(part.isdigit() for part in body.split("/", 1)) or body.count("/") > 1:
@@ -90,12 +92,6 @@ class QVec:
     __rmul__ = scale
     __mul__ = scale
 
-    def dot(self, other: "QVec") -> Fraction:
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        small, big = (self.data, other.data) if len(self.data) <= len(other.data) else (other.data, self.data)
-        return sum((v * big[i] for i, v in small.items() if i in big), Q(0))
-
     def norm_inf(self) -> Fraction:
         return max((abs(v) for v in self.data.values()), default=Q(0))
 
@@ -128,12 +124,15 @@ class QMat:
                     self.rows[i] = clean
 
     @classmethod
-    def identity(cls, n: int) -> "QMat":
-        return cls(n, n, {i: {i: Q(1)} for i in range(n)})
+    def _of_clean(cls, nrows: int, ncols: int, rows: Dict[int, Dict[int, Fraction]]) -> "QMat":
+        """Wrap rows that are already clean: non-empty dicts of nonzero Fractions."""
+        mat = cls.__new__(cls)
+        mat.nrows, mat.ncols, mat.rows = nrows, ncols, rows
+        return mat
 
     @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "QMat":
-        return cls(nrows, ncols)
+    def identity(cls, n: int) -> "QMat":
+        return cls._of_clean(n, n, {i: {i: Q(1)} for i in range(n)})
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "QMat":
@@ -165,11 +164,18 @@ class QMat:
     def __add__(self, other: "QMat") -> "QMat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        out = QMat(self.nrows, self.ncols, {i: dict(r) for i, r in self.rows.items()})
+        rows = {i: dict(r) for i, r in self.rows.items()}
         for i, r in other.rows.items():
+            row = rows.setdefault(i, {})
             for j, v in r.items():
-                out.add_(i, j, v)
-        return out
+                w = row[j] + v if j in row else v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+            if not row:
+                del rows[i]
+        return QMat._of_clean(self.nrows, self.ncols, rows)
 
     def __sub__(self, other: "QMat") -> "QMat":
         return self + other.scale(-1)
@@ -181,7 +187,8 @@ class QMat:
         c = as_q(c)
         if not c:
             return QMat(self.nrows, self.ncols)
-        return QMat(self.nrows, self.ncols, {i: {j: c * v for j, v in r.items()} for i, r in self.rows.items()})
+        rows = {i: {j: c * v for j, v in r.items()} for i, r in self.rows.items()}
+        return QMat._of_clean(self.nrows, self.ncols, rows)
 
     __rmul__ = scale
 
@@ -200,7 +207,7 @@ class QMat:
             acc = {j: v for j, v in acc.items() if v}
             if acc:
                 out[i] = acc
-        return QMat(self.nrows, other.ncols, out)
+        return QMat._of_clean(self.nrows, other.ncols, out)
 
     def apply(self, vec: QVec) -> QVec:
         if vec.n != self.ncols:
@@ -217,7 +224,7 @@ class QMat:
         for i, r in self.rows.items():
             for j, v in r.items():
                 out.setdefault(j, {})[i] = v
-        return QMat(self.ncols, self.nrows, out)
+        return QMat._of_clean(self.ncols, self.nrows, out)
 
     def trace(self) -> Fraction:
         return sum((self.get(i, i) for i in range(min(self.nrows, self.ncols))), Q(0))
@@ -323,16 +330,3 @@ def solve(mat: QMat, rhs: QVec) -> Optional[Tuple[QVec, List[QVec]]]:
                 vec.data[col] = -c
         kernel.append(vec)
     return part, kernel
-
-
-def kernel_basis(mat: QMat) -> List[QVec]:
-    sol = solve(mat, QVec(mat.nrows))
-    assert sol is not None
-    return sol[1]
-
-
-def is_singular(mat: QMat) -> bool:
-    if mat.nrows != mat.ncols:
-        raise ValueError("square matrices only")
-    _, pivots = rref(mat)
-    return len(pivots) < mat.ncols

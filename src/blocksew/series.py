@@ -121,10 +121,6 @@ class LaurentJet:
     def monomial(cls, c, e: int, var: str = "z") -> "LaurentJet":
         return cls({e: as_q(c)} if as_q(c) else {}, min(e, 0), None, var)
 
-    @classmethod
-    def from_coeffs(cls, pairs, lo: int, hi: Optional[int], var: str = "z") -> "LaurentJet":
-        return cls(dict(pairs), lo, hi, var)
-
     # -- basic access ------------------------------------------------------
 
     def coeff(self, e: int):
@@ -323,14 +319,6 @@ class LaurentJet:
         return f"<{terms} ; window [{self.lo},{hi}]>"
 
 
-def agree_on_common_window(a: LaurentJet, b: LaurentJet) -> bool:
-    hi = _min_hi(a.hi, b.hi)
-    lo = min(a.lo, b.lo)
-    if hi is None:
-        hi = max(list(a.coeffs) + list(b.coeffs) + [lo])
-    return all(a.coeffs.get(e, Q(0)) == b.coeffs.get(e, Q(0)) for e in range(lo, hi + 1))
-
-
 # ---------------------------------------------------------------------------
 # CoordJet
 
@@ -387,12 +375,6 @@ class CoordJet:
             pad = [ring_zero_like(self.coeffs[0])] * (order - self.order)
             return CoordJet(self.coeffs + pad, exact=True)
         raise WindowError(f"jet only known to order {self.order}")
-
-    def derivative_at0(self, n: int):
-        """n-th derivative at 0, i.e. n! * a_n."""
-        import math
-
-        return self.coefficient(n) * math.factorial(n)
 
     def to_laurent(self, var: str = "z") -> LaurentJet:
         coeffs = {k + 1: c for k, c in enumerate(self.coeffs) if not _is_ring_zero(c)}
@@ -639,10 +621,6 @@ class TruncSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, vars: Sequence[str], trunc: Dict[str, int], **kw) -> "TruncSeries":
-        return cls(vars, trunc, **kw)
-
-    @classmethod
     def constant(cls, c, vars: Sequence[str], trunc: Dict[str, int], **kw) -> "TruncSeries":
         s = cls(vars, trunc, **kw)
         k = len(s.vars)
@@ -809,17 +787,6 @@ class TruncSeries:
                 out._store(exps, lowered, _vscale(Q(logs[j]), val))
         return out
 
-    def map_values(self, fn) -> "TruncSeries":
-        out = TruncSeries(
-            self.vars,
-            {v: t for v, t in zip(self.vars, self.trunc)},
-            offset={v: o for v, o in zip(self.vars, self.offset)},
-            logmax={v: m for v, m in zip(self.vars, self.logmax)},
-        )
-        for key, val in self.terms.items():
-            out._store(key[0], key[1], fn(val))
-        return out
-
     def normalized(self) -> "TruncSeries":
         """Fold integer offsets into exponents when all exponents remain >= 0."""
         shifts = []
@@ -867,10 +834,6 @@ class TruncSeries:
             f"({val})*{mono(e, l)}" for (e, l), val in sorted(self.terms.items())
         ) or "0"
         return f"TruncSeries<{body}>"
-
-
-def mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a * b
 
 
 def diagonal_contract(d: TruncSeries, out_var: str = "q") -> TruncSeries:

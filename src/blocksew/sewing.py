@@ -171,22 +171,6 @@ class SewingBlock:
                 table[k1 + k2] = v1 * v2
         return SewingBlock(self.slot_dims + other.slot_dims, table, None)
 
-    def evaluate(self, vectors: Sequence[QVec]) -> Fraction:
-        if len(vectors) != self.arity:
-            raise ValueError("one vector per slot")
-        total = Q(0)
-        for key, c in self.table.items():
-            prod = c
-            for s, idx in enumerate(key):
-                x = vectors[s][idx]
-                if not x:
-                    prod = Q(0)
-                    break
-                prod *= x
-            if prod:
-                total += prod
-        return total
-
     def contract_slot(self, s: int, mat: QMat) -> "SewingBlock":
         """Precompose slot s with a linear map: new[.., j, ..] = sum_i old[.., i, ..] mat[i, j]."""
         table: Dict[Tuple[int, ...], Fraction] = {}
@@ -581,8 +565,10 @@ def genus0_invariance_check(
     acted_tables: List[SewingBlock] = []
     for s, pt in enumerate(points):
         n_slot = block.slot_trunc(s)
+        # only sources of weight <= weight_cap are ever read
+        src_n = min(weight_cap, n_slot)
         coeffs = expand_section_at_point(v, k, pt, work)
-        act = QMat(block.slot_dim(s), block.slot_dim(s))
+        act = QMat(block.slot_dim(s), limits[s])
         for mu_u, jet in coeffs.items():
             du = weight(mu_u)
             val = jet.valuation()
@@ -607,9 +593,9 @@ def genus0_invariance_check(
                 if not c:
                     continue
                 if pt.dual:
-                    mode = pt.module.contragredient_matrix({mu_u: Q(1)}, e, n_slot, n_slot)
+                    mode = pt.module.contragredient_matrix({mu_u: Q(1)}, e, src_n, n_slot)
                 else:
-                    mode = pt.module.vertex_matrix({mu_u: Q(1)}, e, n_slot, n_slot)
+                    mode = pt.module.vertex_matrix({mu_u: Q(1)}, e, src_n, n_slot)
                 act = act + mode.scale(c)
         # only checked keys are computed: other slots and the new index of
         # slot s stay within the weight cap
@@ -622,7 +608,7 @@ def genus0_invariance_check(
             },
             block.pair_slots,
         )
-        acted_tables.append(checked.contract_slot(s, act.submatrix((0, act.nrows), (0, limits[s]))))
+        acted_tables.append(checked.contract_slot(s, act))
 
     failures = []
     keys = set()

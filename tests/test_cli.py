@@ -298,6 +298,33 @@ class TestNegativeSizes:
         self.rejected(["fuchs", "solve", doc], capsys, "input.order")
 
 
+class TestMalformedDocuments:
+    """A malformed document is a schema error naming its JSON path, never a traceback."""
+
+    def rejected(self, argv, capsys, path):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"schema error: {path}: "), (argv, err)
+
+    def test_numbers_where_rationals_are_expected(self, tmp_path, capsys):
+        self.rejected(["coord", "extract-c", write(tmp_path, "jet.json", {"taylor": [1, 2]})], capsys, "jet.taylor[0]")
+        run_doc = {"block": {"slots": [[1], [1]], "pair": [0, 1], "entries": [{"idx": [0, 0], "c": 1}]}}
+        self.rejected(["sew", "run", write(tmp_path, "run.json", run_doc)], capsys, "input.block.entries[0].c")
+
+    def test_sew_run_without_block(self, tmp_path, capsys):
+        doc = write(tmp_path, "run.json", {"module": {"type": "fock"}, "order": 2})
+        self.rejected(["sew", "run", doc], capsys, "input.block")
+
+    def test_schwarz_term_missing_field(self, tmp_path, capsys):
+        zero = {"vars": ["pi"], "trunc": {"pi": 4}, "terms": []}
+        half = {"vars": ["xi", "pi"], "trunc": {"xi": 4, "pi": 4}, "terms": [{"n": [0, 0], "l": [0, 0], "c": "1/2"}]}
+        doc = write(tmp_path, "term.json", {"S_pi": zero, "a": half, "b": half, "order": 3})
+        self.rejected(["schwarz", "term", doc], capsys, "input.S_xi")
+
+    def test_document_that_is_not_an_object(self, tmp_path, capsys):
+        self.rejected(["fuchs", "residual", write(tmp_path, "list.json", [1, 2])], capsys, "input")
+
+
 class TestJsonRoundTrip:
     def test_series_roundtrip_with_matrix_values(self):
         rnd = random.Random(4)

@@ -11,6 +11,7 @@ from blocksew.coords import (
     family_jet,
     gamma_xi,
     huang_conjugation_check,
+    huang_conjugation_checks,
     u_apply,
     u_matrix,
     u_matrix_dual,
@@ -253,6 +254,26 @@ class TestHuangConjugation:
         mob = CoordJet([Q(1)] * 30)
         ok, rep = huang_conjugation_check(mob, BOSON, {(2,): Q(1)}, module, -4, 4)
         assert ok, rep
+
+    def test_multi_pair_check_matches_single_pair_calls(self):
+        module = vacuum_module()
+        states = [{mu: Q(1)} for w in range(3) for mu in partitions_of(w)]
+        pairs = [(v, w) for v in states for w in states]
+        # both pair orders: shared work must serve the pairs met before and after it
+        cases = [(CoordJet.from_poly([Q(-4, 3)]), pairs), (CoordJet.from_poly([1, 1]), pairs[::-1])]
+        for alpha, ordered in cases + [(CoordJet([Q(1)] * 40), pairs)]:
+            want = [huang_conjugation_check(alpha, v, w, module, -3, 4) for v, w in ordered]
+            assert huang_conjugation_checks(alpha, ordered, module, -3, 4) == want, alpha
+        # the first pair fits a jet of order 9, later ones do not
+        short = CoordJet([Q(1)] * 9)
+        assert huang_conjugation_checks(short, pairs[:1], module, -4, 6) == [
+            huang_conjugation_check(short, *pairs[0], module, -4, 6)
+        ]
+        with pytest.raises(InsufficientJetOrder):
+            huang_conjugation_checks(short, pairs, module, -4, 6)
+        with pytest.raises(InsufficientJetOrder):
+            for v, w in pairs:
+                huang_conjugation_check(short, v, w, module, -4, 6)
 
     def test_family_jet_windows(self):
         fam = family_jet(CoordJet([Q(1)] * 8), max_degree=3)

@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 import threading
 from fractions import Fraction
 
@@ -18,7 +21,8 @@ from blocksew.fock import (
     weight,
 )
 from blocksew.linalg import QMat
-from helpers import euler_partition_count
+from blocksew.series import LaurentJet
+from helpers import euler_partition_count, random_rational
 
 Q = Fraction
 
@@ -231,6 +235,141 @@ class TestCaching:
             t.join()
         fresh = FockModule(0).virasoro_matrix(2, 5, 5)
         assert all(r == fresh for r in results)
+
+
+def _add_scaled(out, vec, scale):
+    for mu, c in vec.items():
+        out[mu] = out.get(mu, Q(0)) + c * scale
+
+
+def sugawara_reference(m, n, vec):
+    """L_n = (1/2) sum over every j of :a_j a_{n-j}:, the larger index acting first."""
+    top = max([weight(mu) for mu in vec] + [0])
+    out = {}
+    for j in range(n - top, top + 1):
+        lo, hi = sorted((j, n - j))
+        _add_scaled(out, m.apply_heisenberg(lo, m.apply_heisenberg(hi, vec)), Q(1, 2))
+    return out
+
+
+def current_coeff(n, j):
+    """binom(-j-1, n-1), the coefficient of a_j in d^{n-1}a / (n-1)!."""
+    return Q(math.prod(-j - 1 - t for t in range(n - 1)), math.factorial(n - 1))
+
+
+def vertex_reference(m, v, k, vec):
+    """Y(v)_k as the normally ordered product of derivative currents, summed
+    over mode tuples with annihilators acting first."""
+    top = max([weight(mu) for mu in vec] + [0])
+    out = {}
+    for parts, cv in v.items():
+        if not parts:
+            _add_scaled(out, vec if k == -1 else {}, cv)
+            continue
+        target = k + 1 - sum(parts)
+        lo = target - (len(parts) - 1) * top
+        for head in itertools.product(range(lo, top + 1), repeat=len(parts) - 1):
+            js = head + (target - sum(head),)
+            coeff = cv * math.prod(current_coeff(n, j) for n, j in zip(parts, js))
+            term = vec
+            for j in sorted(js, reverse=True):
+                term = m.apply_heisenberg(j, term)
+            _add_scaled(out, term, coeff)
+    return out
+
+
+def same_vectors(got, want):
+    """Equal nonzero entries, and equal windows for LaurentJet coefficients."""
+
+    def entries(vec):
+        return {
+            mu: (c, c.lo, c.hi) if isinstance(c, LaurentJet) else c
+            for mu, c in vec.items()
+            if (not c.is_zero() if isinstance(c, LaurentJet) else c)
+        }
+
+    return entries(got) == entries(want)
+
+
+class TestMonomialImageCache:
+    """apply_virasoro and apply_vertex sum the cached images of basis monomials."""
+
+    @staticmethod
+    def seeded_vectors(rnd, laurent, count):
+        for _ in range(count):
+            vec = {}
+            for mu in rnd.sample(FockModule.basis(4), 5):
+                c = random_rational(rnd) or Q(1)
+                if laurent:
+                    hi = rnd.randint(2, 6)
+                    c = LaurentJet({0: c, 1: random_rational(rnd), hi: Q(1)}, rnd.choice([-1, 0]), hi, "t")
+                vec[mu] = c
+            yield vec
+
+    def test_virasoro_matches_direct_sugawara(self):
+        rnd = random.Random(20)
+        for momentum in (Q(0), Q(-5, 3)):
+            m = FockModule(momentum)
+            for laurent in (False, True):
+                for vec in self.seeded_vectors(rnd, laurent, 5):
+                    for n in range(-3, 4):
+                        assert same_vectors(m.apply_virasoro(n, vec), sugawara_reference(m, n, vec)), (n, vec)
+
+    def test_vertex_matches_normal_ordered_product(self):
+        rnd = random.Random(21)
+        states = [VACUUM, BOSON, CONFORMAL, {(2,): Q(1)}, {(3,): Q(-2)}, {(2, 1): Q(1)}, {(1, 1, 1): Q(1, 3)}]
+        for momentum in (Q(0), Q(-5, 3)):
+            m = FockModule(momentum)
+            for laurent in (False, True):
+                for vec in self.seeded_vectors(rnd, laurent, 2):
+                    for v in states:
+                        for k in range(-3, 4):
+                            assert same_vectors(m.apply_vertex(v, k, vec), vertex_reference(m, v, k, vec)), (v, k)
+
+
+class TestWeightAwareSnapshots:
+    """Snapshots skip the columns whose image leaves [0, tgt_n]."""
+
+    @staticmethod
+    def full_snapshot(m, action, src_n, tgt_n):
+        """Every source column, with the entries above the target truncation dropped."""
+        index = {mu: i for i, mu in enumerate(m.basis(tgt_n))}
+        mat = QMat(m.dim(tgt_n), m.dim(src_n))
+        for col, mu in enumerate(m.basis(src_n)):
+            for tau, c in action({mu: Q(1)}).items():
+                if weight(tau) <= tgt_n:
+                    mat.set_(index[tau], col, c)
+        return mat
+
+    def dual_reference(self, m, v, k, src_n, tgt_n):
+        d = weight(next(iter(v)))
+        total, u = QMat(m.dim(tgt_n), m.dim(src_n)), dict(v)
+        for j in range(d + 1):
+            if u:
+                kk = 2 * d - j - k - 2
+                a = self.full_snapshot(m, lambda x, u=u: m.apply_vertex(u, kk, x), tgt_n, src_n)
+                total = total + a.transpose().scale(Q((-1) ** d, math.factorial(j)))
+            u = vacuum_module().apply_virasoro(1, u)
+        return total
+
+    def test_snapshots_match_full_snapshots(self):
+        for momentum in (Q(0), Q(-5, 3)):
+            m = FockModule(momentum)
+            for src, tgt in [(0, 0), (2, 5), (5, 2), (4, 4), (6, 3)]:
+                for k in range(-3, 4):
+                    full = self.full_snapshot(m, lambda x: m.apply_heisenberg(k, x), src, tgt)
+                    assert m.heisenberg_matrix(k, src, tgt) == full, (k, src, tgt)
+                    full = self.full_snapshot(m, lambda x: m.apply_virasoro(k, x), src, tgt)
+                    assert m.virasoro_matrix(k, src, tgt) == full, (k, src, tgt)
+                    for v in (BOSON, CONFORMAL, {(2, 1): Q(1)}):
+                        full = self.full_snapshot(m, lambda x: m.apply_vertex(v, k, x), src, tgt)
+                        assert m.vertex_matrix(v, k, src, tgt) == full, (v, k, src, tgt)
+                        assert m.contragredient_matrix(v, k, src, tgt) == self.dual_reference(m, v, k, src, tgt)
+
+    def test_weight_bound_enforced_on_skipped_columns(self):
+        # every column of a weight-5 mode at index 9 is skipped; the bound still holds
+        with pytest.raises(UnsupportedVertexWeight):
+            FockModule(0).vertex_matrix({(5,): Q(1)}, 9, 2, 2)
 
 
 class TestToyModule:

@@ -332,6 +332,22 @@ class TestGenus0Invariance:
             failing += not got[0]
         assert failing >= 2
 
+    def test_restricted_action_matches_full_then_submatrix(self):
+        # the check asks for each mode with source truncation min(cap, n_slot)
+        m, n = FockModule(Q(0)), 5
+        for cap in (2, 5, 7):
+            src = min(cap, n)
+            for mode in (m.vertex_matrix, m.contragredient_matrix):
+                for v in (VACUUM, BOSON, CONFORMAL, {(2,): Q(1)}):
+                    for e in range(-3, 4):
+                        full = mode(v, e, n, n)
+                        assert mode(v, e, src, n) == full.submatrix((0, full.nrows), (0, m.dim(src))), (cap, v, e)
+        # a cap above the slot truncation passes when the action only lowers weights
+        block = SewingBlock.pairing(m, 3)
+        points = [SpherePoint(Q(1), CoordJet.identity(), m), SpherePoint(Q(2), CoordJet.identity(), m, dual=True)]
+        got = genus0_invariance_check(block, points, VACUUM, 0, 4)
+        assert got == self.full_then_filter(block, points, VACUUM, 0, 4)
+
     def test_slot_truncation_shortfall(self):
         small = SewingBlock.pairing(self.m, 3)
         with pytest.raises(TruncationShortfall):
