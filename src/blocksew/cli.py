@@ -52,15 +52,15 @@ def _read_json(path: Optional[str]):
 
 def _order(args, doc, default: int) -> int:
     """--order, else the document's "order", else the default."""
-    if args.order is not None:
-        return args.order
-    try:
-        order = int(doc.get("order", default))
-    except (TypeError, ValueError):
-        raise jsonio.SchemaError("input.order", "expected an integer") from None
-    if order < 0:
-        raise jsonio.SchemaError("input.order", "must be non-negative")
-    return order
+    return args.order if args.order is not None else _size(doc, "order", default)
+
+
+def _size(doc, key: str, default: int) -> int:
+    """The document's non-negative integer ``key``, else the default."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise jsonio.SchemaError(f"input.{key}", "expected a non-negative integer")
+    return value
 
 
 def _emit(text: str, args) -> None:
@@ -369,8 +369,7 @@ def cmd_fuchs_solve(args) -> int:
     doc = _read_json(args.input)
     system, seeds = jsonio.fuchs_system_from_json(doc)
     order = _order(args, doc, 10)
-    log_bound = int(doc.get("log_bound", 0))
-    psi = solve_formal(system, seeds, order=order, log_bound=log_bound)
+    psi = solve_formal(system, seeds, order=order, log_bound=_size(doc, "log_bound", 0))
     _emit_series(psi, args)
     return 0
 
@@ -388,7 +387,7 @@ def cmd_fuchs_certify(args) -> int:
             return _fail({"violation_index": first, "message": message}, args)
     else:
         order = _order(args, doc, 30)
-        psi = solve_formal(system, seeds, order=order, log_bound=int(doc.get("log_bound", 0)))
+        psi = solve_formal(system, seeds, order=order, log_bound=_size(doc, "log_bound", 0))
     try:
         cert = certify(system, psi, parse_rational(str(doc.get("r1", args.r1))))
     except BoundViolation as e:

@@ -57,8 +57,16 @@ def partitions_of(n: int) -> Tuple[Partition, ...]:
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
-    return len(partitions_of(n))
+    """p(n) by Euler's pentagonal recurrence, without listing the partitions."""
+    if n <= 0:
+        return int(n == 0)
+    total, k = 0, 1
+    while (pent := k * (3 * k - 1) // 2) <= n:
+        total += (1 if k % 2 else -1) * (partition_count(n - pent) + partition_count(n - pent - k))
+        k += 1
+    return total
 
 
 def weight(mu: Partition) -> int:

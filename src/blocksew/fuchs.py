@@ -18,6 +18,7 @@ a certified radius r_0 < r_1/gamma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -175,31 +176,34 @@ def solve_formal(
         {v: order for v in sys.variables},
         logmax={v: log_bound for v in sys.variables},
     )
-    psi: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], QVec] = {}
+    psi: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[List[int], int]] = {}
 
     outer_indices = _outer_range(m - 1, order)
     zero_key = (0,) * m
 
+    # A^j_k and omega^j_k as integers over one denominator each, and every
+    # psi coefficient likewise, so each step's rhs is summed with int products
+    a_int = [{k: _int_rows(mat) for k, mat in sys.a[j].items() if k != zero_key} for j in range(m)]
+    w_int = [{k: _over_one_den(vec.to_list()) for k, vec in sys.omega[j].items()} for j in range(m)]
+
     def step_rhs(j: int, exps: Tuple[int, ...], logs: Tuple[int, ...]) -> QVec:
-        rhs = QVec(sys.dim)
-        if logs == (0,) * m:
-            w = sys.omega[j].get(exps)
-            if w is not None:
-                rhs = rhs + w
-        for key, mat in sys.a[j].items():
-            if key == zero_key:
-                continue
-            prev = tuple(e - k for e, k in zip(exps, key))
-            if any(p < 0 for p in prev):
-                continue
-            pv = psi.get((prev, logs))
+        terms = []  # (numerators, denominator)
+        if not any(logs) and exps in w_int[j]:
+            terms.append(w_int[j][exps])
+        for key, (mat, den) in a_int[j].items():
+            pv = psi.get((tuple(e - k for e, k in zip(exps, key)), logs))
             if pv is not None:
-                rhs = rhs + mat.apply(pv)
+                terms.append(([sum(a * x for a, x in zip(row, pv[0]) if a) for row in mat], den * pv[1]))
         if logs[j] + 1 <= log_bound:
             higher = psi.get((exps, logs[:j] + (logs[j] + 1,) + logs[j + 1 :]))
             if higher is not None:
-                rhs = rhs - higher.scale(logs[j] + 1)
-        return rhs
+                terms.append(([-(logs[j] + 1) * x for x in higher[0]], higher[1]))
+        den = math.lcm(*(d for _, d in terms))
+        total = [0] * sys.dim
+        for nums, d in terms:
+            f = den // d
+            total = [t + f * x for t, x in zip(total, nums)]
+        return QVec(sys.dim, {i: Q(x, den) for i, x in enumerate(total) if x})
 
     a0s = [sys.a[j].get(zero_key, QMat(sys.dim, sys.dim)) for j in range(m)]
     for logsum in range(m * log_bound, -1, -1):
@@ -233,9 +237,21 @@ def solve_formal(
                     else:
                         part = chosen[0]
                     if not part.is_zero():
-                        psi[(exps, logs)] = part
+                        psi[(exps, logs)] = _over_one_den(part.to_list())
                         out._store(exps, logs, part)
     return out
+
+
+def _over_one_den(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _int_rows(mat: QMat) -> Tuple[List[List[int]], int]:
+    """A matrix as integer rows over one denominator."""
+    nums, den = _over_one_den([x for row in mat.to_rows() for x in row])
+    return [nums[i : i + mat.ncols] for i in range(0, len(nums), mat.ncols)], den
 
 
 def _outer_range(k: int, order: int) -> List[Tuple[int, ...]]:

@@ -158,13 +158,21 @@ def fuchs_system_from_json(obj: dict, path: str = "system") -> Tuple[FuchsSystem
     tail = None
     if obj.get("tail") is not None:
         t = obj["tail"]
-        tail = (parse_rational(str(t["C"])), parse_rational(str(t["a"])))
+        if not isinstance(t, dict):
+            raise SchemaError(f"{path}.tail", "expected an object")
+        tail = tuple(rational_from_json(str(require(t, k, f"{path}.tail")), f"{path}.tail.{k}") for k in ("C", "a"))
     seeds = {}
-    for key, val in obj.get("seeds", {}).items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise SchemaError(f"{path}.seeds.{key}", "seed keys are 'n,l'")
-        seeds[(int(parts[0]), int(parts[1]))] = [parse_rational(str(x)) for x in val]
+    seeds_raw = obj.get("seeds", {})
+    if not isinstance(seeds_raw, dict):
+        raise SchemaError(f"{path}.seeds", "expected an object")
+    for key, val in seeds_raw.items():
+        try:
+            n, l = (int(x) for x in key.split(","))
+        except ValueError:
+            raise SchemaError(f"{path}.seeds.{key}", "seed keys are 'n,l'") from None
+        if not isinstance(val, list):
+            raise SchemaError(f"{path}.seeds.{key}", "expected a list of rationals")
+        seeds[(n, l)] = [rational_from_json(str(x), f"{path}.seeds.{key}[{i}]") for i, x in enumerate(val)]
     return FuchsSystem.single(a_coeffs, w_coeffs, dim=dim, tail=tail), seeds
 
 

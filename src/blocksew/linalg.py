@@ -2,12 +2,13 @@
 
 Everything in this package that looks like a matrix is a QMat: a sparse
 row-dict matrix with Fraction entries.  Solving and kernels go through a
-deterministic fraction-free-ish Gauss elimination with a fixed pivot order,
-so repeated runs produce identical output.
+fraction-free (Bareiss) Gauss-Jordan elimination over integers with a fixed
+pivot order, so repeated runs produce identical output.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -262,43 +263,6 @@ class QMat:
         return f"QMat({self.nrows}x{self.ncols}, nnz={sum(len(r) for r in self.rows.values())})"
 
 
-def rref(mat: QMat) -> Tuple[QMat, List[int]]:
-    """Reduced row echelon form with leftmost-pivot order. Returns (R, pivot columns)."""
-    rows = [dict(mat.rows.get(i, {})) for i in range(mat.nrows)]
-    pivots: List[int] = []
-    rank = 0
-    for col in range(mat.ncols):
-        sel = None
-        for i in range(rank, mat.nrows):
-            if rows[i].get(col):
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = {j: inv * v for j, v in rows[rank].items()}
-        for i in range(mat.nrows):
-            if i == rank:
-                continue
-            c = rows[i].get(col)
-            if not c:
-                continue
-            newrow = dict(rows[i])
-            for j, v in rows[rank].items():
-                w = newrow.get(j, Q(0)) - c * v
-                if w:
-                    newrow[j] = w
-                else:
-                    newrow.pop(j, None)
-            rows[i] = newrow
-        pivots.append(col)
-        rank += 1
-        if rank == mat.nrows:
-            break
-    return QMat(mat.nrows, mat.ncols, {i: r for i, r in enumerate(rows) if r}), pivots
-
-
 def solve(mat: QMat, rhs: QVec) -> Optional[Tuple[QVec, List[QVec]]]:
     """Solve mat @ x = rhs exactly.
 
@@ -306,27 +270,53 @@ def solve(mat: QMat, rhs: QVec) -> Optional[Tuple[QVec, List[QVec]]]:
     on pivot columns only (minimal support in the fixed pivot order), or None
     if inconsistent.  The kernel basis is deterministic: one vector per free
     column, entry 1 there.
+
+    The elimination is a fraction-free (Bareiss) Gauss-Jordan over integers:
+    each row of ``mat`` is scaled by the lcm of its denominators and the rhs by
+    one common denominator D, solving for y = D x.  The pivot is the first
+    nonzero entry at or below the current rank in the leftmost column, and
+    every row becomes (p row - c pivot_row) / p_prev, an exact division; at
+    the end every pivot entry equals the last pivot.
     """
-    aug = QMat(mat.nrows, mat.ncols + 1, {i: dict(r) for i, r in mat.rows.items()})
-    for i, v in rhs.data.items():
-        aug.set_(i, mat.ncols, v)
-    red, pivots = rref(aug)
-    if mat.ncols in pivots:
-        return None
-    part = QVec(mat.ncols)
-    for k, col in enumerate(pivots):
-        val = red.get(k, mat.ncols)
-        if val:
-            part.data[col] = val
-    pivset = set(pivots)
-    kernel: List[QVec] = []
-    for free in range(mat.ncols):
-        if free in pivset:
+    if rhs.n != mat.nrows:
+        raise ValueError("dimension mismatch")
+    ncols = mat.ncols
+    den = math.lcm(*(v.denominator for v in rhs.data.values()))
+    rows = []
+    for i in range(mat.nrows):
+        r = mat.rows.get(i, {})
+        scale = math.lcm(*(v.denominator for v in r.values()))
+        row = [0] * (ncols + 1)
+        for j, v in r.items():
+            row[j] = v.numerator * (scale // v.denominator)
+        b = rhs.data.get(i)
+        if b is not None:
+            row[ncols] = scale * (den // b.denominator) * b.numerator
+        rows.append(row)
+    pivots: List[int] = []
+    p_prev = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        sel = next((i for i in range(rank, mat.nrows) if rows[i][col]), None)
+        if sel is None:
             continue
-        vec = QVec(mat.ncols, {free: Q(1)})
-        for k, col in enumerate(pivots):
-            c = red.get(k, free)
-            if c:
-                vec.data[col] = -c
-        kernel.append(vec)
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        prow = rows[rank]
+        p = prow[col]
+        for i, row in enumerate(rows):
+            if i != rank:
+                c = row[col]
+                rows[i] = [(p * a - c * b) // p_prev for a, b in zip(row, prow)]
+        pivots.append(col)
+        p_prev = p
+        if rank + 1 == mat.nrows:
+            break
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
+    part = QVec(ncols, {col: Q(rows[k][ncols], p_prev * den) for k, col in enumerate(pivots)})
+    kernel = [
+        QVec(ncols, {free: Q(1), **{col: Q(-rows[k][free], p_prev) for k, col in enumerate(pivots)}})
+        for free in range(ncols)
+        if free not in pivots
+    ]
     return part, kernel

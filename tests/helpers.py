@@ -76,3 +76,63 @@ def random_jet_coeffs(rnd: random.Random, order: int, lead_range=(1, 5)):
 
 def random_rational(rnd: random.Random, num=6, den=4) -> Fraction:
     return Q(rnd.randint(-num, num), rnd.randint(1, den))
+
+
+def fraction_solve(rows, rhs):
+    """Solve rows @ x = rhs by Gauss-Jordan over Fractions, leftmost pivots first.
+
+    The rhs is eliminated as one more column, so the system is inconsistent
+    exactly when that column gets a pivot.  Returns None then, else
+    (particular, kernel) as {column: value} dicts: the particular solution on
+    pivot columns and one kernel vector per free column, entry 1 there.
+    """
+    ncols = len(rows[0]) if rows else 0
+    aug = [[Q(x) for x in row] + [Q(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(ncols + 1):
+        rank = len(pivots)
+        sel = next((i for i in range(rank, len(aug)) if aug[i][col]), None)
+        if sel is None:
+            continue
+        aug[rank], aug[sel] = aug[sel], aug[rank]
+        inv = 1 / aug[rank][col]
+        aug[rank] = [inv * v for v in aug[rank]]
+        for i, row in enumerate(aug):
+            c = row[col]
+            if i != rank and c:
+                aug[i] = [v - c * w for v, w in zip(row, aug[rank])]
+        pivots.append(col)
+        if len(pivots) == len(aug):
+            break
+    if ncols in pivots:
+        return None
+    part = {col: aug[k][ncols] for k, col in enumerate(pivots) if aug[k][ncols]}
+    kernel = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        vec = {free: Q(1)}
+        vec.update({col: -aug[k][free] for k, col in enumerate(pivots) if aug[k][free]})
+        kernel.append(vec)
+    return part, kernel
+
+
+def fraction_fuchs_solution(a, omega, seeds, order):
+    """psi_0..psi_order of q psi' = A psi + omega from the plain recurrence.
+
+    a[k] and omega[k] are the dense Fraction coefficients of q^k; each step
+    solves (n - A_0) psi_n = omega_n + sum_{k>=1} A_k psi_{n-k} with
+    :func:`fraction_solve` and adds seeds[n] times the kernel basis.
+    """
+    dim = len(a[0])
+    psi = []
+    for n in range(order + 1):
+        rhs = list(omega[n]) if n < len(omega) else [Q(0)] * dim
+        for k in range(1, min(n, len(a) - 1) + 1):
+            rhs = [r + sum(x * y for x, y in zip(row, psi[n - k])) for r, row in zip(rhs, a[k])]
+        step = [[(n if i == j else 0) - a[0][i][j] for j in range(dim)] for i in range(dim)]
+        part, kernel = fraction_solve(step, rhs)
+        assert len(seeds.get(n, [])) == len(kernel), f"step {n} needs {len(kernel)} seed(s)"
+        x = [part.get(i, Q(0)) for i in range(dim)]
+        for cf, vec in zip(seeds.get(n, []), kernel):
+            x = [xi + cf * vec.get(i, 0) for i, xi in enumerate(x)]
+        psi.append(x)
+    return psi

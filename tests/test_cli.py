@@ -297,6 +297,12 @@ class TestNegativeSizes:
         doc = write(tmp_path, "b.json", {**system, "order": -3})
         self.rejected(["fuchs", "solve", doc], capsys, "input.order")
 
+    def test_fuchs_log_bound(self, tmp_path, capsys):
+        # a negative log bound used to solve nothing and print "terms": [] with exit 0
+        doc = write(tmp_path, "a.json", {"A": [[["0"]]], "omega": [["1"]], "log_bound": -1})
+        self.rejected(["fuchs", "solve", doc, "--order", "3"], capsys, "input.log_bound")
+        self.rejected(["fuchs", "certify", doc, "--order", "3"], capsys, "input.log_bound")
+
 
 class TestMalformedDocuments:
     """A malformed document is a schema error naming its JSON path, never a traceback."""
@@ -320,6 +326,31 @@ class TestMalformedDocuments:
         half = {"vars": ["xi", "pi"], "trunc": {"xi": 4, "pi": 4}, "terms": [{"n": [0, 0], "l": [0, 0], "c": "1/2"}]}
         doc = write(tmp_path, "term.json", {"S_pi": zero, "a": half, "b": half, "order": 3})
         self.rejected(["schwarz", "term", doc], capsys, "input.S_xi")
+
+    def test_fuchs_non_integer_log_bound_and_seed_key(self, tmp_path, capsys):
+        system = {"A": [[["0"]]], "omega": [["1"]]}
+        for bound in (1.5, "1"):
+            doc = write(tmp_path, "a.json", {**system, "log_bound": bound})
+            self.rejected(["fuchs", "solve", doc], capsys, "input.log_bound")
+            self.rejected(["fuchs", "certify", doc], capsys, "input.log_bound")
+        for key in ("a,b", "1,2,3", "1"):
+            doc = write(tmp_path, "b.json", {**system, "seeds": {key: ["1"]}})
+            self.rejected(["fuchs", "solve", doc], capsys, f"system.seeds.{key}")
+        doc = write(tmp_path, "c.json", {**system, "seeds": [["1"]]})
+        self.rejected(["fuchs", "solve", doc], capsys, "system.seeds")
+        doc = write(tmp_path, "d.json", {**system, "seeds": {"0,0": "12"}})
+        self.rejected(["fuchs", "solve", doc], capsys, "system.seeds.0,0")
+        doc = write(tmp_path, "e.json", {**system, "seeds": {"0,0": ["x"]}})
+        self.rejected(["fuchs", "solve", doc], capsys, "system.seeds.0,0[0]")
+
+    def test_fuchs_tail_without_field(self, tmp_path, capsys):
+        system = {"A": [[["0"]]], "omega": [["1"]]}
+        doc = write(tmp_path, "a.json", {**system, "tail": {"a": "1/2"}})
+        self.rejected(["fuchs", "solve", doc], capsys, "system.tail.C")
+        doc = write(tmp_path, "b.json", {**system, "tail": {"C": "1"}})
+        self.rejected(["fuchs", "certify", doc], capsys, "system.tail.a")
+        doc = write(tmp_path, "c.json", {**system, "tail": ["1", "1/2"]})
+        self.rejected(["fuchs", "solve", doc], capsys, "system.tail")
 
     def test_document_that_is_not_an_object(self, tmp_path, capsys):
         self.rejected(["fuchs", "residual", write(tmp_path, "list.json", [1, 2])], capsys, "input")

@@ -36,6 +36,11 @@ class TestBasis:
         for n in range(13):
             assert partition_count(n) == euler_partition_count(n)
 
+    def test_partition_count_matches_enumeration(self):
+        # the count no longer lists partitions, so the listing is its oracle
+        for n in range(-2, 26):
+            assert partition_count(n) == len(partitions_of(n))
+
     def test_graded_lex_order_is_deterministic(self):
         assert partitions_of(4) == ((1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,))
 

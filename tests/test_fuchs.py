@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blocksew.fuchs import (
     BoundViolation,
@@ -19,7 +20,7 @@ from blocksew.fuchs import (
 )
 from blocksew.linalg import QMat, QVec
 from blocksew.series import TruncSeries
-from helpers import random_rational
+from helpers import fraction_fuchs_solution, random_rational
 
 Q = Fraction
 SEED = 9090
@@ -116,6 +117,65 @@ class TestSolveFormal:
         sys_ = scalar_system([0, 1], [0], tail=(Q(1), Q(2)))
         with pytest.raises(FuchsError):
             solve_formal(sys_, {(0, 0): [1]}, order=5)
+
+
+def triangular_system(rnd, dim, resonance=None, n_coeffs=3):
+    """Dense coefficients of a dim x dim system with upper-triangular A_0.
+
+    The diagonal of A_0 is half-integer, so no step is singular, unless
+    ``resonance`` = r puts r in the last diagonal slot; then the last rows of
+    A_k (k >= 1) and the last entries of omega vanish, so step r has a
+    one-dimensional kernel and stays consistent.
+    """
+    diag = [Q(rnd.choice([-1, 1]) * (2 * rnd.randint(0, 3) + 1), 2) for _ in range(dim)]
+    if resonance is not None:
+        diag[-1] = Q(resonance)
+    a = [[[diag[i] if i == j else (random_rational(rnd) if j > i else Q(0)) for j in range(dim)] for i in range(dim)]]
+    a += [[[random_rational(rnd) for _ in range(dim)] for _ in range(dim)] for _ in range(n_coeffs - 1)]
+    omega = [[random_rational(rnd) for _ in range(dim)] for _ in range(n_coeffs)]
+    if resonance is not None:
+        for k in range(1, n_coeffs):
+            a[k][-1] = [Q(0)] * dim
+        for w in omega:
+            w[-1] = Q(0)
+    return a, omega
+
+
+def as_system(a, omega):
+    return FuchsSystem.single([QMat.from_rows(m) for m in a], [QVec.from_list(w) for w in omega])
+
+
+class TestIntegerRecurrence:
+    """solve_formal against a Fraction recurrence that shares no code with it."""
+
+    @pytest.mark.parametrize("resonance", [None, 0, 2])
+    def test_dim3_order80_matches_fraction_recurrence(self, resonance):
+        rnd = random.Random(SEED + (resonance or 0) + 10)
+        a, omega = triangular_system(rnd, 3, resonance)
+        seeds = {} if resonance is None else {resonance: [Q(-5, 3)]}
+        sys_ = as_system(a, omega)
+        psi = solve_formal(sys_, {(n, 0): v for n, v in seeds.items()}, order=80)
+        want = fraction_fuchs_solution(a, omega, seeds, 80)
+        for n in range(81):
+            assert psi.terms.get(((n,), (0,)), QVec(3)).to_list() == want[n], n
+        assert max(x.denominator for x in want[80]).bit_length() > 300
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        dim=st.integers(1, 3),
+        resonant=st.booleans(),
+        order=st.integers(0, 12),
+        extra=st.integers(1, 6),
+    )
+    def test_truncation_is_consistent(self, seed, dim, resonant, order, extra):
+        a, omega = triangular_system(random.Random(seed), dim, 0 if resonant else None)
+        sys_ = as_system(a, omega)
+        seeds = {(0, 0): [Q(7, 2)]} if resonant else {}
+        low = solve_formal(sys_, seeds, order=order)
+        high = solve_formal(sys_, seeds, order=order + extra)
+        assert low.terms == {k: v for k, v in high.terms.items() if k[0][0] <= order}
+        assert residual(sys_, low).is_zero()
 
 
 class TestNormChoice:
