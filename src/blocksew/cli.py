@@ -284,24 +284,61 @@ def _module_from_json(doc, path):
     raise jsonio.SchemaError(path, f"unknown module type {kind!r}")
 
 
+def _indices(x, bounds) -> bool:
+    """Whether x is a list of len(bounds) integers with 0 <= x[i] < bounds[i]."""
+    return (
+        isinstance(x, list)
+        and len(x) == len(bounds)
+        and all(type(i) is int and 0 <= i < b for i, b in zip(x, bounds))
+    )
+
+
 def cmd_sew_run(args) -> int:
     doc = _read_json(args.input)
     module = _module_from_json(doc.get("module", {}), "input.module")
     block_doc = jsonio.require(doc, "block", "input")
+    if not isinstance(block_doc, dict):
+        raise jsonio.SchemaError("input.block", "expected an object")
+    slots = jsonio.require(block_doc, "slots", "input.block")
+    if not isinstance(slots, list):
+        raise jsonio.SchemaError("input.block.slots", "expected a list of dimension lists")
+    for s, dims in enumerate(slots):
+        if not isinstance(dims, list) or not all(type(d) is int and d >= 0 for d in dims):
+            raise jsonio.SchemaError(f"input.block.slots[{s}]", "expected a list of non-negative integers")
+    sizes = [sum(dims) for dims in slots]
+    pair = block_doc.get("pair")
+    if pair is not None:
+        if not _indices(pair, [len(slots)] * 2) or pair[0] == pair[1]:
+            raise jsonio.SchemaError("input.block.pair", "expected two distinct slot numbers")
+        pair = tuple(pair)
+    entries_doc = block_doc.get("entries", [])
+    if not isinstance(entries_doc, list):
+        raise jsonio.SchemaError("input.block.entries", "expected a list")
     entries = {}
-    for n, e in enumerate(block_doc.get("entries", [])):
+    for n, e in enumerate(entries_doc):
         path = f"input.block.entries[{n}]"
-        idx = tuple(int(i) for i in jsonio.require(e, "idx", path))
-        entries[idx] = jsonio.rational_from_json(jsonio.require(e, "c", path), f"{path}.c")
-    block = SewingBlock(
-        [list(map(int, d)) for d in jsonio.require(block_doc, "slots", "input.block")],
-        entries,
-        pair_slots=tuple(block_doc["pair"]) if "pair" in block_doc else None,
-    )
-    inputs = {
-        int(k): QVec.from_list([jsonio.rational_from_json(x, f"input.inputs.{k}[{i}]") for i, x in enumerate(v)])
-        for k, v in doc.get("inputs", {}).items()
-    }
+        if not isinstance(e, dict):
+            raise jsonio.SchemaError(path, "expected an object")
+        idx = jsonio.require(e, "idx", path)
+        if not _indices(idx, sizes):
+            raise jsonio.SchemaError(f"{path}.idx", f"expected {len(sizes)} indices, each in [0, its slot dimension)")
+        entries[tuple(idx)] = jsonio.rational_from_json(jsonio.require(e, "c", path), f"{path}.c")
+    block = SewingBlock(slots, entries, pair_slots=pair)
+    inputs_doc = doc.get("inputs", {})
+    if not isinstance(inputs_doc, dict):
+        raise jsonio.SchemaError("input.inputs", "expected an object")
+    inputs = {}
+    for k, v in inputs_doc.items():
+        path = f"input.inputs.{k}"
+        try:
+            s = int(k)
+        except ValueError:
+            s = None
+        if s not in range(len(slots)) or s in (pair or ()):
+            raise jsonio.SchemaError(path, "names no retained slot")
+        if not isinstance(v, list) or len(v) != sizes[s]:
+            raise jsonio.SchemaError(path, f"expected a list of {sizes[s]} rationals")
+        inputs[s] = QVec.from_list([jsonio.rational_from_json(x, f"{path}[{i}]") for i, x in enumerate(v)])
     order = _order(args, doc, 6)
     series = sew(block, inputs, module, order, normalized=bool(doc.get("normalized", False)))
     _emit_series(series, args)

@@ -147,8 +147,15 @@ class SewingBlock:
     ):
         self.slot_dims = [list(d) for d in slot_dims]
         self.arity = len(self.slot_dims)
-        self.table = {tuple(k): as_q(v) for k, v in table.items() if as_q(v)}
+        self.table = {tuple(k): q for k, v in table.items() if (q := as_q(v))}
         self.pair_slots = pair_slots
+
+    @classmethod
+    def _of_clean(cls, slot_dims, table: Dict[Tuple[int, ...], Fraction], pair_slots=None) -> "SewingBlock":
+        """Wrap a table that is already clean: tuple keys, nonzero Fractions."""
+        block = cls(slot_dims, {}, pair_slots)
+        block.table = table
+        return block
 
     def slot_trunc(self, s: int) -> int:
         return len(self.slot_dims[s]) - 1
@@ -160,16 +167,15 @@ class SewingBlock:
     def pairing(cls, module, n_max: int) -> "SewingBlock":
         """Two-slot block pairing a module truncation with its graded dual."""
         dims = module.weight_dims(n_max)
-        total = sum(dims)
-        table = {(i, i): Q(1) for i in range(total)}
-        return cls([dims, dims], table, pair_slots=(0, 1))
+        table = dict.fromkeys(((i, i) for i in range(sum(dims))), Q(1))
+        return cls._of_clean([dims, dims], table, pair_slots=(0, 1))
 
     def tensor(self, other: "SewingBlock") -> "SewingBlock":
         table: Dict[Tuple[int, ...], Fraction] = {}
         for k1, v1 in self.table.items():
             for k2, v2 in other.table.items():
                 table[k1 + k2] = v1 * v2
-        return SewingBlock(self.slot_dims + other.slot_dims, table, None)
+        return SewingBlock._of_clean(self.slot_dims + other.slot_dims, table, None)
 
     def contract_slot(self, s: int, mat: QMat) -> "SewingBlock":
         """Precompose slot s with a linear map: new[.., j, ..] = sum_i old[.., i, ..] mat[i, j]."""
@@ -185,35 +191,114 @@ class SewingBlock:
                     table[nk] = w
                 else:
                     table.pop(nk, None)
-        dims = [list(d) for d in self.slot_dims]
-        return SewingBlock(dims, table, self.pair_slots)
+        return SewingBlock._of_clean(self.slot_dims, table, self.pair_slots)
 
-    def reduce_retained(self, inputs: Dict[int, QVec]) -> Dict[Tuple[int, int], Fraction]:
-        """Contract every non-pair slot with its input; keys become (i_M, i_dual)."""
-        if self.pair_slots is None:
-            raise ValueError("block has no designated sewing pair")
-        pm, pd = self.pair_slots
-        retained = [s for s in range(self.arity) if s not in (pm, pd)]
+    def reduce_retained(
+        self, inputs: Dict[int, QVec], keep: Optional[Sequence[int]] = None
+    ) -> Dict[Tuple[int, ...], Fraction]:
+        """Contract every slot outside ``keep`` with its input; keys become the kept indices.
+
+        ``keep`` defaults to the sewing pair, giving keys (i_M, i_dual).  With
+        no other slot this only reorders keys, and returns the block's own
+        table when ``keep`` lists every slot in order: callers only read it.
+        """
+        if keep is None:
+            if self.pair_slots is None:
+                raise ValueError("block has no designated sewing pair")
+            keep = self.pair_slots
+        keep = tuple(keep)
+        retained = [s for s in range(self.arity) if s not in keep]
         missing = [s for s in retained if s not in inputs]
         if missing:
             raise ValueError(f"missing inputs for slots {missing}")
-        out: Dict[Tuple[int, int], Fraction] = {}
+        if not retained:
+            if keep == tuple(range(self.arity)):
+                return self.table
+            return {tuple(key[s] for s in keep): c for key, c in self.table.items()}
+        out: Dict[Tuple[int, ...], Fraction] = {}
         for key, c in self.table.items():
             prod = c
             for s in retained:
                 x = inputs[s][key[s]]
                 if not x:
-                    prod = Q(0)
                     break
                 prod *= x
-            if prod:
-                k2 = (key[pm], key[pd])
+            else:
+                k2 = tuple(key[s] for s in keep)
                 w = out.get(k2, Q(0)) + prod
                 if w:
                     out[k2] = w
                 else:
                     out.pop(k2, None)
         return out
+
+
+def _pair_dims(block: SewingBlock, pm: int, pd: int, module, order: int) -> List[int]:
+    """The module's weight dimensions up to ``order``, once the pair (pm, pd) is checked to carry them."""
+    cover = min(block.slot_trunc(pm), block.slot_trunc(pd))
+    if cover < order:
+        raise TruncationShortfall(
+            f"pair ({pm},{pd}): emitting q^{order} needs weight {order}, block covers {cover}",
+            required=order,
+        )
+    dims = module.weight_dims(order)
+    if dims != block.slot_dims[pm][: order + 1] or dims != block.slot_dims[pd][: order + 1]:
+        raise ValueError("pair slots do not match the module's weight dimensions")
+    return dims
+
+
+def _contract_pair(
+    table: Dict[Tuple[int, ...], Fraction], dims: List[int], module, log_bound: int
+) -> Dict[Tuple[int, int], Dict[Tuple[int, ...], Fraction]]:
+    """Contract the first two key positions (i_M, i_dual) against q^{L_0}.
+
+    Returns {(n, l): {rest of key: sum of c * (N_n^l / l!)[b][a]}} over the
+    entries whose pair indices b, a both lie in one weight-n block of
+    ``dims``; the other entries never contribute and are dropped in the one
+    pass over the table.  At l = 0 the matrix is the identity, so only b == a
+    is read.  Each coefficient is summed as integer numerators per
+    denominator and becomes one Fraction; zero sums are left out.
+    """
+    starts = [sum(dims[:n]) for n in range(len(dims))]
+    weight_of = {i: n for n, d in enumerate(dims) for i in range(starts[n], starts[n] + d)}
+    # (n, l) -> rest of key -> denominator -> summed numerators
+    sums: Dict[Tuple[int, int], Dict[tuple, Dict[int, int]]] = {}
+    by_block: Dict[int, list] = {}
+    for key, c in table.items():
+        b, a = key[0], key[1]
+        n = weight_of.get(b)
+        if n is None or weight_of.get(a) != n:
+            continue
+        if b == a:
+            acc = sums.setdefault((n, 0), {}).setdefault(key[2:], {})
+            acc[c.denominator] = acc.get(c.denominator, 0) + c.numerator
+        if log_bound:
+            by_block.setdefault(n, []).append((b - starts[n], a - starts[n], key[2:], c))
+    for n, entries in by_block.items():
+        nil = module.nilpotent_block(n)
+        power, fact = nil, 1
+        for l in range(1, log_bound + 1):
+            if power.is_zero():
+                break
+            fact *= l
+            for b, a, rest, c in entries:
+                v = power.rows.get(b, {}).get(a)
+                if v:
+                    acc = sums.setdefault((n, l), {}).setdefault(rest, {})
+                    den = v.denominator * c.denominator * fact
+                    acc[den] = acc.get(den, 0) + v.numerator * c.numerator
+            power = nil @ power
+    out = {}
+    for nl in sorted(sums):
+        part = {}
+        for rest, by_den in sums[nl].items():
+            lcm = math.lcm(*by_den)
+            num = sum(k * (lcm // den) for den, k in by_den.items())
+            if num:
+                part[rest] = Q(num, lcm)
+        if part:
+            out[nl] = part
+    return out
 
 
 def sew(
@@ -233,46 +318,12 @@ def sew(
     """
     if block.pair_slots is None:
         raise ValueError("block has no designated sewing pair")
-    pm, pd = block.pair_slots
-    cover = min(block.slot_trunc(pm), block.slot_trunc(pd))
-    if cover < order:
-        raise TruncationShortfall(
-            f"emitting q^{order} needs pair-slot weight {order}, block covers {cover}",
-            required=order,
-        )
-    dims = module.weight_dims(order)
-    if dims != block.slot_dims[pm][: order + 1] or dims != block.slot_dims[pd][: order + 1]:
-        raise ValueError("pair slots do not match the module's weight dimensions")
-    red = block.reduce_retained(inputs)
+    dims = _pair_dims(block, *block.pair_slots, module, order)
     logbound = 0 if normalized else module.log_bound
-    out = TruncSeries(
-        (var,),
-        {var: order},
-        offset={} if normalized else {var: module.offset},
-        logmax={var: logbound},
-    )
-    res = Resolvent(module, order)
-    for n in range(order + 1):
-        d = dims[n]
-        if not d:
-            continue
-        start = res.block_start(n)
-        nil = module.nilpotent_block(n)
-        power = QMat.identity(d)
-        for l in range(logbound + 1):
-            if power.is_zero():
-                break
-            coeff = Q(0)
-            inv = Q(1, math.factorial(l))
-            for b in range(d):
-                row = power.rows.get(b, {})
-                for a, v in row.items():
-                    x = red.get((start + b, start + a))
-                    if x:
-                        coeff += inv * v * x
-            if coeff:
-                out._store((n,), (l,), coeff)
-            power = nil @ power
+    offset = {} if normalized else {var: module.offset}
+    out = TruncSeries((var,), {var: order}, offset=offset, logmax={var: logbound})
+    for (n, l), part in _contract_pair(block.reduce_retained(inputs), dims, module, logbound).items():
+        out._store((n,), (l,), part[()])
     return out
 
 
@@ -290,87 +341,28 @@ def sew_multi(
     variable with its own offset and log bound.
     """
     m = len(pairs)
+    if len(orders) != m:
+        raise ValueError(f"{len(orders)} orders for {m} pairs")
     names = list(var_names) if var_names else [f"q{j+1}" for j in range(m)]
-    pair_slots = [s for (a, b, _) in pairs for s in (a, b)]
-    retained = [s for s in range(block.arity) if s not in pair_slots]
-    for s in retained:
-        if s not in inputs:
-            raise ValueError(f"missing input for slot {s}")
     modules = [p[2] for p in pairs]
+    dims = [_pair_dims(block, pm, pd, mod, order) for (pm, pd, mod), order in zip(pairs, orders)]
+    bounds = [mod.log_bound for mod in modules]
     out = TruncSeries(
         tuple(names),
-        {v: o for v, o in zip(names, orders)},
+        dict(zip(names, orders)),
         offset={v: mod.offset for v, mod in zip(names, modules)},
-        logmax={v: mod.log_bound for v, mod in zip(names, modules)},
+        logmax=dict(zip(names, bounds)),
     )
-    starts = []
-    nils = []
-    for (pm, pd, mod), order in zip(pairs, orders):
-        cover = min(block.slot_trunc(pm), block.slot_trunc(pd))
-        if cover < order:
-            raise TruncationShortfall(
-                f"pair ({pm},{pd}) needs weight {order}, covers {cover}", required=order
-            )
-        res = Resolvent(mod, order)
-        starts.append([res.block_start(n) for n in range(order + 1)])
-        nils.append([mod.nilpotent_block(n) for n in range(order + 1)])
 
+    # keys hold the pair indices of pairs j.. in pair order
     def rec(j: int, exps: Tuple[int, ...], logs: Tuple[int, ...], partial: Dict[Tuple[int, ...], Fraction]):
         if j == m:
-            total = Q(0)
-            for key, c in partial.items():
-                prod = c
-                for s_pos, s in enumerate(retained):
-                    x = inputs[s][key[s_pos]]
-                    if not x:
-                        prod = Q(0)
-                        break
-                    prod *= x
-                total += prod
-            if total:
-                out._store(exps, logs, total)
+            out._store(exps, logs, partial.get((), Q(0)))
             return
-        pm, pd, mod = pairs[j]
-        dims = mod.weight_dims(orders[j])
-        # positions of pm, pd within the remaining key layout
-        layout = [s for s in range(block.arity) if s in retained or s in pair_slots[2 * j :]]
-        ipm, ipd = layout.index(pm), layout.index(pd)
-        for n in range(orders[j] + 1):
-            d = dims[n]
-            if not d:
-                continue
-            start = starts[j][n]
-            nil = nils[j][n]
-            power = QMat.identity(d)
-            for l in range(mod.log_bound + 1):
-                if power.is_zero():
-                    break
-                inv = Q(1, math.factorial(l))
-                reduced: Dict[Tuple[int, ...], Fraction] = {}
-                for key, c in partial.items():
-                    b_idx, a_idx = key[ipm], key[ipd]
-                    wb, wa = b_idx - start, a_idx - start
-                    if not (0 <= wb < d and 0 <= wa < d):
-                        continue
-                    v = power.get(wb, wa)
-                    if not v:
-                        continue
-                    nk = tuple(x for t, x in enumerate(key) if t not in (ipm, ipd))
-                    w = reduced.get(nk, Q(0)) + inv * v * c
-                    if w:
-                        reduced[nk] = w
-                    else:
-                        reduced.pop(nk, None)
-                if reduced:
-                    rec(
-                        j + 1,
-                        exps[:j] + (n,) + exps[j + 1 :],
-                        logs[:j] + (l,) + logs[j + 1 :],
-                        reduced,
-                    )
-                power = nil @ power
+        for (n, l), part in _contract_pair(partial, dims[j], modules[j], bounds[j]).items():
+            rec(j + 1, exps + (n,), logs + (l,), part)
 
-    rec(0, (0,) * m, (0,) * m, dict(block.table))
+    rec(0, (), (), block.reduce_retained(inputs, [s for (pm, pd, _) in pairs for s in (pm, pd)]))
     return out
 
 

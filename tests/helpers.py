@@ -136,3 +136,61 @@ def fraction_fuchs_solution(a, omega, seeds, order):
             x = [xi + cf * vec.get(i, 0) for i, xi in enumerate(x)]
         psi.append(x)
     return psi
+
+
+def fraction_sew(table, pairs, inputs, orders, log_bounds):
+    """Terms of the q^{L_0} contraction of a block table, one (n, l) at a time.
+
+    ``pairs[j]`` is (module slot, dual slot, weight dims, nilpotent blocks as
+    dense row lists); ``inputs`` maps every other slot to a dense list.  For
+    each choice of (n_j, l_j) per pair, every entry whose pair-j indices both
+    lie in the weight-n_j block contributes its value times
+    ``(N_{n_j}^{l_j} / l_j!)[b][a]`` per pair and its retained inputs.
+    Returns {(exps, logs): value} without zero values.
+    """
+
+    def matmul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(len(y))) for j in range(len(y[0]))] for i in range(len(x))]
+
+    # per pair: (start, dim, [N^l / l! for l <= bound]) for each weight n <= order
+    blocks = []
+    for (_pm, _pd, dims, nils), order, bound in zip(pairs, orders, log_bounds):
+        per_n, start = [], 0
+        for n in range(order + 1):
+            d = dims[n]
+            power = [[Q(int(i == j)) for j in range(d)] for i in range(d)]
+            scaled, fact = [], 1
+            for l in range(bound + 1):
+                if l:
+                    power = matmul(nils[n], power)
+                    fact *= l
+                scaled.append([[v / fact for v in row] for row in power])
+            per_n.append((start, d, scaled))
+            start += d
+        blocks.append(per_n)
+    pair_slots = {s for p in pairs for s in p[:2]}
+    terms = {}
+
+    def choose(j, exps, logs):
+        if j < len(pairs):
+            for n, (_s, d, scaled) in enumerate(blocks[j]):
+                for l in range(len(scaled)):
+                    if d:
+                        choose(j + 1, exps + (n,), logs + (l,))
+            return
+        total = Q(0)
+        for key, c in table.items():
+            prod = Q(c)
+            for (pm, pd, _dims, _nils), n, l, per_n in zip(pairs, exps, logs, blocks):
+                start, d, scaled = per_n[n]
+                b, a = key[pm] - start, key[pd] - start
+                prod *= scaled[l][b][a] if 0 <= b < d and 0 <= a < d else 0
+            for s, vec in inputs.items():
+                if s not in pair_slots:
+                    prod *= vec[key[s]]
+            total += prod
+        if total:
+            terms[(exps, logs)] = total
+
+    choose(0, (), ())
+    return terms

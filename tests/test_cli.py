@@ -321,6 +321,37 @@ class TestMalformedDocuments:
         doc = write(tmp_path, "run.json", {"module": {"type": "fock"}, "order": 2})
         self.rejected(["sew", "run", doc], capsys, "input.block")
 
+    def test_sew_run_malformed_block(self, tmp_path, capsys):
+        # each of these used to give a traceback, or a series with exit 0 that ignored part of the input
+        dims = [1, 1, 2]
+        two = {"slots": [dims, dims], "pair": [0, 1], "entries": [{"idx": [0, 0], "c": "1"}]}
+        three = {"slots": [dims, dims, dims], "pair": [0, 1], "entries": [{"idx": [0, 0, 1], "c": "1"}]}
+        bad = [
+            ([two], {}, "input.block"),
+            ({**two, "pair": [0, 5]}, {}, "input.block.pair"),
+            ({**two, "pair": "ab"}, {}, "input.block.pair"),
+            ({**two, "pair": [1, 1]}, {}, "input.block.pair"),
+            ({**two, "slots": "ab"}, {}, "input.block.slots"),
+            ({**two, "slots": [dims, ["x"]]}, {}, "input.block.slots[1]"),
+            ({**two, "entries": 3}, {}, "input.block.entries"),
+            ({**two, "entries": [[0, 0]]}, {}, "input.block.entries[0]"),
+            ({**two, "entries": [{"idx": [0, 0, 3], "c": "1"}]}, {}, "input.block.entries[0].idx"),
+            ({**two, "entries": [{"idx": [0, 0], "c": "1"}, {"idx": [7, 7], "c": "1"}]}, {}, "input.block.entries[1].idx"),
+            ({**two, "entries": [{"idx": [-1, -1], "c": "1"}]}, {}, "input.block.entries[0].idx"),
+            ({**two, "entries": [{"idx": ["0", 0], "c": "1"}]}, {}, "input.block.entries[0].idx"),
+            (three, {"2": ["1", "0", "1", "2"], "5": ["1"]}, "input.inputs.5"),
+            (three, {"2": ["1", "0", "1", "2"], "0": ["1", "0", "0", "0"]}, "input.inputs.0"),
+            (three, {"2": ["1", "0"]}, "input.inputs.2"),
+            (three, {"x": ["1", "0", "1", "2"]}, "input.inputs.x"),
+            (three, ["1"], "input.inputs"),
+        ]
+        for block, inputs, path in bad:
+            doc = {"module": {"type": "fock"}, "order": 2, "block": block, "inputs": inputs}
+            self.rejected(["sew", "run", write(tmp_path, "run.json", doc)], capsys, path)
+        good = {"module": {"type": "fock"}, "order": 2, "block": three, "inputs": {"2": ["1", "3", "1", "2"]}}
+        code, out = run(["sew", "run", write(tmp_path, "run.json", good)], capsys)
+        assert code == 0 and json.loads(out)["terms"] == [{"n": [0], "l": [0], "c": "3"}]
+
     def test_schwarz_term_missing_field(self, tmp_path, capsys):
         zero = {"vars": ["pi"], "trunc": {"pi": 4}, "terms": []}
         half = {"vars": ["xi", "pi"], "trunc": {"xi": 4, "pi": 4}, "terms": [{"n": [0, 0], "l": [0, 0], "c": "1/2"}]}

@@ -29,7 +29,7 @@ from blocksew.sewing import (
     sew,
     sew_multi,
 )
-from helpers import euler_partition_count, random_rational
+from helpers import euler_partition_count, fraction_sew, random_rational
 
 Q = Fraction
 SEED = 777
@@ -37,6 +37,53 @@ SEED = 777
 
 def toy_module(offset=Q(2, 5)):
     return NilpotentToyModule([2], [QMat.from_rows([[0, 1], [0, 0]])], offset=offset)
+
+
+def log_toy_module():
+    """Nonzero nilpotents at weights 0 and 2; the weight-2 one has N^2 != 0."""
+    n0 = QMat.from_rows([[0, Q(3, 2)], [0, 0]])
+    n2 = QMat.from_rows([[0, Q(2, 3), 1], [0, 0, Q(-5, 4)], [0, 0, 0]])
+    return NilpotentToyModule([2, 1, 3, 2], [n0, QMat(1, 1), n2, QMat(2, 2)], offset=Q(-3, 7))
+
+
+def random_sew_case(rnd, modules, top, n_side, n_entries):
+    """A seeded block with one pair per module and n_side retained slots.
+
+    Pair slots cover weight ``top``; the slots sit in a shuffled order.  Most
+    entries are diagonal or inside one weight block of their pair; the rest
+    take any dual index, so some straddle two blocks.  Returns (block, pair
+    positions, dense inputs).
+    """
+    side = [1, 2, 1]
+    layout = [("pair", j, 0) for j in range(len(modules))] + [("pair", j, 1) for j in range(len(modules))]
+    layout += [("side", s, 0) for s in range(n_side)]
+    rnd.shuffle(layout)
+    slot_dims = [modules[j].weight_dims(top) if kind == "pair" else side for kind, j, _ in layout]
+    pairs = [(layout.index(("pair", j, 0)), layout.index(("pair", j, 1))) for j in range(len(modules))]
+    table = {}
+    for _ in range(n_entries):
+        key = [rnd.randrange(sum(d)) for d in slot_dims]
+        for pm, pd in pairs:
+            dims = slot_dims[pm]
+            weights = [n for n, d in enumerate(dims) for _ in range(d)]
+            b = key[pm]
+            roll = rnd.random()
+            if roll < 0.5:
+                key[pd] = b
+            elif roll < 0.8:
+                start = sum(dims[: weights[b]])
+                key[pd] = start + rnd.randrange(dims[weights[b]])
+        table[tuple(key)] = random_rational(rnd)
+    inputs = {}
+    for s, (kind, _j, _) in enumerate(layout):
+        if kind == "side":
+            inputs[s] = [random_rational(rnd) if rnd.random() < 0.6 else Q(0) for _ in range(sum(side))]
+    return SewingBlock(slot_dims, table, pairs[0]), pairs, inputs
+
+
+def reference_pair(pm, pd, module, top):
+    dims = module.weight_dims(top)
+    return (pm, pd, dims, [module.nilpotent_block(n).to_rows() for n in range(top + 1)])
 
 
 class TestResolvent:
@@ -187,6 +234,68 @@ class TestSewMulti:
         single = sew(block, {}, m, 4, normalized=False)
         multi = sew_multi(block, {}, [(0, 1, m)], [4], var_names=["q"])
         assert single == multi
+
+    def test_mismatched_module_dims_raise_like_sew(self):
+        # sew_multi used to contract against the wrong blocks and return {0: 2, 1: 1, 2: 3}
+        block = SewingBlock.pairing(vacuum_module(), 4)
+        toy = NilpotentToyModule([2, 1, 3], [QMat(2, 2), QMat(1, 1), QMat(3, 3)])
+        with pytest.raises(ValueError) as single:
+            sew(block, {}, toy, 2)
+        with pytest.raises(ValueError) as multi:
+            sew_multi(block, {}, [(0, 1, toy)], [2])
+        assert str(multi.value) == str(single.value)
+
+    def test_orders_must_match_pairs(self):
+        m = vacuum_module()
+        both = SewingBlock.pairing(m, 3).tensor(SewingBlock.pairing(m, 3))
+        # too few orders used to raise KeyError 'q1', too many were dropped by zip
+        for orders in ([3], [3, 3, 3]):
+            with pytest.raises(ValueError):
+                sew_multi(both, {}, [(0, 1, m), (2, 3, m)], orders)
+
+
+class TestSewAgainstReference:
+    """sew and sew_multi against the per-(n, l), per-entry Fraction contraction."""
+
+    MODULES = (vacuum_module(), FockModule(Q(-5, 3)), log_toy_module())
+
+    def test_single_pair(self):
+        rnd = random.Random(SEED)
+        for module in self.MODULES:
+            for n_side in (0, 1, 2):
+                for order in range(5 if module.log_bound == 0 else 4):
+                    block, ((pm, pd),), inputs = random_sew_case(rnd, [module], order + 1, n_side, 40)
+                    qin = {s: QVec.from_list(v) for s, v in inputs.items()}
+                    ref = reference_pair(pm, pd, module, order)
+                    for normalized in (False, True):
+                        bound = 0 if normalized else module.log_bound
+                        s = sew(block, qin, module, order, normalized=normalized)
+                        assert s.terms == fraction_sew(block.table, [ref], inputs, [order], [bound])
+                        assert s.offset == (Q(0) if normalized else module.offset,)
+                        assert s.logmax == (bound,)
+                    multi = sew_multi(block, qin, [(pm, pd, module)], [order], var_names=["q"])
+                    assert multi == sew(block, qin, module, order)
+
+    def test_log_terms_reach_second_power(self):
+        toy = log_toy_module()
+        assert toy.log_bound == 2
+        block = SewingBlock.pairing(toy, 3)
+        block.table[(3, 5)] = Q(1)  # corner of the weight-2 block, under N^2
+        s = sew(block, {}, toy, 3)
+        assert s.coefficient({"q": 2}, {"q": 2}) == Q(2, 3) * Q(-5, 4) / 2
+
+    def test_two_pairs(self):
+        rnd = random.Random(SEED + 1)
+        for mods in ((log_toy_module(), FockModule(Q(-5, 3))), (vacuum_module(), log_toy_module())):
+            for n_side in (0, 1, 2):
+                for orders in ((0, 2), (2, 1), (3, 3)):
+                    block, pairs, inputs = random_sew_case(rnd, list(mods), max(orders) + 1, n_side, 60)
+                    qin = {s: QVec.from_list(v) for s, v in inputs.items()}
+                    refs = [reference_pair(pm, pd, m, o) for (pm, pd), m, o in zip(pairs, mods, orders)]
+                    out = sew_multi(block, qin, [(pm, pd, m) for (pm, pd), m in zip(pairs, mods)], list(orders))
+                    want = fraction_sew(block.table, refs, inputs, orders, [m.log_bound for m in mods])
+                    assert out.terms == want
+                    assert out.offset == tuple(m.offset for m in mods)
 
 
 class TestResidueIdentity:
