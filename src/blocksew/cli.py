@@ -57,10 +57,7 @@ def _order(args, doc, default: int) -> int:
 
 def _size(doc, key: str, default: int) -> int:
     """The document's non-negative integer ``key``, else the default."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise jsonio.SchemaError(f"input.{key}", "expected a non-negative integer")
-    return value
+    return jsonio.natural(doc.get(key, default), f"input.{key}")
 
 
 def _emit(text: str, args) -> None:
@@ -518,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p, order_default=10)
     p.add_argument("--module", default="fock")
     p.add_argument("--momentum", default="0")
-    p.add_argument("--normalized", action="store_true", default=True)
     p.add_argument("--standard", dest="normalized", action="store_false")
     p.set_defaults(fn=cmd_sew_character, format="csv")
     p = sew_p.add_parser("residue-check")

@@ -82,18 +82,48 @@ def series_to_json(s: TruncSeries) -> dict:
     }
 
 
-def series_from_json(obj: dict, path: str = "series") -> TruncSeries:
-    if not isinstance(obj, dict):
+def natural(x, path: str) -> int:
+    """A JSON non-negative integer; a bool, float or string is a schema error."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+        raise SchemaError(path, "expected a non-negative integer")
+    return x
+
+
+def _object(x, path: str) -> dict:
+    if not isinstance(x, dict):
         raise SchemaError(path, "expected an object")
+    return x
+
+
+def _key(x, bounds: Tuple[int, ...], path: str) -> Tuple[int, ...]:
+    """A term's ``n`` or ``l``: one integer per variable, each in [0, its bound]."""
+    if not isinstance(x, list) or len(x) != len(bounds) or not all(
+        type(i) is int and 0 <= i <= b for i, b in zip(x, bounds)
+    ):
+        raise SchemaError(path, f"expected {len(bounds)} integers, each between 0 and its bound in {list(bounds)}")
+    return tuple(x)
+
+
+def series_from_json(obj: dict, path: str = "series") -> TruncSeries:
+    _object(obj, path)
     vars_ = require(obj, "vars", path)
-    trunc = {v: int(t) for v, t in require(obj, "trunc", path).items()}
-    offset = {v: rational_from_json(o, f"{path}.offset.{v}") for v, o in obj.get("offset", {}).items()}
-    logmax = {v: int(m) for v, m in obj.get("logmax", {}).items()}
-    s = TruncSeries(tuple(vars_), trunc, offset=offset, logmax=logmax)
-    for i, term in enumerate(obj.get("terms", [])):
+    if not isinstance(vars_, list) or not all(isinstance(v, str) for v in vars_) or len(set(vars_)) != len(vars_):
+        raise SchemaError(f"{path}.vars", "expected a list of distinct variable names")
+    trunc_doc = _object(require(obj, "trunc", path), f"{path}.trunc")
+    trunc = {v: natural(require(trunc_doc, v, f"{path}.trunc"), f"{path}.trunc.{v}") for v in vars_}
+    offset_doc = _object(obj.get("offset", {}), f"{path}.offset")
+    offset = {v: rational_from_json(o, f"{path}.offset.{v}") for v, o in offset_doc.items()}
+    logmax_doc = _object(obj.get("logmax", {}), f"{path}.logmax")
+    logmax = {v: natural(m, f"{path}.logmax.{v}") for v, m in logmax_doc.items()}
+    s = TruncSeries(vars_, trunc, offset=offset, logmax=logmax)
+    terms = obj.get("terms", [])
+    if not isinstance(terms, list):
+        raise SchemaError(f"{path}.terms", "expected a list")
+    for i, term in enumerate(terms):
         tp = f"{path}.terms[{i}]"
-        exps = tuple(int(x) for x in require(term, "n", tp))
-        logs = tuple(int(x) for x in require(term, "l", tp))
+        _object(term, tp)
+        exps = _key(require(term, "n", tp), s.trunc, f"{tp}.n")
+        logs = _key(require(term, "l", tp), s.logmax, f"{tp}.l")
         s._store(exps, logs, value_from_json(require(term, "c", tp), f"{tp}.c"))
     return s
 
@@ -103,9 +133,7 @@ def jet_to_json(j: CoordJet) -> dict:
 
 
 def jet_from_json(obj: dict, path: str = "jet") -> CoordJet:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    taylor = require(obj, "taylor", path)
+    taylor = require(_object(obj, path), "taylor", path)
     if not taylor:
         raise SchemaError(f"{path}.taylor", "empty jet")
     coeffs = [rational_from_json(c, f"{path}.taylor[{i}]") for i, c in enumerate(taylor)]
@@ -136,9 +164,7 @@ def matrix_from_json(obj: dict, path: str = "matrix") -> QMat:
 
 def fuchs_system_from_json(obj: dict, path: str = "system") -> Tuple[FuchsSystem, Dict]:
     """Single-variable system {A: [..], omega: [..], tail: {C, a}, seeds: {..}}."""
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    a_raw = require(obj, "A", path)
+    a_raw = require(_object(obj, path), "A", path)
     w_raw = require(obj, "omega", path)
     if not isinstance(a_raw, list) or not isinstance(w_raw, list):
         raise SchemaError(path, "A and omega must be coefficient lists")
@@ -157,15 +183,10 @@ def fuchs_system_from_json(obj: dict, path: str = "system") -> Tuple[FuchsSystem
         raise SchemaError(path, "need at least one coefficient")
     tail = None
     if obj.get("tail") is not None:
-        t = obj["tail"]
-        if not isinstance(t, dict):
-            raise SchemaError(f"{path}.tail", "expected an object")
+        t = _object(obj["tail"], f"{path}.tail")
         tail = tuple(rational_from_json(str(require(t, k, f"{path}.tail")), f"{path}.tail.{k}") for k in ("C", "a"))
     seeds = {}
-    seeds_raw = obj.get("seeds", {})
-    if not isinstance(seeds_raw, dict):
-        raise SchemaError(f"{path}.seeds", "expected an object")
-    for key, val in seeds_raw.items():
+    for key, val in _object(obj.get("seeds", {}), f"{path}.seeds").items():
         try:
             n, l = (int(x) for x in key.split(","))
         except ValueError:

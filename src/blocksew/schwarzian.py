@@ -2,13 +2,14 @@
 
 The Schwarzian derivative S f = f'''/f' - (3/2)(f''/f')^2 vanishes exactly on
 Mobius maps and measures deviation from a projective chart.  The projective
-term assembles, from Schwarzian data at the sewing pair and the marked
+term assembles, from Schwarzian data at the sewing pairs and the marked
 points, the q-series multiplying a sewn block in its first-order equation:
 
     (c/12) * (A + B + sum_i C_i)
 
 with A_n = sum_{m<=n-2} a_{m,n} s^(xi)_{n-m-2}, B_n the mirror image with the
-indices of b swapped, and C_i the residue of S_eta * h_i.
+indices of b swapped, and C_i the residue of S_eta * h_i.  projective_term_multi
+computes it for M pairs at once; projective_term is its case M = 1.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def transition_quadratic(g: JetLike, h: CoordJet, order: int) -> LaurentJet:
 def cocycle_check(eta: CoordJet, mu: CoordJet, f: CoordJet, order: int) -> bool:
     """Antisymmetry and the three-term cocycle for Schwarzian differentials.
 
-    All三 jets are coordinates in one variable; both identities are checked
+    All three jets are coordinates in one variable; both identities are checked
     after pulling every quadratic differential back to that variable.
     """
     t_eta_mu = transition_quadratic(eta, mu, order)
@@ -142,9 +143,7 @@ def vir_transition(jet: CoordJet, c, order: int) -> Tuple[TruncSeries, TruncSeri
     c = as_q(c)
     lt = _as_laurent(jet, order + 3)
     d1 = lt.derivative()
-    scale = (d1 * d1).truncated(order) if (d1.hi is None or d1.hi > order) else d1 * d1
-    if scale.hi is not None and scale.hi > order:
-        scale = scale.truncated(order)
+    scale = (d1 * d1).truncated(order)
     shift = schwarzian_jet(jet, order).scale(c / 12)
     return scale.to_trunc_series(), shift.to_trunc_series()
 
@@ -177,53 +176,48 @@ def mobius_from_quadratic(qcoeffs: Sequence, order: int) -> CoordJet:
 
 
 def _abs_coeff(s: TruncSeries, k: int) -> Fraction:
-    """Coefficient of the absolute exponent k in a univariate log-free series."""
-    if len(s.vars) != 1:
-        raise VariableMismatch("Schwarzian data must be univariate")
-    off = s.offset[0]
-    rel = Q(k) - off
-    if rel.denominator != 1:
+    """Coefficient of the absolute exponent k in a checked Schwarzian datum."""
+    rel = k - s.offset[0]
+    if rel.denominator != 1 or rel < 0:
         return Q(0)
-    n = int(rel)
-    if n < 0:
-        return Q(0)
-    if n > s.trunc[0]:
+    if rel > s.trunc[0]:
         raise WindowError(f"Schwarzian datum truncated below exponent {k}")
-    v = s.terms.get(((n,), (0,)), Q(0))
-    return v
+    return s.terms.get(((int(rel),), (0,)), Q(0))
 
 
-def _pair_series(
-    s_xi: TruncSeries,
-    s_pi: TruncSeries,
-    a: TruncSeries,
-    b: TruncSeries,
-    q_exp_index_a: int,
-    q_exp_index_b: int,
-    order: int,
-) -> Dict[Tuple[int, ...], Fraction]:
-    """A_n + B_n contributions of one sewing pair, keyed by exponent tuples of
-    the spectator q-variables plus this pair's own q-power first."""
-    out: Dict[Tuple[int, ...], Fraction] = {}
+def _check_datum(where: str, sdat: TruncSeries) -> None:
+    if len(sdat.vars) != 1:
+        raise VariableMismatch(f"{where}: Schwarzian data must be univariate")
+    if any(logs[0] for _exps, logs in sdat.terms):
+        raise SeriesError(f"{where}: Schwarzian data cannot carry log terms")
 
-    def accum(series: TruncSeries, sdat: TruncSeries, m_index: int, q_index: int):
-        for (exps, logs), val in series.terms.items():
-            if any(logs):
-                raise SeriesError("vector-field data cannot carry log terms")
-            m = exps[m_index]
-            n = exps[q_index]
-            if n > order or n - m - 2 < 0:
-                continue
-            s_val = _abs_coeff(sdat, n - m - 2)
-            if not s_val:
-                continue
-            rest = tuple(x for i, x in enumerate(exps) if i not in (m_index, q_index))
-            key = (n,) + rest
-            out[key] = out.get(key, Q(0)) + val * s_val
 
-    accum(a, s_xi, 0, q_exp_index_a)
-    accum(b, s_pi, 1, q_exp_index_b)
-    return out
+def _check_pair(
+    j: int, s_xi: TruncSeries, s_pi: TruncSeries, a: TruncSeries, b: TruncSeries, width: int, delta: int, order: int
+) -> None:
+    """Reject pair j unless every coefficient the term reads from it is exact."""
+    if a.vars != b.vars:
+        raise VariableMismatch(f"pair {j}: a in {a.vars} but b in {b.vars}")
+    if len(a.vars) not in (2, width):
+        raise VariableMismatch(f"pair {j}: a and b must be series in (xi, pi) or in {width} variables")
+    if any(a.offset) or any(b.offset):
+        raise OffsetError(f"pair {j}: a and b cannot carry offsets")
+    # a is read up to xi^(order-2) pi^order, b up to xi^order pi^(order-2), both up to order in the spectators
+    spect = (order,) * (len(a.vars) - 2)
+    for series, need in ((a, (order - 2, order) + spect), (b, (order, order - 2) + spect)):
+        if any(t < w for t, w in zip(series.trunc, need)):
+            raise WindowError(f"pair {j}: pair data truncated below requested order {order}")
+    for sdat in (s_xi, s_pi):
+        _check_datum(f"pair {j}", sdat)
+        if order >= 2 and sdat.offset[0] + sdat.trunc[0] < order - 2:
+            raise WindowError(f"pair {j}: Schwarzian datum truncated below the requested order")
+    # the lift a + b = delta, key by key on the common window
+    unit = ((0,) * len(a.vars),) * 2
+    top = [min(ta, tb) for ta, tb in zip(a.trunc, b.trunc)]
+    for key in a.terms.keys() | b.terms.keys() | {unit}:
+        want = delta - b.terms.get(key, 0) if key == unit else -b.terms.get(key, 0)
+        if all(n <= t for n, t in zip(key[0], top)) and a.terms.get(key, 0) != want:
+            raise SeriesError(f"pair {j}: a_j + b_j must equal delta_(j,k)")
 
 
 def projective_term(
@@ -239,74 +233,11 @@ def projective_term(
 ) -> TruncSeries:
     """The q-series (c/12)(A + B + sum_i C_i) for a single sewing pair.
 
-    ``a`` and ``b`` are bivariate in (xi, pi) with a + b = 1; each h_i is a
-    series in (q, eta_i) whose eta-exponents may be negative through an
-    integer offset.  Truncation shortfalls are errors, not silent zeros.
+    The case M = 1 of :func:`projective_term_multi`: ``a`` and ``b`` are
+    bivariate in (xi, pi) with a + b = 1, and each h_i is a series in
+    (q, eta_i) whose eta-exponents may be negative through an integer offset.
     """
-    c = as_q(c)
-    if len(a.vars) != 2 or len(b.vars) != 2:
-        raise VariableMismatch("a and b must be bivariate in the sewing-pair variables")
-    if len(s_eta) != len(h):
-        raise ValueError("one h per marked-point Schwarzian datum")
-    one = TruncSeries.constant(1, a.vars, {v: t for v, t in zip(a.vars, a.trunc)})
-    if (a + b) != one:
-        raise SeriesError("a + b must equal 1")
-    if a.trunc[1] < order or b.trunc[0] < order:
-        raise WindowError(f"pair data truncated below requested order {order}")
-    if order >= 2:
-        for sdat in (s_xi, s_pi):
-            if sdat.offset[0] + sdat.trunc[0] < order - 2:
-                raise WindowError("Schwarzian datum truncated below the requested order")
-
-    total = TruncSeries((out_var,), {out_var: order})
-    for (exps, logs), val in a.terms.items():
-        if any(logs):
-            raise SeriesError("a cannot carry log terms")
-        m, n = exps
-        if n > order or n - m - 2 < 0:
-            continue
-        sv = _abs_coeff(s_xi, n - m - 2)
-        if sv:
-            total._store((n,), (0,), val * sv)
-    for (exps, logs), val in b.terms.items():
-        if any(logs):
-            raise SeriesError("b cannot carry log terms")
-        n, m = exps
-        if n > order or n - m - 2 < 0:
-            continue
-        sv = _abs_coeff(s_pi, n - m - 2)
-        if sv:
-            total._store((n,), (0,), val * sv)
-    for sdat, hi in zip(s_eta, h):
-        for key, val in _marked_point_residue(sdat, hi, order).items():
-            total._store((key,), (0,), val)
-    return total.scale(c / 12)
-
-
-def _marked_point_residue(sdat: TruncSeries, h: TruncSeries, order: int) -> Dict[int, Fraction]:
-    """Res_eta S_eta(eta) h(q, eta) d eta, coefficientwise in q."""
-    if len(h.vars) != 2:
-        raise VariableMismatch("h must be a series in (q, eta)")
-    if h.trunc[0] < order:
-        raise WindowError(f"h truncated below requested q-order {order}")
-    out: Dict[int, Fraction] = {}
-    q_off = h.offset[0]
-    if q_off:
-        raise OffsetError("h cannot carry a q-offset")
-    for (exps, logs), val in h.terms.items():
-        if any(logs):
-            raise SeriesError("h cannot carry log terms")
-        nq, ne = exps
-        if nq > order:
-            continue
-        eta_abs = h.offset[1] + ne
-        k = -eta_abs - 1  # pairs against the eta^k coefficient of the datum
-        if k < 0 or k.denominator != 1:
-            continue
-        sv = _abs_coeff(sdat, int(k))
-        if sv:
-            out[nq] = out.get(nq, Q(0)) + val * sv
-    return out
+    return projective_term_multi([(s_xi, s_pi, a, b)], s_eta, h, c, 0, order, [out_var])
 
 
 def projective_term_multi(
@@ -318,41 +249,60 @@ def projective_term_multi(
     order: int,
     q_vars: Optional[Sequence[str]] = None,
 ) -> TruncSeries:
-    """Per-pair projective term for sewing along several pairs at once.
+    """The projective term (c/12)(sum_j (A_j + B_j) + sum_i C_i) for sewing along M pairs at once.
 
-    ``pairs[j]`` is (S_xi_j, S_pi_j, a_j, b_j) where a_j, b_j are series in
-    (xi_j, pi_j, q_1, .., q_M minus q_j); the lift condition is
-    a_j + b_j = delta_{j,k}.  Result: a series in all q variables.
+    ``pairs[j]`` is (S_xi_j, S_pi_j, a_j, b_j) where a_j, b_j are series
+    without offsets in (xi_j, pi_j, q_1, .., q_M minus q_j), or in
+    (xi_j, pi_j) alone when they do not depend on the other q's; the lift
+    condition is a_j + b_j = delta_{j,k}.  A term a_j[m, n, s] adds
+    a_j[m, n, s] S_xi_j(n - m - 2) at q_j^n times the spectator powers s, and
+    b_j[n, m, s] likewise with S_pi_j.  Each h_i is a series in
+    (q_1, .., q_M, eta_i) and adds Res_eta S_eta_i h_i d eta.  Result: a
+    series in all q variables.  Truncation shortfalls are errors, not silent
+    zeros.
     """
     c = as_q(c)
-    m_pairs = len(pairs)
-    names = list(q_vars) if q_vars is not None else [f"q{j+1}" for j in range(m_pairs)]
-    total = TruncSeries(tuple(names), {v: order for v in names})
-    for j, (sx, sp, aj, bj) in enumerate(pairs):
-        expect = Q(1) if j == k_index else Q(0)
-        ref = TruncSeries.constant(expect, aj.vars, {v: t for v, t in zip(aj.vars, aj.trunc)})
-        if (aj + bj) != ref:
-            raise SeriesError(f"pair {j}: a_j + b_j must equal delta_(j,k)")
-        contrib = _pair_series(sx, sp, aj, bj, q_exp_index_a=1, q_exp_index_b=0, order=order)
-        for key, val in contrib.items():
-            n_own, rest = key[0], key[1:]
-            exps = list(rest[:j]) + [n_own] + list(rest[j:])
-            if all(x <= order for x in exps):
-                total._store(tuple(exps), (0,) * m_pairs, val)
-    for sdat, hi in zip(s_eta, h):
-        if len(hi.vars) != m_pairs + 1:
-            raise VariableMismatch("marked-point h must be a series in (q_1..q_M, eta)")
+    width = len(pairs) + 1
+    names = tuple(q_vars) if q_vars is not None else tuple(f"q{j+1}" for j in range(width - 1))
+    if len(names) != width - 1:
+        raise VariableMismatch(f"{len(names)} q variables for {width - 1} pairs")
+    if len(s_eta) != len(h):
+        raise ValueError("one h per marked-point Schwarzian datum")
+    acc: Dict[Tuple[int, ...], Fraction] = {}
+    for j, (s_xi, s_pi, a, b) in enumerate(pairs):
+        _check_pair(j, s_xi, s_pi, a, b, width, int(j == k_index), order)
+        pad = (0,) * (width - len(a.vars))
+        # a is keyed (m, n, spectators), b (n, m, spectators); n - m - 2 lies in [0, order - 2]
+        for series, sdat, mi, ni in ((a, s_xi, 0, 1), (b, s_pi, 1, 0)):
+            datum = [_abs_coeff(sdat, k) for k in range(order - 1)]
+            for (exps, logs), val in series.terms.items():
+                if any(logs):
+                    raise SeriesError(f"pair {j}: a and b cannot carry log terms")
+                m, n, rest = exps[mi], exps[ni], exps[2:] + pad
+                if n > order or n - m - 2 < 0 or max(rest, default=0) > order:
+                    continue
+                sv = datum[n - m - 2]
+                if sv:
+                    key = rest[:j] + (n,) + rest[j:]
+                    acc[key] = acc.get(key, 0) + val * sv
+    for i, (sdat, hi) in enumerate(zip(s_eta, h)):
+        _check_datum(f"marked point {i}", sdat)
+        if len(hi.vars) != width:
+            raise VariableMismatch(f"marked point {i}: h must be a series in (q_1..q_M, eta)")
+        if any(hi.offset[:-1]):
+            raise OffsetError(f"marked point {i}: h cannot carry a q-offset")
+        if any(t < order for t in hi.trunc[:-1]):
+            raise WindowError(f"marked point {i}: h truncated below requested q-order {order}")
         for (exps, logs), val in hi.terms.items():
             if any(logs):
-                raise SeriesError("h cannot carry log terms")
-            qexps, ne = exps[:-1], exps[-1]
-            if any(x > order for x in qexps):
+                raise SeriesError(f"marked point {i}: h cannot carry log terms")
+            key = exps[:-1]
+            k = -(hi.offset[-1] + exps[-1]) - 1  # pairs against the eta^k coefficient of the datum
+            if max(key, default=0) > order or k < 0 or k.denominator != 1:
                 continue
-            eta_abs = hi.offset[-1] + ne
-            kk = -eta_abs - 1
-            if kk < 0 or kk.denominator != 1:
-                continue
-            sv = _abs_coeff(sdat, int(kk))
+            sv = _abs_coeff(sdat, int(k))
             if sv:
-                total._store(tuple(qexps), (0,) * m_pairs, val * sv)
-    return total.scale(c / 12)
+                acc[key] = acc.get(key, 0) + val * sv
+    scale, logs = c / 12, (0,) * len(names)
+    terms = {(key, logs): val * scale for key, val in acc.items()}
+    return TruncSeries(names, dict.fromkeys(names, order), terms=terms)

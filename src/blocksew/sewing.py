@@ -211,6 +211,10 @@ class SewingBlock:
         missing = [s for s in retained if s not in inputs]
         if missing:
             raise ValueError(f"missing inputs for slots {missing}")
+        for s in retained:
+            if inputs[s].n != self.slot_dim(s):
+                # QVec reads zeros past its end, which would drop entries silently
+                raise ValueError(f"input for slot {s}: expected a list of {self.slot_dim(s)} rationals")
         if not retained:
             if keep == tuple(range(self.arity)):
                 return self.table

@@ -138,6 +138,36 @@ def fraction_fuchs_solution(a, omega, seeds, order):
     return psi
 
 
+def fraction_projective_term(pairs, marked, c, order):
+    """{(n_1, .., n_M): coefficient} of (c/12)(sum_j (A_j + B_j) + sum_i C_i), by definition.
+
+    ``pairs[j]`` is (s_xi, s_pi, a, b).  s_xi and s_pi map exponents k >= 0
+    of the Schwarzian data to coefficients; a maps (m, n, *s) and b maps
+    (n, m, *s) to coefficients, where s lists the exponents of the q's other
+    than q_j in order.  A_j adds a[m, n, s] s_xi[n - m - 2] to the monomial
+    q_j^n prod q_other^s, and B_j adds b[n, m, s] s_pi[n - m - 2].
+    ``marked[i]`` is (s_eta, h) with h mapping (n_1, .., n_M, e), e the
+    absolute eta exponent, to coefficients; C_i = Res_eta S_eta h d eta adds
+    h[n, e] s_eta[-e - 1] to q^n.  Monomials past q^order in any variable
+    are dropped.
+    """
+    out = {}
+
+    def add(key, v):
+        if v and max(key, default=0) <= order:
+            out[key] = out.get(key, Q(0)) + v
+
+    for j, (s_xi, s_pi, a, b) in enumerate(pairs):
+        for (m, n, *s), v in a.items():
+            add(tuple(s[:j]) + (n,) + tuple(s[j:]), v * s_xi.get(n - m - 2, 0))
+        for (n, m, *s), v in b.items():
+            add(tuple(s[:j]) + (n,) + tuple(s[j:]), v * s_pi.get(n - m - 2, 0))
+    for s_eta, h in marked:
+        for (*n, e), v in h.items():
+            add(tuple(n), v * s_eta.get(-e - 1, 0))
+    return {key: v * Q(c) / 12 for key, v in out.items() if v}
+
+
 def fraction_sew(table, pairs, inputs, orders, log_bounds):
     """Terms of the q^{L_0} contraction of a block table, one (n, l) at a time.
 

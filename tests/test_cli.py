@@ -1,7 +1,11 @@
+import io
 import json
 import math
 import random
+import shlex
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -358,6 +362,35 @@ class TestMalformedDocuments:
         doc = write(tmp_path, "term.json", {"S_pi": zero, "a": half, "b": half, "order": 3})
         self.rejected(["schwarz", "term", doc], capsys, "input.S_xi")
 
+    def test_schwarz_term_malformed_series(self, tmp_path, capsys):
+        # each of these used to give a traceback, an error without a path, or a series
+        zero_xi = {"vars": ["xi"], "trunc": {"xi": 4}, "terms": []}
+        zero = {"vars": ["pi"], "trunc": {"pi": 4}, "terms": []}
+        half = {"vars": ["xi", "pi"], "trunc": {"xi": 4, "pi": 4}, "terms": [{"n": [0, 0], "l": [0, 0], "c": "1/2"}]}
+        bad = [
+            ({**half, "trunc": {"xi": 4}}, "a.trunc.pi"),
+            ({**half, "trunc": [4, 4]}, "a.trunc"),
+            ({**half, "vars": "xipi"}, "a.vars"),
+            ({**half, "vars": ["xi", "xi"]}, "a.vars"),
+            ({**half, "trunc": {"xi": "abc", "pi": 4}}, "a.trunc.xi"),
+            ({**half, "trunc": {"xi": "4", "pi": 4}}, "a.trunc.xi"),
+            ({**half, "trunc": {"xi": 4.5, "pi": 4}}, "a.trunc.xi"),
+            ({**half, "trunc": {"xi": -1, "pi": 4}}, "a.trunc.xi"),
+            ({**half, "logmax": {"xi": "x"}}, "a.logmax.xi"),
+            ({**half, "offset": ["0"]}, "a.offset"),
+            ({**half, "terms": {"n": [0, 0]}}, "a.terms"),
+            ({**half, "terms": [[0, 0]]}, "a.terms[0]"),
+            ({**half, "terms": [{"n": [0], "l": [0, 0], "c": "1/2"}]}, "a.terms[0].n"),
+            ({**half, "terms": [{"n": [0, 9], "l": [0, 0], "c": "1/2"}]}, "a.terms[0].n"),
+            ({**half, "terms": [{"n": [0, "0"], "l": [0, 0], "c": "1/2"}]}, "a.terms[0].n"),
+            ({**half, "terms": [{"n": [0, 0], "l": [0, 0, 0], "c": "1/2"}]}, "a.terms[0].l"),
+        ]
+        for a, path in bad:
+            doc = write(tmp_path, "term.json", {"S_xi": zero_xi, "S_pi": zero, "a": a, "b": half, "order": 3})
+            self.rejected(["schwarz", "term", doc], capsys, path)
+        doc = write(tmp_path, "term.json", {"S_xi": zero_xi, "S_pi": zero, "a": half, "b": half, "h": [half], "S_eta": [{"vars": "eta"}], "order": 3})
+        self.rejected(["schwarz", "term", doc], capsys, "S_eta[0].vars")
+
     def test_fuchs_non_integer_log_bound_and_seed_key(self, tmp_path, capsys):
         system = {"A": [[["0"]]], "omega": [["1"]]}
         for bound in (1.5, "1"):
@@ -413,3 +446,23 @@ class TestJsonRoundTrip:
             parse_rational("0.5")
         with pytest.raises(ValueError):
             parse_rational("1e3")
+
+
+def test_readme_examples(monkeypatch, capsys):
+    """Every ``blocksew`` line of the README's command-line block runs and exits 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.strip() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [line for line in lines if "blocksew " in line and not line.startswith("#")]
+    assert len(commands) >= 10
+    for line in commands:
+        stdin = ""
+        if " | " in line:
+            echo, line = line.rsplit(" | ", 1)
+            stdin = shlex.split(echo)[1]
+        argv = shlex.split(line)
+        assert argv[0] == "blocksew", line
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code = main(argv[1:])
+        assert code == 0, (line, capsys.readouterr().err)
+        capsys.readouterr()

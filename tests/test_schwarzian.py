@@ -18,8 +18,18 @@ from blocksew.schwarzian import (
     vir_transition,
     _jets_equal,
 )
-from blocksew.series import CoordJet, LaurentJet, SeriesError, TruncSeries, WindowError, compose_jets, jet_compose
-from helpers import random_jet_coeffs, random_rational
+from blocksew.series import (
+    CoordJet,
+    LaurentJet,
+    OffsetError,
+    SeriesError,
+    TruncSeries,
+    VariableMismatch,
+    WindowError,
+    compose_jets,
+    jet_compose,
+)
+from helpers import fraction_projective_term, random_jet_coeffs, random_rational
 
 Q = Fraction
 SEED = 424242
@@ -345,3 +355,172 @@ class TestProjectiveTermMulti:
         a = TruncSeries.constant(Q(1, 2), ("xi", "pi"), {"xi": 6, "pi": 6})
         with pytest.raises(SeriesError):
             projective_term_multi([(plain(("xi",), 6), plain(("pi",), 6), a, a)], [], [], 1, k_index=1, order=3)
+
+
+def series_of(vars_, trunc, coeffs, offset=None):
+    """A log-free TruncSeries from {exponent tuple: value}, exponents relative to ``offset``."""
+    return TruncSeries(
+        vars_,
+        dict.fromkeys(vars_, trunc),
+        offset=offset,
+        terms={(k, (0,) * len(vars_)): v for k, v in coeffs.items()},
+    )
+
+
+def random_engine_case(rnd, n_pairs, k_index, n_marked, order):
+    """Seeded input of projective_term_multi, as (plain dicts for the reference, package series).
+
+    Pair data reach past ``order`` and into the spectator q's; a Schwarzian
+    datum may start at exponent 1 through an integer offset; each h has a
+    negative eta offset, so its eta exponents run from -3 up.
+    """
+    t = order + 2
+
+    def datum(var):
+        off = rnd.randint(0, 1)
+        coeffs = {k: random_rational(rnd) for k in range(off, t + 1)}
+        return coeffs, series_of((var,), t - off, {(k - off,): v for k, v in coeffs.items()}, {var: off})
+
+    raw_pairs, pairs = [], []
+    for j in range(n_pairs):
+        names = (f"xi{j}", f"pi{j}") + tuple(f"s{j}_{i}" for i in range(n_pairs - 1))
+        a = {tuple(rnd.randint(0, t) for _ in names): random_rational(rnd) for _ in range(24)}
+        unit = (0,) * len(names)
+        b = {k: -v for k, v in a.items()}
+        b[unit] = int(j == k_index) - a.get(unit, 0)
+        b = {k: v for k, v in b.items() if v}
+        (sx, sx_series), (sp, sp_series) = datum(f"xi{j}"), datum(f"pi{j}")
+        raw_pairs.append((sx, sp, a, b))
+        pairs.append((sx_series, sp_series, series_of(names, t, a), series_of(names, t, b)))
+    raw_marked, s_eta, h = [], [], []
+    for i in range(n_marked):
+        se, se_series = datum(f"eta{i}")
+        names = tuple(f"q{j + 1}" for j in range(n_pairs)) + (f"eta{i}",)
+        rel = {tuple(rnd.randint(0, t) for _ in names): random_rational(rnd) for _ in range(16)}
+        raw_marked.append((se, {k[:-1] + (k[-1] - 3,): v for k, v in rel.items()}))
+        s_eta.append(se_series)
+        h.append(series_of(names, t, rel, {names[-1]: -3}))
+    return (raw_pairs, raw_marked), (pairs, s_eta, h)
+
+
+class TestProjectiveTermEngine:
+    """Both public functions against the Fraction reference, and the checks they share."""
+
+    def assert_matches_reference(self, rnd, n_pairs, k_index, n_marked, order=6):
+        (raw_pairs, raw_marked), (pairs, s_eta, h) = random_engine_case(rnd, n_pairs, k_index, n_marked, order)
+        c = random_rational(rnd) or Q(5)
+        want = fraction_projective_term(raw_pairs, raw_marked, c, order)
+        assert want, "the case should not be vacuous"
+        zeros = (0,) * n_pairs
+        out = projective_term_multi(pairs, s_eta, h, c, k_index=k_index, order=order)
+        assert out.vars == tuple(f"q{j + 1}" for j in range(n_pairs))
+        assert out.terms == {(k, zeros): v for k, v in want.items()}
+        if n_pairs == 1:
+            (s_xi, s_pi, a, b), = pairs
+            single = projective_term(s_xi, s_pi, s_eta, a, b, h, c, order)
+            assert single.vars == ("q",) and single.terms == out.terms
+
+    def test_one_pair_matches_reference(self):
+        rnd = random.Random(SEED + 20)
+        for n_marked in (0, 1, 2):
+            for _ in range(4):
+                self.assert_matches_reference(rnd, 1, 0, n_marked)
+
+    def test_two_pairs_match_reference_for_each_k(self):
+        rnd = random.Random(SEED + 21)
+        for k_index in (0, 1):
+            for n_marked in (0, 1):
+                for _ in range(3):
+                    self.assert_matches_reference(rnd, 2, k_index, n_marked)
+
+    def test_three_pairs_match_reference(self):
+        rnd = random.Random(SEED + 22)
+        for k_index in (0, 2):
+            self.assert_matches_reference(rnd, 3, k_index, 1, order=4)
+
+    def test_pair_data_without_spectators_is_constant_in_them(self):
+        _raw, (((s_xi, s_pi, a, b),), _s_eta, _h) = random_engine_case(random.Random(SEED + 23), 1, 0, 0, 5)
+        a3, b3 = (series_of(("xi", "pi", "s"), 7, {e + (0,): v for (e, _l), v in x.terms.items()}) for x in (a, b))
+        other = (plain(("xi2",), 7), plain(("pi2",), 7), plain(("xi2", "pi2"), 7), plain(("xi2", "pi2"), 7))
+        short = projective_term_multi([(s_xi, s_pi, a, b), other], [], [], 3, k_index=0, order=5)
+        full = projective_term_multi([(s_xi, s_pi, a3, b3), other], [], [], 3, k_index=0, order=5)
+        assert short == full and not short.is_zero()
+
+    # each check below is one the multi-pair path lacked: it returned a series without raising
+
+    def half(self, trunc=8, vars_=("xi", "pi"), offset=None):
+        return series_of(vars_, trunc, {(0,) * len(vars_): Q(1, 2)}, offset)
+
+    def test_multi_rejects_pair_data_truncated_below_order(self):
+        half = self.half(trunc=3)
+        with pytest.raises(WindowError):
+            projective_term_multi([(plain(("xi",), 8), plain(("pi",), 8), half, half)], [], [], 1, k_index=0, order=6)
+
+    def test_rejects_pair_data_short_in_xi_or_in_a_spectator(self):
+        # a is read up to xi^(order - 2); spectators up to q^order
+        a = TruncSeries.constant(Q(1, 2), ("xi", "pi"), {"xi": 3, "pi": 8})
+        with pytest.raises(WindowError):
+            projective_term(plain(("xi",), 8), plain(("pi",), 8), [], a, self.half(), [], 1, 6)
+        spect = TruncSeries.constant(Q(1, 2), ("xi", "pi", "s"), {"xi": 8, "pi": 8, "s": 3})
+        zero = (plain(("xi2",), 8), plain(("pi2",), 8), plain(("xi2", "pi2", "s"), 8), plain(("xi2", "pi2", "s"), 8))
+        with pytest.raises(WindowError):
+            projective_term_multi([(plain(("xi",), 8), plain(("pi",), 8), spect, spect), zero], [], [], 1, k_index=0, order=6)
+
+    def test_multi_rejects_a_marked_point_count_mismatch(self):
+        half, seta = self.half(), series_of(("eta",), 8, {(0,): Q(7, 3)})
+        with pytest.raises(ValueError):
+            projective_term_multi([(plain(("xi",), 8), plain(("pi",), 8), half, half)], [seta], [], 1, k_index=0, order=6)
+
+    def test_multi_rejects_h_with_a_q_offset(self):
+        # q^1 eta^-1 used to come back at q^0
+        half, seta = self.half(), series_of(("eta",), 8, {(0,): Q(7, 3)})
+        h = series_of(("q", "eta"), 8, {(0, 0): 1}, {"q": 1, "eta": -1})
+        for fn in (
+            lambda: projective_term_multi([(plain(("xi",), 8), plain(("pi",), 8), half, half)], [seta], [h], 1, 0, 6),
+            lambda: projective_term(plain(("xi",), 8), plain(("pi",), 8), [seta], half, half, [h], 1, 6),
+        ):
+            with pytest.raises(OffsetError):
+                fn()
+
+    def test_multi_rejects_h_truncated_in_q(self):
+        half, seta = self.half(), series_of(("eta",), 8, {(0,): Q(7, 3)})
+        h = TruncSeries.monomial(1, ("q", "eta"), {"q": 3, "eta": 8}, offset={"eta": -1})
+        with pytest.raises(WindowError):
+            projective_term_multi([(plain(("xi",), 8), plain(("pi",), 8), half, half)], [seta], [h], 1, k_index=0, order=6)
+
+    def test_multi_rejects_schwarzian_datum_short_of_the_window(self):
+        half = self.half()
+        with pytest.raises(WindowError):
+            projective_term_multi([(plain(("xi",), 1), plain(("pi",), 8), half, half)], [], [], 1, k_index=0, order=6)
+
+    def test_multi_rejects_pair_data_of_the_wrong_arity(self):
+        half3 = self.half(vars_=("xi", "pi", "s"))
+        with pytest.raises(VariableMismatch):
+            projective_term_multi([(plain(("xi",), 8), plain(("pi",), 8), half3, half3)], [], [], 1, k_index=0, order=6)
+
+    def test_offsets_on_pair_data_are_rejected(self):
+        # xi pi^4 stored plainly and stored with offset xi: 1 compare equal, but
+        # the offset used to be ignored: 3 q^4 against 2 q^4
+        s_xi = series_of(("xi",), 8, {(1,): 3, (2,): 2})
+        one = series_of(("xi", "pi"), 8, {(0, 0): 1})
+        plain_a = series_of(("xi", "pi"), 8, {(1, 4): 1})
+        shifted_a = series_of(("xi", "pi"), 8, {(0, 4): 1}, {"xi": 1})
+        assert plain_a == shifted_a
+        out = projective_term(s_xi, plain(("pi",), 8), [], plain_a, one - plain_a, [], 12, 6)
+        assert out == series_of(("q",), 6, {(4,): 3})
+        with pytest.raises(OffsetError):
+            projective_term(s_xi, plain(("pi",), 8), [], shifted_a, one - shifted_a, [], 12, 6)
+        with pytest.raises(OffsetError):
+            projective_term_multi([(s_xi, plain(("pi",), 8), shifted_a, one - shifted_a)], [], [], 12, 0, 6)
+
+    def test_log_terms_in_schwarzian_data_are_rejected(self):
+        # 5 xi log(xi) in S_xi used to be dropped: the term came back 0
+        s_log = TruncSeries(("xi",), {"xi": 8}, logmax={"xi": 1}, terms={((1,), (1,)): Q(5)})
+        one = series_of(("xi", "pi"), 8, {(0, 0): 1})
+        a = series_of(("xi", "pi"), 8, {(1, 4): 1})
+        with pytest.raises(SeriesError):
+            projective_term(s_log, plain(("pi",), 8), [], a, one - a, [], 12, 6)
+        h = series_of(("q", "eta"), 8, {(0, 0): 1}, {"eta": -2})
+        eta_log = TruncSeries(("eta",), {"eta": 8}, logmax={"eta": 1}, terms={((1,), (1,)): Q(5)})
+        with pytest.raises(SeriesError):
+            projective_term(plain(("xi",), 8), plain(("pi",), 8), [eta_log], one, one.scale(0), [h], 12, 6)

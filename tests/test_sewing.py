@@ -254,6 +254,20 @@ class TestSewMulti:
                 sew_multi(both, {}, [(0, 1, m), (2, 3, m)], orders)
 
 
+    def test_retained_input_must_fill_its_slot(self):
+        # a short vector read as zeros past its end: sew used to return an empty series
+        m = vacuum_module()
+        d = [1, 1, 2]
+        block = SewingBlock([d, d, d], {(0, 0, 3): 1}, (0, 1))
+        short, full = QVec.from_list([1]), QVec.from_list([0, 0, 0, 1])
+        for vec in (short, QVec.from_list([0, 0, 0, 1, 0])):
+            with pytest.raises(ValueError):
+                sew(block, {2: vec}, m, 2)
+            with pytest.raises(ValueError):
+                sew_multi(block, {2: vec}, [(0, 1, m)], [2])
+        assert sew(block, {2: full}, m, 2) == TruncSeries.constant(1, ("q",), {"q": 2})
+
+
 class TestSewAgainstReference:
     """sew and sew_multi against the per-(n, l), per-entry Fraction contraction."""
 
