@@ -27,7 +27,7 @@ from typing import List, Optional
 
 from . import jsonio
 from .coords import c2_formula, extract_c, huang_conjugation_checks, u_matrix
-from .fock import CONFORMAL, BOSON, VACUUM, FockModule, NilpotentToyModule, partitions_of, vacuum_module
+from .fock import CONFORMAL, BOSON, VACUUM, FockModule, NilpotentToyModule, partitions_of, vacuum_module, vec_add, vec_scale
 from .fuchs import BoundViolation, FuchsError, certify, ode_residual, residual, solve_formal
 from .linalg import QMat, QVec, format_rational, parse_rational
 from .schwarzian import cocycle_check, projective_term, schwarzian
@@ -185,13 +185,7 @@ def cmd_voa_check_relations(args) -> int:
     basis = [{mu: Q(1)} for w in range(n + 1) for mu in partitions_of(w)]
 
     def comm(apply_a, apply_b, vec):
-        from .fock import vec_add, vec_scale
-
-        return vec_add(
-            apply_a(apply_b(vec)), vec_scale(-1, apply_b(apply_a(vec)))
-        )
-
-    from .fock import vec_add, vec_scale
+        return vec_add(apply_a(apply_b(vec)), vec_scale(-1, apply_b(apply_a(vec))))
 
     for m in range(-rng, rng + 1):
         for k in range(-rng, rng + 1):
@@ -256,7 +250,7 @@ def cmd_schwarz_term(args) -> int:
     )
     s_eta = [jsonio.series_from_json(x, f"S_eta[{i}]") for i, x in enumerate(doc.get("S_eta", []))]
     h = [jsonio.series_from_json(x, f"h[{i}]") for i, x in enumerate(doc.get("h", []))]
-    c = parse_rational(str(doc.get("c", "1")))
+    c = jsonio.rational_from_json(doc.get("c", "1"), "input.c")
     order = _order(args, doc, 6)
     _emit_series(projective_term(s_xi, s_pi, s_eta, a, b, h, c, order), args)
     return 0
@@ -270,14 +264,20 @@ def _module_from_json(doc, path):
         raise jsonio.SchemaError(path, "expected an object")
     kind = doc.get("type", "fock")
     if kind == "fock":
-        return FockModule(parse_rational(str(doc.get("momentum", "0"))))
+        return FockModule(jsonio.rational_from_json(doc.get("momentum", "0"), f"{path}.momentum"))
     if kind == "toy":
-        dims = [int(d) for d in jsonio.require(doc, "dims", path)]
+        dims = jsonio.require(doc, "dims", path)
+        if not isinstance(dims, list):
+            raise jsonio.SchemaError(f"{path}.dims", "expected a list of non-negative integers")
+        dims = [jsonio.natural(d, f"{path}.dims[{i}]") for i, d in enumerate(dims)]
+        nil_doc = jsonio.require(doc, "nilpotents", path)
+        if not isinstance(nil_doc, list) or len(nil_doc) != len(dims):
+            raise jsonio.SchemaError(f"{path}.nilpotents", f"expected a list of {len(dims)} matrices, one per weight")
         nil = [
             jsonio.matrix_rows_from_json(m, f"{path}.nilpotents[{i}]") if m else QMat(d, d)
-            for i, (d, m) in enumerate(zip(dims, jsonio.require(doc, "nilpotents", path)))
+            for i, (d, m) in enumerate(zip(dims, nil_doc))
         ]
-        return NilpotentToyModule(dims, nil, offset=parse_rational(str(doc.get("offset", "0"))))
+        return NilpotentToyModule(dims, nil, offset=jsonio.rational_from_json(doc.get("offset", "0"), f"{path}.offset"))
     raise jsonio.SchemaError(path, f"unknown module type {kind!r}")
 
 
@@ -422,8 +422,9 @@ def cmd_fuchs_certify(args) -> int:
     else:
         order = _order(args, doc, 30)
         psi = solve_formal(system, seeds, order=order, log_bound=_size(doc, "log_bound", 0))
+    r1 = jsonio.rational_from_json(doc["r1"], "input.r1") if "r1" in doc else parse_rational(args.r1)
     try:
-        cert = certify(system, psi, parse_rational(str(doc.get("r1", args.r1))))
+        cert = certify(system, psi, r1)
     except BoundViolation as e:
         return _fail({"violation_index": e.index, "message": str(e)}, args)
     _emit(jsonio.dumps_canonical(cert.to_dict()), args)

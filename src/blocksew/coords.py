@@ -206,8 +206,12 @@ def u_apply(rho: CoordJet, module: FockModule, vec, coeffs: Optional[ExpCoeffs] 
     return out
 
 
-def _exp_sum_cn_ln(rho: CoordJet, module: FockModule, n_max: int, sign: int):
-    """rho'(0) and the finite exponential exp(sum c_n L_{sign n}) on the truncation."""
+def u_matrix(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
+    """Matrix of the coordinate-change operator on the weight truncation.
+
+    Block lower-triangular in the weight filtration: the induced map on each
+    graded quotient is the scalar rho'(0)^n.
+    """
     need = _required_order(n_max)
     if rho.order < need and not rho.exact:
         raise InsufficientJetOrder(f"jet order {rho.order} insufficient for truncation {n_max}")
@@ -216,24 +220,14 @@ def _exp_sum_cn_ln(rho: CoordJet, module: FockModule, n_max: int, sign: int):
     t = QMat(dim, dim)
     for n, cn in enumerate(ec.cs, start=1):
         if cn:
-            t = t + module.virasoro_matrix(sign * n, n_max, n_max).scale(cn)
+            t = t + module.virasoro_matrix(n, n_max, n_max).scale(cn)
     exp = term = QMat.identity(dim)
     for k in range(1, n_max + 2):
         term = (t @ term).scale(Q(1, k))
         if term.is_zero():
             break
         exp = exp + term
-    return ec.c0, exp
-
-
-def u_matrix(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
-    """Matrix of the coordinate-change operator on the weight truncation.
-
-    Block lower-triangular in the weight filtration: the induced map on each
-    graded quotient is the scalar rho'(0)^n.
-    """
-    c0, exp = _exp_sum_cn_ln(rho, module, n_max, 1)
-    return module.scalar_pow_weight(c0, n_max) @ exp
+    return module.scalar_pow_weight(ec.c0, n_max) @ exp
 
 
 def u_matrix_inverse(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
@@ -244,11 +238,16 @@ def u_matrix_dual(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
     """Operator of rho on the graded dual, in the dual basis.
 
     The dual Virasoro modes are transposes with reflected index, so the
-    exponential factor is the transpose of exp(sum c_n L_{-n}); weight-raising
-    factors make its compression to the truncation exact.
+    exponential factor is the transpose of exp(sum c_n L_{-n}).  The
+    Shapovalov form is diagonal in the partition basis, G = diag(<mu, mu>),
+    and L_n is adjoint to L_{-n}, so L_{-n}^T = G L_n G^{-1} on the
+    truncation and the operator is G u_matrix(rho) G^{-1}.
     """
-    c0, exp = _exp_sum_cn_ln(rho, module, n_max, -1)
-    return module.scalar_pow_weight(c0, n_max) @ exp.transpose()
+    # <mu, mu> = prod_k k^{m_k} m_k! for a partition mu with m_k parts equal to k
+    norms = [math.prod(k ** mu.count(k) * math.factorial(mu.count(k)) for k in set(mu)) for mu in module.basis(n_max)]
+    mat = u_matrix(rho, module, n_max)
+    rows = {i: {j: v * Q(norms[i], norms[j]) for j, v in row.items()} for i, row in mat.rows.items()}
+    return QMat._of_clean(mat.nrows, mat.ncols, rows)
 
 
 # ---------------------------------------------------------------------------

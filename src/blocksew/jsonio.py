@@ -43,7 +43,9 @@ def rational_from_json(x, path: str) -> Fraction:
 
 
 def matrix_rows_from_json(rows, path: str) -> QMat:
-    """A matrix given as a list of rows of rational strings."""
+    """A matrix given as a list of equally long rows of rational strings."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows) or len(set(map(len, rows))) > 1:
+        raise SchemaError(path, "expected a list of equally long rows")
     return QMat.from_rows(
         [[rational_from_json(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(rows)]
     )
@@ -184,7 +186,7 @@ def fuchs_system_from_json(obj: dict, path: str = "system") -> Tuple[FuchsSystem
     tail = None
     if obj.get("tail") is not None:
         t = _object(obj["tail"], f"{path}.tail")
-        tail = tuple(rational_from_json(str(require(t, k, f"{path}.tail")), f"{path}.tail.{k}") for k in ("C", "a"))
+        tail = tuple(rational_from_json(require(t, k, f"{path}.tail"), f"{path}.tail.{k}") for k in ("C", "a"))
     seeds = {}
     for key, val in _object(obj.get("seeds", {}), f"{path}.seeds").items():
         try:
@@ -193,7 +195,7 @@ def fuchs_system_from_json(obj: dict, path: str = "system") -> Tuple[FuchsSystem
             raise SchemaError(f"{path}.seeds.{key}", "seed keys are 'n,l'") from None
         if not isinstance(val, list):
             raise SchemaError(f"{path}.seeds.{key}", "expected a list of rationals")
-        seeds[(n, l)] = [rational_from_json(str(x), f"{path}.seeds.{key}[{i}]") for i, x in enumerate(val)]
+        seeds[(n, l)] = [rational_from_json(x, f"{path}.seeds.{key}[{i}]") for i, x in enumerate(val)]
     return FuchsSystem.single(a_coeffs, w_coeffs, dim=dim, tail=tail), seeds
 
 

@@ -229,7 +229,6 @@ def projective_term(
     h: Sequence[TruncSeries],
     c,
     order: int,
-    out_var: str = "q",
 ) -> TruncSeries:
     """The q-series (c/12)(A + B + sum_i C_i) for a single sewing pair.
 
@@ -237,7 +236,7 @@ def projective_term(
     bivariate in (xi, pi) with a + b = 1, and each h_i is a series in
     (q, eta_i) whose eta-exponents may be negative through an integer offset.
     """
-    return projective_term_multi([(s_xi, s_pi, a, b)], s_eta, h, c, 0, order, [out_var])
+    return projective_term_multi([(s_xi, s_pi, a, b)], s_eta, h, c, 0, order, ["q"])
 
 
 def projective_term_multi(

@@ -479,13 +479,14 @@ def reverse_jet(rho: CoordJet, order: Optional[int] = None) -> CoordJet:
 DEFAULT_EXACT_PRECISION = 24
 
 
-def jet_compose(outer: LaurentJet, inner: CoordJet, inv_order: Optional[int] = None) -> LaurentJet:
+def jet_compose(outer: LaurentJet, inner: CoordJet) -> LaurentJet:
     """Substitution outer(inner(z)) for a Laurent window and a coordinate jet.
 
     Negative powers of the inner jet are expanded through its inverse
     a_1^{-1} z^{-1} (1 + ...)^{-1}.  The result window is computed so that all
-    emitted coefficients are exact; ``inv_order`` sets the working precision
-    when both inputs are exact polynomials (whose quotient is not).
+    emitted coefficients are exact; when both inputs are exact polynomials
+    (whose quotient is not) the inverse is taken to the precision of
+    :func:`_safe_inv`.
     """
     inner.check_invertible()
     var = outer.var
@@ -503,7 +504,7 @@ def jet_compose(outer: LaurentJet, inner: CoordJet, inv_order: Optional[int] = N
                 pows[e] = ipow(e - 1) * lt
             else:
                 if inv_cache is None:
-                    inv_cache = _safe_inv(lt, inv_order)
+                    inv_cache = _safe_inv(lt)
                 pows[e] = ipow(e + 1) * inv_cache
         return pows[e]
 
@@ -518,11 +519,11 @@ def jet_compose(outer: LaurentJet, inner: CoordJet, inv_order: Optional[int] = N
     return acc
 
 
-def _safe_inv(lt: LaurentJet, rel_order: Optional[int] = None) -> LaurentJet:
+def _safe_inv(lt: LaurentJet) -> LaurentJet:
+    """Inverse of a window, or of an exact polynomial to 4 * degree (at least 24) terms."""
     if lt.hi is None:
-        deg = max(lt.coeffs)
-        return lt.inv(rel_order=rel_order if rel_order is not None else max(deg * 4, DEFAULT_EXACT_PRECISION))
-    return lt.inv(rel_order=rel_order)
+        return lt.inv(rel_order=max(max(lt.coeffs) * 4, DEFAULT_EXACT_PRECISION))
+    return lt.inv()
 
 
 def residue(f: LaurentJet):
@@ -836,7 +837,7 @@ class TruncSeries:
         return f"TruncSeries<{body}>"
 
 
-def diagonal_contract(d: TruncSeries, out_var: str = "q") -> TruncSeries:
+def diagonal_contract(d: TruncSeries) -> TruncSeries:
     """Diagonal of a bivariate series: sum_n D_{n,n} q^n.
 
     Equals Res_{xi=0} D(xi, q/xi) dxi/xi and Res_{pi=0} D(q/pi, pi) dpi/pi.
@@ -847,7 +848,7 @@ def diagonal_contract(d: TruncSeries, out_var: str = "q") -> TruncSeries:
     if any(d.offset) or any(d.logmax):
         raise OffsetError("diagonal contraction requires zero offsets and no log terms")
     t = min(d.trunc)
-    out = TruncSeries((out_var,), {out_var: t})
+    out = TruncSeries(("q",), {"q": t})
     for (exps, _logs), val in d.terms.items():
         if exps[0] == exps[1] and exps[0] <= t:
             out._store((exps[0],), (0,), val)

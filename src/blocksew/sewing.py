@@ -45,70 +45,38 @@ class TruncationShortfall(WindowError):
 # resolvent
 
 
-@dataclass
-class Resolvent:
-    """Basis/dual-basis pairs per weight with the nilpotent L_0 part and offset."""
-
-    module: object
-    n_max: int
-
-    def dims(self) -> List[int]:
-        return self.module.weight_dims(self.n_max)
-
-    def pairing_delta_check(self) -> bool:
-        # the stored pairs are coordinate bases, so the pairing test is that
-        # each weight block is square and the nilpotent part fits it
-        for n, d in enumerate(self.dims()):
-            blk = self.module.nilpotent_block(n)
-            if (blk.nrows, blk.ncols) != (d, d):
-                return False
-        return True
-
-    def block_start(self, n: int) -> int:
-        return sum(self.dims()[:n])
-
-    def total_dim(self) -> int:
-        return sum(self.dims())
-
-
-def q_l0_resolvent(module, order: int, var: str = "q") -> TruncSeries:
+def q_l0_resolvent(module, order: int) -> TruncSeries:
     """The series q^L0 applied to the identity element of End(M), blockwise.
 
     Returns a matrix-valued series: the value at (n, l) is the global matrix
     whose weight-n block is N_n^l / l!, so that q d/dq of the output equals
-    L_0 times the output, exactly.
+    L_0 times the output, exactly.  It is the one-pair contraction of the
+    identity block {(b, a, b, a): 1}, b and a in one weight block; off the
+    diagonal only l >= 1 reads it, so a module without log terms keeps b == a.
     """
-    res = Resolvent(module, order)
-    dims = res.dims()
-    total = res.total_dim()
+    dims = module.weight_dims(order)
+    total = sum(dims)
     logbound = module.log_bound
-    out = TruncSeries(
-        (var,), {var: order}, offset={var: module.offset}, logmax={var: logbound}
-    )
-    for n in range(order + 1):
-        if not dims[n]:
-            continue
-        start = res.block_start(n)
-        nil = module.nilpotent_block(n)
-        power = QMat.identity(dims[n])
-        for l in range(0, logbound + 1):
-            if power.is_zero():
-                break
-            glob = QMat(total, total)
-            for i, row in power.rows.items():
-                for j, v in row.items():
-                    glob.set_(start + i, start + j, v * Q(1, math.factorial(l)))
-            out._store((n,), (l,), glob)
-            power = nil @ power
+    identity = {}
+    for n, d in enumerate(dims):
+        start = sum(dims[:n])
+        for b in range(start, start + d):
+            for a in range(start, start + d) if logbound else (b,):
+                identity[b, a, b, a] = Q(1)
+    out = TruncSeries(("q",), {"q": order}, offset={"q": module.offset}, logmax={"q": logbound})
+    for (n, l), part in _contract_pair(identity, dims, module, logbound).items():
+        rows: Dict[int, Dict[int, Fraction]] = {}
+        for (b, a), v in part.items():
+            rows.setdefault(b, {})[a] = v
+        out._store((n,), (l,), QMat._of_clean(total, total, rows))
     return out
 
 
 def l0_times(module, series: TruncSeries) -> TruncSeries:
     """Left action of L_0 = offset + weight + nilpotent part on a matrix-valued
     series whose value at q^n lives in the weight-n block."""
-    res = Resolvent(module, series.trunc[0])
-    total = res.total_dim()
-    dims = res.dims()
+    dims = module.weight_dims(series.trunc[0])
+    total = sum(dims)
     lam = module.offset
     out = TruncSeries(
         series.vars,
@@ -118,13 +86,9 @@ def l0_times(module, series: TruncSeries) -> TruncSeries:
     )
     for (exps, logs), mat in series.terms.items():
         n = exps[0]
-        start = res.block_start(n)
-        nil = module.nilpotent_block(n)
-        glob_nil = QMat(total, total)
-        for i, row in nil.rows.items():
-            for j, v in row.items():
-                glob_nil.set_(start + i, start + j, v)
-        out._store(exps, logs, mat.scale(lam + n) + glob_nil @ mat)
+        start = sum(dims[:n])
+        rows = {start + i: {start + j: v for j, v in row.items()} for i, row in module.nilpotent_block(n).rows.items()}
+        out._store(exps, logs, mat.scale(lam + n) + QMat._of_clean(total, total, rows) @ mat)
     return out
 
 
@@ -311,7 +275,6 @@ def sew(
     module,
     order: int,
     normalized: bool = False,
-    var: str = "q",
 ) -> TruncSeries:
     """Contract the sewing pair of a block against q^{L_0} (or q^{wtd L_0}).
 
@@ -324,8 +287,8 @@ def sew(
         raise ValueError("block has no designated sewing pair")
     dims = _pair_dims(block, *block.pair_slots, module, order)
     logbound = 0 if normalized else module.log_bound
-    offset = {} if normalized else {var: module.offset}
-    out = TruncSeries((var,), {var: order}, offset=offset, logmax={var: logbound})
+    offset = {} if normalized else {"q": module.offset}
+    out = TruncSeries(("q",), {"q": order}, offset=offset, logmax={"q": logbound})
     for (n, l), part in _contract_pair(block.reduce_retained(inputs), dims, module, logbound).items():
         out._store((n,), (l,), part[()])
     return out
@@ -386,75 +349,61 @@ def residue_identity_check(
     the inversion-twisted action on the dual factor.  Both reduce to the
     diagonal contraction of a bivariate matrix-valued series, and must agree
     to the requested q-order.  Returns (equal, order, the common series with
-    the module's L_0 offset attached).
+    the module's L_0 offset attached).  The coefficient of q^n reads f up to
+    bidegree (n, n), so f must be known to ``order`` in both variables.
     """
     du = vec_is_homogeneous(u)
     if du is None:
         raise ValueError("u must be homogeneous")
     if len(f.vars) != 2 or any(f.offset) or any(f.logmax):
         raise ValueError("f must be a plain bivariate series")
-    res = Resolvent(module, order)
-    total = res.total_dim()
-    basis = module.basis(order)
-
-    d1 = TruncSeries(("xi", "pi"), {"xi": order, "pi": order})
-    for k in range(du - 1 - order, du + order):
-        shift = du - k - 1
-        mat = module.vertex_matrix(u, k, order, order)
-        groups: Dict[Tuple[int, int], QMat] = {}
-        for i, row in mat.rows.items():
-            wi = weight(basis[i])
-            for j, v in row.items():
-                wj = weight(basis[j])
-                if wi != wj + shift:
-                    continue
-                g = groups.setdefault((wi, wj), QMat(total, total))
-                g.add_(i, j, v)
-        for (wi, wj), g in groups.items():
-            d1._store((wi, wj), (0, 0), g)
+    if min(f.trunc) < order:
+        raise TruncationShortfall(f"f is known to {f.trunc}, emitting q^{order} needs {order} in both", required=order)
+    total = sum(module.weight_dims(order))
+    weights = [weight(mu) for mu in module.basis(order)]
 
     voa = vacuum_module()
     uprime = u_apply(gamma_xi(1, du + 2), voa, u)
     by_weight: Dict[int, Vector] = {}
     for mu, c in uprime.items():
         by_weight.setdefault(weight(mu), {})[mu] = c
-    d2 = TruncSeries(("xi", "pi"), {"xi": order, "pi": order})
-    for dprime, comp in by_weight.items():
-        for k in range(dprime - 1 - order, dprime + order):
-            shift = dprime - k - 1
-            bmat = module.contragredient_matrix(comp, k, order, order)
-            groups = {}
-            for jrow, row in bmat.rows.items():
-                w_target = weight(basis[jrow])
-                for icol, v in row.items():
-                    w_source = weight(basis[icol])
-                    if w_target != w_source + shift:
-                        continue
-                    # element (1 x B) of the identity block: entry (icol, jrow)
-                    g = groups.setdefault((w_source, w_target), QMat(total, total))
-                    g.add_(icol, jrow, v)
-            for (wsrc, wtgt), g in groups.items():
-                d2._store((wsrc, wtgt), (0, 0), g)
+    # side one puts Y(u)_k[i][j] at (i, j) in group (wt i, wt j); side two
+    # applies the contragredient modes B of u' to the dual factor of the
+    # identity block, (1 x B), which puts B[i][j] at (j, i) in group (wt j, wt i)
+    sides = []
+    for mode, parts, flip in (
+        (module.vertex_matrix, {du: u}, False),
+        (module.contragredient_matrix, by_weight, True),
+    ):
+        groups: Dict[Tuple[int, int], Dict[int, Dict[int, Fraction]]] = {}
+        for d, comp in parts.items():
+            for k in range(d - 1 - order, d + order):
+                shift = d - k - 1
+                for i, row in mode(comp, k, order, order).rows.items():
+                    for j, v in row.items():
+                        if weights[i] != weights[j] + shift:
+                            continue
+                        r, c = (j, i) if flip else (i, j)
+                        acc = groups.setdefault((weights[r], weights[c]), {}).setdefault(r, {})
+                        acc[c] = acc[c] + v if c in acc else v
+        side = TruncSeries(("xi", "pi"), {"xi": order, "pi": order})
+        for key, rows in groups.items():
+            clean = {}
+            for r, cols in rows.items():
+                cols = {c: v for c, v in cols.items() if v}
+                if cols:
+                    clean[r] = cols
+            side._store(key, (0, 0), QMat._of_clean(total, total, clean))
+        sides.append(side)
 
-    f2 = _reshape_bivariate(f, ("xi", "pi"), order)
-    lhs = diagonal_contract(d1 * f2)
-    rhs = diagonal_contract(d2 * f2)
-    equal = lhs == rhs
-    dressed = TruncSeries(
-        ("q",),
-        {"q": lhs.trunc[0]},
-        offset={"q": module.offset},
-        terms={k: v for k, v in lhs.terms.items()},
-    )
-    return equal, order, dressed
-
-
-def _reshape_bivariate(f: TruncSeries, names: Tuple[str, str], order: int) -> TruncSeries:
-    out = TruncSeries(names, {names[0]: order, names[1]: order})
+    f2 = TruncSeries(("xi", "pi"), {"xi": order, "pi": order})
     for (exps, logs), val in f.terms.items():
         if exps[0] <= order and exps[1] <= order:
-            out._store(exps, logs, val)
-    return out
+            f2._store(exps, logs, val)
+    lhs = diagonal_contract(sides[0] * f2)
+    rhs = diagonal_contract(sides[1] * f2)
+    dressed = TruncSeries(("q",), {"q": lhs.trunc[0]}, offset={"q": module.offset}, terms=lhs.terms)
+    return lhs == rhs, order, dressed
 
 
 # ---------------------------------------------------------------------------

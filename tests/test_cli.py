@@ -308,6 +308,25 @@ class TestNegativeSizes:
         self.rejected(["fuchs", "certify", doc, "--order", "3"], capsys, "input.log_bound")
 
 
+# documents whose rationals or toy-module fields were read through str() or int()
+NUMBER_AND_SHAPE_CASES = [
+    (["schwarz", "term"], {"c": 0.5}, "input.c"),
+    (["schwarz", "term"], {"c": ["1"]}, "input.c"),
+    (["sew", "run"], {"module": {"type": "fock", "momentum": 0.5}}, "input.module.momentum"),
+    (["sew", "run"], {"module": {"type": "toy", "dims": [1], "nilpotents": [[]], "offset": 0.5}}, "input.module.offset"),
+    (["sew", "run"], {"module": {"type": "toy", "dims": ["a"], "nilpotents": [[]]}}, "input.module.dims[0]"),
+    (["sew", "run"], {"module": {"type": "toy", "dims": [1], "nilpotents": 3}}, "input.module.nilpotents"),
+    (["sew", "run"], {"module": {"type": "toy", "dims": [1, 1], "nilpotents": [[]]}}, "input.module.nilpotents"),
+    (["sew", "run"], {"module": {"type": "toy", "dims": [1], "nilpotents": [3]}}, "input.module.nilpotents[0]"),
+    (["sew", "run"], {"module": {"type": "toy", "dims": [2], "nilpotents": [[["0", "0"], ["0", "0", "1"]]]}}, "input.module.nilpotents[0]"),
+    (["fuchs", "solve"], {"A": [[["0"]], [["1"], ["1", "1"]]]}, "system.A[1]"),
+    (["fuchs", "certify"], {"r1": 0.5}, "input.r1"),
+    (["fuchs", "solve"], {"tail": {"C": 1, "a": "1/2"}}, "system.tail.C"),
+    (["fuchs", "solve"], {"tail": {"C": "1", "a": 2}}, "system.tail.a"),
+    (["fuchs", "solve"], {"seeds": {"0,0": [1]}}, "system.seeds.0,0[0]"),
+]
+
+
 class TestMalformedDocuments:
     """A malformed document is a schema error naming its JSON path, never a traceback."""
 
@@ -415,6 +434,18 @@ class TestMalformedDocuments:
         self.rejected(["fuchs", "certify", doc], capsys, "system.tail.a")
         doc = write(tmp_path, "c.json", {**system, "tail": ["1", "1/2"]})
         self.rejected(["fuchs", "solve", doc], capsys, "system.tail")
+
+    @pytest.mark.parametrize("argv, doc, path", NUMBER_AND_SHAPE_CASES, ids=[c[2] for c in NUMBER_AND_SHAPE_CASES])
+    def test_numbers_and_shapes_in_module_and_scalar_fields(self, tmp_path, capsys, argv, doc, path):
+        # an integer used to pass, a float gave an error without a path, "nilpotents": 3 a traceback
+        zero = {"vars": ["pi"], "trunc": {"pi": 4}, "terms": []}
+        half = {"vars": ["xi", "pi"], "trunc": {"xi": 4, "pi": 4}, "terms": [{"n": [0, 0], "l": [0, 0], "c": "1/2"}]}
+        base = {
+            "schwarz": {"S_xi": {**zero, "vars": ["xi"], "trunc": {"xi": 4}}, "S_pi": zero, "a": half, "b": half, "order": 3},
+            "sew": {"order": 0, "block": {"slots": [[1], [1]], "pair": [0, 1], "entries": [{"idx": [0, 0], "c": "1"}]}},
+            "fuchs": {"A": [[["0"]], [["1"]]], "omega": [["0"]], "seeds": {"0,0": ["1"]}},
+        }[argv[0]]
+        self.rejected(argv + [write(tmp_path, "doc.json", {**base, **doc})], capsys, path)
 
     def test_document_that_is_not_an_object(self, tmp_path, capsys):
         self.rejected(["fuchs", "residual", write(tmp_path, "list.json", [1, 2])], capsys, "input")

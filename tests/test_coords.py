@@ -199,6 +199,51 @@ class TestUOperator:
             r2, module, 4
         )
 
+    @staticmethod
+    def transposed_lowering_exponential(rho, module, n):
+        """The dual operator as first defined: rho'(0)^wt exp(sum c_n L_{-n})^T on the truncation."""
+        ec = extract_c(rho.truncate(n + 1))
+        dim = module.dim(n)
+        t = QMat(dim, dim)
+        for k, ck in enumerate(ec.cs, start=1):
+            t = t + module.virasoro_matrix(-k, n, n).scale(ck)
+        exp = term = QMat.identity(dim)
+        for k in range(1, n + 2):
+            term = (t @ term).scale(Q(1, k))
+            exp = exp + term
+        return module.scalar_pow_weight(ec.c0, n) @ exp.transpose()
+
+    def test_dual_matches_transposed_lowering_exponential(self):
+        rnd = random.Random(SEED + 9)
+        for momentum in (Q(0), Q(1, 3), Q(-5, 3)):
+            module = FockModule(momentum)
+            for n in range(8):
+                exact = CoordJet(random_jet_coeffs(rnd, rnd.randint(1, n + 1)), exact=True)
+                inexact = CoordJet(random_jet_coeffs(rnd, n + 1))
+                for rho in (exact, inexact):
+                    assert u_matrix_dual(rho, module, n) == self.transposed_lowering_exponential(rho, module, n), (
+                        momentum,
+                        n,
+                        rho,
+                    )
+
+    def test_raising_mode_transpose_is_shapovalov_conjugate(self):
+        # <mu, mu> read off the module: the annihilators a_{mu_i} take a_{-mu}|p> to <mu, mu> |p>
+        n = 6
+        for momentum in (Q(0), Q(1, 3), Q(-5, 3)):
+            module = FockModule(momentum)
+            norms = []
+            for mu in module.basis(n):
+                vec = {mu: Q(1)}
+                for part in mu:
+                    vec = module.apply_heisenberg(part, vec)
+                norms.append(vec[()])
+            g = QMat(len(norms), len(norms), {i: {i: z} for i, z in enumerate(norms)})
+            g_inv = QMat(len(norms), len(norms), {i: {i: 1 / z} for i, z in enumerate(norms)})
+            for k in (1, 2, 3):
+                raising = module.virasoro_matrix(-k, n, n)
+                assert raising.transpose() == g @ module.virasoro_matrix(k, n, n) @ g_inv
+
 
 class TestVarrho:
     def test_self_transition_is_identity(self):

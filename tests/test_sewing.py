@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from blocksew.linalg import QMat, QVec
 from blocksew.series import CoordJet, TruncSeries, reverse_jet
 from blocksew.sewing import (
     INFINITY,
-    Resolvent,
     SewingBlock,
     SpherePoint,
     TruncationShortfall,
@@ -86,23 +86,49 @@ def reference_pair(pm, pd, module, top):
     return (pm, pd, dims, [module.nilpotent_block(n).to_rows() for n in range(top + 1)])
 
 
+def reference_resolvent(module, order):
+    """q^{L_0}(identity) built block by block: weight-n block N_n^l / l! at (n, l)."""
+    dims = module.weight_dims(order)
+    total = sum(dims)
+    out = TruncSeries(("q",), {"q": order}, offset={"q": module.offset}, logmax={"q": module.log_bound})
+    for n, d in enumerate(dims):
+        start = sum(dims[:n])
+        nil = module.nilpotent_block(n).to_rows()
+        power = [[Q(int(i == j)) for j in range(d)] for i in range(d)]
+        for l in range(module.log_bound + 1):
+            glob = QMat(total, total)
+            for i in range(d):
+                for j in range(d):
+                    glob.set_(start + i, start + j, power[i][j] / math.factorial(l))
+            out._store((n,), (l,), glob)
+            power = [[sum(nil[i][k] * power[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+    return out
+
+
 class TestResolvent:
     def test_semisimple_is_projector_series(self):
         m = vacuum_module()
         r = q_l0_resolvent(m, 4)
         assert r.offset == (Q(0),) and r.logmax == (0,)
-        res = Resolvent(m, 4)
+        dims = m.weight_dims(4)
         for n in range(5):
             mat = r.coefficient({"q": n})
-            start = res.block_start(n)
-            d = res.dims()[n]
-            expect = QMat(res.total_dim(), res.total_dim())
-            for i in range(d):
+            start = sum(dims[:n])
+            expect = QMat(sum(dims), sum(dims))
+            for i in range(dims[n]):
                 expect.set_(start + i, start + i, 1)
             assert mat == expect
 
+    def test_matches_blockwise_reference(self):
+        for module in (vacuum_module(), FockModule(Q(1, 3)), toy_module(), log_toy_module()):
+            for order in range(7):
+                r = q_l0_resolvent(module, order)
+                want = reference_resolvent(module, order)
+                assert (r.vars, r.trunc, r.offset, r.logmax) == (want.vars, want.trunc, want.offset, want.logmax)
+                assert r.terms == want.terms, (module, order)
+
     def test_q_derivative_is_l0_action(self):
-        for module in (vacuum_module(), FockModule(Q(1, 3)), toy_module()):
+        for module in (vacuum_module(), FockModule(Q(1, 3)), toy_module(), log_toy_module()):
             r = q_l0_resolvent(module, 4)
             assert r.qdq("q") == l0_times(module, r)
 
@@ -114,9 +140,10 @@ class TestResolvent:
         assert r.coefficient({"q": 0}, {"q": 0}) == ident
         assert r.coefficient({"q": 0}, {"q": 1}) == nil
 
-    def test_pairing_delta(self):
-        assert Resolvent(vacuum_module(), 5).pairing_delta_check()
-        assert Resolvent(toy_module(), 3).pairing_delta_check()
+    def test_toy_module_rejects_non_square_block(self):
+        for block in (QMat(2, 3), QMat(3, 2), QMat(3, 3)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                NilpotentToyModule([1, 2], [QMat(1, 1), block])
 
 
 class TestSew:
@@ -175,11 +202,10 @@ class TestSew:
         m = vacuum_module()
         block = SewingBlock.pairing(m, 4)
         s = sew(block, {}, m, 4, normalized=True)
-        res = Resolvent(m, 4)
+        dims = m.weight_dims(4)
         for n in range(5):
-            start = res.block_start(n)
-            d = res.dims()[n]
-            want = sum((block.table.get((start + a, start + a), Q(0)) for a in range(d)), Q(0))
+            start = sum(dims[:n])
+            want = sum((block.table.get((start + a, start + a), Q(0)) for a in range(dims[n])), Q(0))
             assert s.coefficient({"q": n}) == want
 
     def test_truncation_shortfall_reports_requirement(self):
@@ -332,6 +358,17 @@ class TestResidueIdentity:
         ok, _o, series = residue_identity_check(CONFORMAL, fser, f, 4)
         assert ok
         assert series.offset == (Q(1, 8),)
+
+    def test_f_known_below_order_is_a_shortfall(self):
+        # the q^n coefficient reads f up to bidegree (n, n): f known to (1, 1) cannot give q^5
+        m = vacuum_module()
+        for trunc in ({"x": 1, "y": 1}, {"x": 5, "y": 4}, {"x": 4, "y": 6}):
+            f = TruncSeries.constant(1, ("x", "y"), trunc)
+            with pytest.raises(TruncationShortfall) as e:
+                residue_identity_check(CONFORMAL, f, m, 5)
+            assert e.value.required == 5
+        ok, _o, series = residue_identity_check(CONFORMAL, TruncSeries.constant(1, ("x", "y"), {"x": 5, "y": 7}), m, 5)
+        assert ok and series == q_l0_resolvent(m, 5).qdq("q")
 
     def test_boson_with_monomials(self):
         m = vacuum_module()
