@@ -93,23 +93,35 @@ def exp_vf_on_z(cs: Sequence, cap: int, one=Q(1)):
 def extract_c(rho: CoordJet) -> ExpCoeffs:
     """Triangular solve for the exponential coefficients of a coordinate jet.
 
-    Degree by degree: the coefficient of z^{m+1} in exp(sum c_n z^{n+1} d/dz) z
-    is c_m plus terms in c_1..c_{m-1}, so each step solves one linear equation
-    in one unknown.  The result is re-expanded and checked against the input.
+    One pass in degree order over T_k = D^k z / k!, D = sum c_n z^{n+1} d/dz:
+    [z^d] T_k = (1/k) sum_n c_n (d - n) [z^{d-n}] T_{k-1}, and for k >= 2 that
+    reads c_1..c_{d-2} only, while [z^d] T_1 = c_{d-1}.  So the coefficient of
+    z^d in exp(D) z = sum_k T_k fixes c_{d-1} once the k >= 2 terms at degree
+    d are known.  The result is re-expanded and checked against the input.
     """
     rho.check_invertible()
     K = rho.order
     one = ring_one_like(rho.a1)
+    zero = ring_zero_like(rho.a1)
     c0 = rho.a1
-    # sigma = rho / c0, normalized jet
-    sigma = [ring_zero_like(rho.a1), one]
-    for k in range(2, K + 1):
-        sigma.append(rho.coefficient(k) / c0)
     cs: List = []
-    for m in range(1, K):
-        expd = exp_vf_on_z(cs, m + 1, one=one)
-        cm = sigma[m + 1] - expd[m + 1]
+    # dtab[k][d] = d [z^d] T_k, the nonzero ones for d up to the current degree; T_k starts at z^{k+1}
+    dtab: List[Dict[int, object]] = [{} for _ in range(K)]
+    for d in range(2, K + 1):
+        expd = zero
+        for k in range(2, d):
+            prev, acc = dtab[k - 1], zero
+            for n, cn in enumerate(cs[: d - k], start=1):
+                if d - n in prev and not _is_ring_zero(cn):
+                    acc = acc + cn * prev[d - n]
+            tk = acc * Q(1, k)
+            if not _is_ring_zero(tk):
+                expd = expd + tk
+                dtab[k][d] = tk * d
+        cm = rho.coefficient(d) / c0 - expd
         cs.append(cm)
+        if not _is_ring_zero(cm):
+            dtab[1][d] = cm * d
     # round-trip self-check
     expd = exp_vf_on_z(cs, K, one=one)
     for k in range(1, K + 1):

@@ -122,6 +122,8 @@ class QMat:
             for i, r in rows.items():
                 clean = {j: as_q(v) for j, v in r.items() if v}
                 if clean:
+                    if not 0 <= i < nrows or not all(0 <= j < ncols for j in clean):
+                        raise IndexError(f"entry in row {i} out of range for shape {nrows}x{ncols}")
                     self.rows[i] = clean
 
     @classmethod

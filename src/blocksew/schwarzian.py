@@ -51,8 +51,9 @@ def schwarzian_jet(f: JetLike, order: int) -> LaurentJet:
         raise NotInvertible("derivative vanishes on the window")
     d2 = d1.derivative()
     d3 = d2.derivative()
-    r = d2 * d1.inv()
-    s = d3 * d1.inv() - r * r * Q(3, 2)
+    inv_d1 = d1.inv()
+    r = d2 * inv_d1
+    s = d3 * inv_d1 - r * r * Q(3, 2)
     if s.hi is not None and s.hi > order:
         s = s.truncated(order)
     return s
@@ -211,12 +212,13 @@ def _check_pair(
         _check_datum(f"pair {j}", sdat)
         if order >= 2 and sdat.offset[0] + sdat.trunc[0] < order - 2:
             raise WindowError(f"pair {j}: Schwarzian datum truncated below the requested order")
-    # the lift a + b = delta, key by key on the common window
+    # the lift a + b = delta, key by key on the common window; with equal
+    # truncations every stored key lies in it
     unit = ((0,) * len(a.vars),) * 2
-    top = [min(ta, tb) for ta, tb in zip(a.trunc, b.trunc)]
+    top = None if a.trunc == b.trunc else [min(ta, tb) for ta, tb in zip(a.trunc, b.trunc)]
     for key in a.terms.keys() | b.terms.keys() | {unit}:
         want = delta - b.terms.get(key, 0) if key == unit else -b.terms.get(key, 0)
-        if all(n <= t for n, t in zip(key[0], top)) and a.terms.get(key, 0) != want:
+        if (top is None or all(n <= t for n, t in zip(key[0], top))) and a.terms.get(key, 0) != want:
             raise SeriesError(f"pair {j}: a_j + b_j must equal delta_(j,k)")
 
 

@@ -24,6 +24,9 @@ The zero series has an empty coefficient map in all three.
 
 from __future__ import annotations
 
+import math
+import operator
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -72,6 +75,13 @@ def _is_ring_zero(x) -> bool:
     return not x
 
 
+def _numerators(coeffs: Dict[int, Fraction]) -> Tuple[List[int], List[int], int]:
+    """Sorted exponents, integer numerators and their one common denominator."""
+    es = sorted(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return es, [coeffs[e].numerator * (den // coeffs[e].denominator) for e in es], den
+
+
 def ring_one_like(x):
     if isinstance(x, LaurentJet):
         return LaurentJet.const(Q(1), var=x.var)
@@ -106,6 +116,15 @@ class LaurentJet:
             if not _is_ring_zero(v):
                 clean[e] = v if not isinstance(v, (int, str)) else as_q(v)
         self.coeffs = clean
+
+    @classmethod
+    def _of_clean(cls, coeffs: Dict[int, Fraction], lo: int, hi: Optional[int], var: str) -> "LaurentJet":
+        """Wrap nonzero Fraction coefficients already inside the window [lo, hi]."""
+        if hi is not None and hi < lo:
+            raise WindowError(f"empty window [{lo}, {hi}]")
+        jet = cls.__new__(cls)
+        jet.var, jet.coeffs, jet.lo, jet.hi = var, coeffs, lo, hi
+        return jet
 
     # -- constructors ------------------------------------------------------
 
@@ -185,25 +204,24 @@ class LaurentJet:
             return self.scale(other)
         self._check_var(other)
         lo = self.lo + other.lo
-        if self.is_zero() or other.is_zero():
-            # window of the product still matters for downstream exactness
-            hi = _min_hi(
-                None if self.hi is None else self.hi + other.lo,
-                None if other.hi is None else other.hi + self.lo,
-            )
-            return LaurentJet({}, lo, hi, self.var)
+        # window of the product, which still matters for a zero factor
         hi = _min_hi(
             None if self.hi is None else self.hi + other.lo,
             None if other.hi is None else other.hi + self.lo,
         )
-        out: Dict[int, Fraction] = {}
-        for e1, v1 in self.coeffs.items():
-            for e2, v2 in other.coeffs.items():
+        if self.is_zero() or other.is_zero():
+            return LaurentJet._of_clean({}, lo, hi, self.var)
+        es1, ns1, d1 = _numerators(self.coeffs)
+        es2, ns2, d2 = _numerators(other.coeffs)
+        acc: Dict[int, int] = {}
+        for e1, n1 in zip(es1, ns1):
+            # es2 is sorted, so the terms of e1 inside the window are a prefix
+            stop = len(es2) if hi is None else bisect_right(es2, hi - e1)
+            for e2, n2 in zip(es2[:stop], ns2[:stop]):
                 e = e1 + e2
-                if hi is not None and e > hi:
-                    continue
-                out[e] = out.get(e, Q(0)) + v1 * v2
-        return LaurentJet(out, lo, hi, self.var)
+                acc[e] = acc.get(e, 0) + n1 * n2
+        den = d1 * d2
+        return LaurentJet._of_clean({e: Q(n, den) for e, n in acc.items() if n}, lo, hi, self.var)
 
     __rmul__ = __mul__
 
@@ -233,18 +251,25 @@ class LaurentJet:
             rel = self.hi - v
             if rel_order is not None:
                 rel = min(rel, rel_order)
-        lead = self.coeffs[v]
-        # u = self / (lead * z^v) = 1 + t, invert 1 + t by recursion
-        u = [Q(0)] * (rel + 1)
-        for e, c in self.coeffs.items():
-            if e - v <= rel:
-                u[e - v] = c / lead
-        inv = [Q(0)] * (rel + 1)
-        inv[0] = Q(1)
+        # self = z^v S / den with integer S = s_0 + s_1 z + ..., and
+        # 1/S = sum_n t_n z^n / s_0^(n+1) with t_0 = 1 and integer
+        # t_n = -sum_{k=1..n} s_k s_0^(k-1) t_(n-k)
+        es, ns, den = _numerators({e: c for e, c in self.coeffs.items() if e - v <= rel})
+        s0 = ns[0]
+        scaled = [0] * (rel + 1)
+        for e, n in zip(es[1:], ns[1:]):
+            scaled[e - v] = n * s0 ** (e - v - 1)
+        t = [1]
         for n in range(1, rel + 1):
-            inv[n] = -sum(u[k] * inv[n - k] for k in range(1, n + 1))
-        coeffs = {-v + n: c / lead for n, c in enumerate(inv) if c}
-        return LaurentJet(coeffs, -v, -v + rel, self.var)
+            # t is t_0..t_(n-1), so reversed(t) pairs s_k with t_(n-k)
+            t.append(-sum(map(operator.mul, scaled[1 : n + 1], reversed(t))))
+        coeffs: Dict[int, Fraction] = {}
+        power = s0
+        for n, tn in enumerate(t):
+            if tn:
+                coeffs[n - v] = Q(den * tn, power)
+            power *= s0
+        return LaurentJet._of_clean(coeffs, -v, -v + rel, self.var)
 
     def __truediv__(self, other):
         if not isinstance(other, LaurentJet):
@@ -458,22 +483,40 @@ def _poly_mul(p: List, q: List, cap: int) -> List:
 
 
 def reverse_jet(rho: CoordJet, order: Optional[int] = None) -> CoordJet:
-    """Compositional inverse jet: compose(rho, reverse(rho)) = identity up to order."""
+    """Compositional inverse jet: compose(rho, reverse(rho)) = identity up to order.
+
+    With B = b_1 z + b_2 z^2 + ... the inverse and P[j][n] = [z^n] B^j,
+    [z^n] rho(B) = a_1 b_n + sum_{j=2..n} a_j P[j][n] vanishes for n >= 2.
+    For j >= 2, P[j][n] = sum_k b_k P[j-1][n-k] reads b_1..b_(n-1) only, so
+    the powers are built degree by degree alongside b, in O(order^3) ring
+    operations.
+    """
     rho.check_invertible()
     if order is None:
         order = rho.order
     if not rho.exact and order > rho.order:
         raise WindowError("cannot invert beyond the known jet order")
-    one = ring_one_like(rho.a1)
-    inv_a1 = one / rho.a1
-    b = [inv_a1]
+    zero = ring_zero_like(rho.a1)
+    inv_a1 = ring_one_like(rho.a1) / rho.a1
+    a = [zero] + rho.coeffs[:order] + [zero] * (order - rho.order)
+    b = [zero, inv_a1]
+    # powers[j] = {n: [z^n] B^j} for the nonzero ones up to the current degree
+    powers: List[Dict[int, object]] = [{}, {1: inv_a1}] + [{} for _ in range(2, order + 1)]
     for n in range(2, order + 1):
-        # [z^n] rho(B(z)) = 0 determines b_n linearly; the a_1*b_n term is isolated.
-        partial = CoordJet(b + [ring_zero_like(rho.a1)], exact=False)
-        comp = compose_jets(rho.truncate(max(rho.order, n) if rho.exact else rho.order), partial)
-        excess = comp.coefficient(n)
-        b.append(-excess * inv_a1 if not _is_ring_zero(excess) else ring_zero_like(rho.a1))
-    return CoordJet(b, exact=False)
+        excess = zero
+        for j in range(2, n + 1):
+            below, acc = powers[j - 1], zero
+            for k, bk in powers[1].items():
+                if k <= n - j + 1 and n - k in below:
+                    acc = acc + bk * below[n - k]
+            if not _is_ring_zero(acc):
+                powers[j][n] = acc
+                if not _is_ring_zero(a[j]):
+                    excess = excess + a[j] * acc
+        b.append(-excess * inv_a1 if not _is_ring_zero(excess) else zero)
+        if not _is_ring_zero(b[n]):
+            powers[1][n] = b[n]
+    return CoordJet(b[1:], exact=False)
 
 
 DEFAULT_EXACT_PRECISION = 24
@@ -491,7 +534,6 @@ def jet_compose(outer: LaurentJet, inner: CoordJet) -> LaurentJet:
     inner.check_invertible()
     var = outer.var
     lt = inner.to_laurent(var)
-    acc: Optional[LaurentJet] = None
     pows: Dict[int, LaurentJet] = {}
     inv_cache: Optional[LaurentJet] = None
 
@@ -508,15 +550,21 @@ def jet_compose(outer: LaurentJet, inner: CoordJet) -> LaurentJet:
                 pows[e] = ipow(e + 1) * inv_cache
         return pows[e]
 
-    for e in sorted(outer.coeffs):
-        term = ipow(e).scale(outer.coeffs[e])
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = LaurentJet.zero(var)
+    terms = [(c, ipow(e)) for e, c in outer.coeffs.items()]
+    lo = min((p.lo for _c, p in terms), default=0)
     # unknown outer coefficients above outer.hi pollute exponents > outer.hi
-    if outer.hi is not None and (acc.hi is None or acc.hi > outer.hi):
-        acc = acc.truncated(outer.hi)
-    return acc
+    hi = outer.hi
+    for _c, p in terms:
+        hi = _min_hi(hi, p.hi)
+    # sum_e c_e inner^e as one int per exponent over one common denominator
+    parts = [(c, _numerators({e: v for e, v in p.coeffs.items() if hi is None or e <= hi})) for c, p in terms]
+    den = math.lcm(*(c.denominator * d for c, (_es, _ns, d) in parts))
+    acc: Dict[int, int] = {}
+    for c, (es, ns, d) in parts:
+        scale = c.numerator * (den // (c.denominator * d))
+        for e, n in zip(es, ns):
+            acc[e] = acc.get(e, 0) + scale * n
+    return LaurentJet._of_clean({e: Q(n, den) for e, n in acc.items() if n}, lo, hi, var)
 
 
 def _safe_inv(lt: LaurentJet) -> LaurentJet:

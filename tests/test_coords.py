@@ -20,14 +20,53 @@ from blocksew.coords import (
 )
 from blocksew.fock import BOSON, CONFORMAL, VACUUM, FockModule, partitions_of, vacuum_module, weight
 from blocksew.linalg import QMat
-from blocksew.series import CoordJet, LaurentJet, NotInvertible, compose_jets
-from helpers import random_jet_coeffs
+from blocksew.series import CoordJet, LaurentJet, NotInvertible, compose_jets, ring_one_like
+from helpers import random_jet_coeffs, random_rational
 
 Q = Fraction
 SEED = 31337
 
 
+def per_degree_c(rho):
+    """The c_n by one re-expansion per degree: c_m is the coefficient of
+    z^(m+1) in rho / c_0 minus that of exp(sum_{n<m} c_n z^{n+1} d/dz) z."""
+    one = ring_one_like(rho.a1)
+    cs = []
+    for m in range(1, rho.order):
+        expd = exp_vf_on_z(cs, m + 1, one=one)
+        cs.append(rho.coefficient(m + 1) / rho.a1 - expd[m + 1])
+    return cs
+
+
+def with_window(c):
+    return (c.coeffs, c.lo, c.hi) if isinstance(c, LaurentJet) else c
+
+
 class TestExtractC:
+    def test_against_per_degree_solve_over_rationals(self):
+        rnd = random.Random(SEED + 2)
+        for order in list(range(1, 13)) * 2:
+            rho = CoordJet(random_jet_coeffs(rnd, order))
+            ec = extract_c(rho)
+            assert ec.c0 == rho.a1 and ec.cs == per_degree_c(rho)
+
+    def test_against_per_degree_solve_over_laurent_jets(self):
+        # family jets, and coefficients on random windows: the windows match too
+        rnd = random.Random(SEED + 3)
+        jets = [family_jet(CoordJet(random_jet_coeffs(rnd, k)), var="t", max_degree=k - 1) for k in (4, 6, 8)]
+        for _ in range(12):
+            order = rnd.randint(2, 6)
+            lead = LaurentJet({0: Fraction(rnd.choice([1, -2, 3])), 1: random_rational(rnd)}, 0, rnd.choice([None, 3]), "t")
+            rest = []
+            for _k in range(order - 1):
+                lo, hi = rnd.choice([0, 1]), rnd.choice([None, 2, 4])
+                top = 4 if hi is None else hi
+                rest.append(LaurentJet({e: random_rational(rnd) for e in range(lo, top + 1)}, lo, hi, "t"))
+            jets.append(CoordJet([lead] + rest))
+        for rho in jets:
+            ec = extract_c(rho)
+            assert [with_window(c) for c in ec.cs] == [with_window(c) for c in per_degree_c(rho)]
+
     def test_pure_scaling(self):
         ec = extract_c(CoordJet.from_poly([2]).truncate(4))
         assert ec.c0 == 2 and all(c == 0 for c in ec.cs)

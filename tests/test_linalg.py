@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from blocksew.linalg import QMat, QVec, solve
 from helpers import fraction_solve
 
@@ -86,3 +88,26 @@ class TestFractionFreeSolve:
         part, kernel = solve(QMat(2, 3), QVec(2))
         assert part.is_zero() and [v.data for v in kernel] == [{0: 1}, {1: 1}, {2: 1}]
         assert solve(QMat(2, 3), QVec.from_list([0, 1])) is None
+
+
+class TestShape:
+    def test_entries_outside_the_shape_are_rejected(self):
+        with pytest.raises(IndexError):
+            QMat(2, 2, {0: {5: 1}})
+        with pytest.raises(IndexError):
+            QMat(2, 2, {7: {0: 1}})
+        with pytest.raises(IndexError):
+            QMat(2, 2, {-1: {0: 1}})
+        with pytest.raises(IndexError):
+            QMat(2, 2, {0: {-1: 1}})
+
+    def test_zero_entries_are_dropped_like_in_qvec(self):
+        # QVec ignores a zero at any index; a matrix does the same
+        assert QMat(2, 2, {0: {5: 0}, 7: {0: Fraction(0)}}).is_zero()
+        assert QVec(2, {9: 0}).is_zero()
+        m = QMat(2, 3, {1: {2: Fraction(1, 2)}})
+        assert m.to_rows() == [[0, 0, 0], [0, 0, Fraction(1, 2)]] and not m.is_zero()
+
+    def test_from_rows_stays_in_shape(self):
+        m = QMat.from_rows([[1, 0, 2], [0, 0, 3]])
+        assert (m.nrows, m.ncols) == (2, 3) and m.rows == {0: {0: 1, 2: 2}, 1: {2: 3}}

@@ -524,3 +524,27 @@ class TestProjectiveTermEngine:
         eta_log = TruncSeries(("eta",), {"eta": 8}, logmax={"eta": 1}, terms={((1,), (1,)): Q(5)})
         with pytest.raises(SeriesError):
             projective_term(plain(("xi",), 8), plain(("pi",), 8), [eta_log], one, one.scale(0), [h], 12, 6)
+
+    def test_lift_is_checked_on_the_common_window_only(self):
+        # a + b = 1 up to xi^6 pi^6, where both are known; b also reaches
+        # xi^8 pi^8, and its terms out there have no partner in a
+        s_xi = series_of(("xi",), 8, {(1,): 3, (2,): 2})
+        a = series_of(("xi", "pi"), 6, {(0, 0): Q(1, 3), (1, 4): 2, (2, 6): -1})
+        b_terms = {(0, 0): Q(2, 3), (1, 4): -2, (2, 6): 1, (7, 2): 5, (3, 8): -4}
+        b = series_of(("xi", "pi"), 8, b_terms)
+        out = projective_term(s_xi, plain(("pi",), 8), [], a, b, [], 12, 6)
+        assert out == series_of(("q",), 6, {(4,): 6, (6,): -2})
+        off = dict(b_terms)
+        off[(2, 6)] = 2  # inside the common window
+        with pytest.raises(SeriesError):
+            projective_term(s_xi, plain(("pi",), 8), [], a, series_of(("xi", "pi"), 8, off), [], 12, 6)
+
+    def test_lift_mismatch_away_from_the_unit_key_is_an_error(self):
+        # equal truncations: every key is compared, the unit key and the rest
+        one = series_of(("xi", "pi"), 8, {(0, 0): 1})
+        a = series_of(("xi", "pi"), 8, {(1, 4): 1, (3, 5): Q(1, 2)})
+        b = one - a + series_of(("xi", "pi"), 8, {(3, 5): Q(1, 7)})
+        with pytest.raises(SeriesError):
+            projective_term(plain(("xi",), 8), plain(("pi",), 8), [], a, b, [], 12, 6)
+        with pytest.raises(SeriesError):
+            projective_term(plain(("xi",), 8), plain(("pi",), 8), [], a, one.scale(2) - a, [], 12, 6)

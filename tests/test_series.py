@@ -2,19 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blocksew.series import (
     CoordJet,
     LaurentJet,
     LogOverflow,
+    NotInvertible,
     OffsetError,
     TruncSeries,
     VariableMismatch,
+    WindowError,
+    _is_ring_zero,
     compose_jets,
     diagonal_contract,
     jet_compose,
     residue,
     reverse_jet,
+    ring_one_like,
+    ring_zero_like,
 )
 from helpers import convolve, lagrange_inverse, random_jet_coeffs, random_rational
 
@@ -151,6 +157,38 @@ class TestCompose:
             )
 
 
+def compose_reverse_jet(rho, order=None):
+    """The reversion by composition: at each degree n, compose rho with the
+    partial inverse b_1..b_(n-1) and read b_n off [z^n] rho(B) = 0."""
+    rho.check_invertible()
+    if order is None:
+        order = rho.order
+    inv_a1 = ring_one_like(rho.a1) / rho.a1
+    b = [inv_a1]
+    for n in range(2, order + 1):
+        partial = CoordJet(b + [ring_zero_like(rho.a1)], exact=False)
+        comp = compose_jets(rho.truncate(max(rho.order, n) if rho.exact else rho.order), partial)
+        excess = comp.coefficient(n)
+        b.append(-excess * inv_a1 if not _is_ring_zero(excess) else ring_zero_like(rho.a1))
+    return CoordJet(b, exact=False)
+
+
+def window_of(x):
+    """A coefficient with its window, so that two LaurentJets compare window and all."""
+    return (x.coeffs, x.lo, x.hi) if isinstance(x, LaurentJet) else x
+
+
+def random_window_jet(rnd, unit=False):
+    """A LaurentJet on a random window; with ``unit`` its constant term is a nonzero integer."""
+    lo = 0 if unit else rnd.choice([0, 0, 1])
+    hi = rnd.choice([None, 2, 3, 5])
+    top = 4 if hi is None else hi
+    coeffs = {e: random_rational(rnd) for e in range(lo, top + 1)}
+    if unit:
+        coeffs[0] = Q(rnd.choice([1, -2, 3]))
+    return LaurentJet(coeffs, lo, hi, "t")
+
+
 class TestReverse:
     def test_linear(self):
         assert reverse_jet(CoordJet.from_poly([2]), 3).coeffs[0] == Q(1, 2)
@@ -180,6 +218,170 @@ class TestReverse:
             ident = CoordJet.identity(6)
             assert compose_jets(rho, rev) == ident
             assert compose_jets(rev, rho) == ident
+
+    def test_against_sympy_series_reversion(self):
+        sympy_rings = pytest.importorskip("sympy.polys.rings")
+        from sympy.polys.domains import QQ
+        from sympy.polys.ring_series import rs_series_reversion
+
+        R, x, y = sympy_rings.ring("x, y", QQ)
+        rnd = random.Random(SEED + 11)
+        for order in range(1, 11):
+            coeffs = random_jet_coeffs(rnd, order)
+            poly = sum((QQ(c.numerator, c.denominator) * x ** (k + 1) for k, c in enumerate(coeffs)), R.zero)
+            rev = rs_series_reversion(poly, x, order + 1, y)
+            want = [rev.coeff(y ** n) for n in range(1, order + 1)]
+            assert reverse_jet(CoordJet(coeffs)).coeffs == [Q(int(c.numerator), int(c.denominator)) for c in want]
+
+    def test_against_composition_reversion_over_rationals(self):
+        rnd = random.Random(SEED + 12)
+        for t in range(30):
+            order = rnd.randint(1, 9)
+            exact = t % 3 == 0
+            rho = CoordJet(random_jet_coeffs(rnd, order), exact=exact)
+            target = order + 3 if exact else rnd.randint(1, order)
+            assert reverse_jet(rho, target).coeffs == compose_reverse_jet(rho, target).coeffs
+
+    def test_against_composition_reversion_over_laurent_jets(self):
+        # coefficients on finite windows: the windows of the result match too
+        rnd = random.Random(SEED + 13)
+        for t in range(25):
+            order = rnd.randint(1, 6)
+            exact = t % 4 == 0
+            rho = CoordJet([random_window_jet(rnd, unit=True)] + [random_window_jet(rnd) for _ in range(order - 1)], exact=exact)
+            target = order + 2 if exact else order
+            got = reverse_jet(rho, target).coeffs
+            want = compose_reverse_jet(rho, target).coeffs
+            assert [window_of(c) for c in got] == [window_of(c) for c in want]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        coeffs=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=1, max_size=12),
+        lead=st.sampled_from([Q(1), Q(-1), Q(2), Q(-3, 2), Q(5, 7)]),
+        extra=st.integers(0, 4),
+    )
+    def test_truncation_consistent(self, coeffs, lead, extra):
+        # the inverse at order N is the inverse at order N + k cut to N
+        rho = CoordJet([lead] + coeffs)
+        n = max(1, rho.order - extra)
+        assert reverse_jet(rho, n).coeffs == reverse_jet(rho).coeffs[:n]
+        assert reverse_jet(rho.truncate(n)).coeffs == reverse_jet(rho).coeffs[:n]
+
+
+def fraction_product(x, y):
+    """(coefficients, lo, hi) of x * y by a Fraction double loop on the windows."""
+    lo = x.lo + y.lo
+    tops = [h for h in (None if x.hi is None else x.hi + y.lo, None if y.hi is None else y.hi + x.lo) if h is not None]
+    hi = min(tops) if tops else None
+    out = {}
+    for e1, v1 in x.coeffs.items():
+        for e2, v2 in y.coeffs.items():
+            if hi is None or e1 + e2 <= hi:
+                out[e1 + e2] = out.get(e1 + e2, Q(0)) + v1 * v2
+    return {e: v for e, v in out.items() if v}, lo, hi
+
+
+def fraction_inverse(x, rel_order=None):
+    """(coefficients, lo, hi) of 1/x by the Fraction recursion for 1/(1 + t)."""
+    v = min(x.coeffs)
+    rel = rel_order if x.hi is None else (x.hi - v if rel_order is None else min(x.hi - v, rel_order))
+    lead = x.coeffs[v]
+    u = [x.coeffs.get(v + k, Q(0)) / lead for k in range(rel + 1)]
+    inv = [Q(1)]
+    for n in range(1, rel + 1):
+        inv.append(-sum((u[k] * inv[n - k] for k in range(1, n + 1)), Q(0)))
+    return {n - v: c / lead for n, c in enumerate(inv) if c}, -v, -v + rel
+
+
+def random_laurent(rnd, zero=False):
+    """A LaurentJet on a random window that may start below 0 and may be exact."""
+    lo = rnd.randint(-3, 2)
+    hi = None if rnd.random() < 0.3 else lo + rnd.randint(0, 6)
+    top = lo + 5 if hi is None else hi
+    coeffs = {} if zero else {e: random_rational(rnd, num=20, den=12) for e in range(lo, top + 1) if rnd.random() < 0.7}
+    return LaurentJet(coeffs, lo, hi, "z")
+
+
+def termwise_jet_compose(outer, inner):
+    """outer(inner(z)) as one LaurentJet addition per term c_e inner^e, cut at outer.hi."""
+    lt = inner.to_laurent(outer.var)
+    inv = lt.inv(rel_order=max(max(lt.coeffs) * 4, 24)) if lt.hi is None else lt.inv()
+    acc = LaurentJet.zero(outer.var)
+    for n, (e, c) in enumerate(sorted(outer.coeffs.items())):
+        power = LaurentJet.const(1, var=outer.var)
+        for _ in range(abs(e)):
+            power = power * (lt if e > 0 else inv)
+        acc = power.scale(c) if n == 0 else acc + power.scale(c)
+    if outer.hi is not None and (acc.hi is None or acc.hi > outer.hi):
+        acc = acc.truncated(outer.hi)
+    return acc
+
+
+class TestLaurentKernels:
+    def test_jet_compose_against_termwise_sum(self):
+        rnd = random.Random(SEED + 9)
+        seen = {"outer cut": 0, "inner cut": 0, "exact": 0}
+        for t in range(120):
+            outer = random_laurent(rnd, zero=t % 15 == 0)
+            order = rnd.randint(1, 6)
+            inner = CoordJet(random_jet_coeffs(rnd, order), exact=t % 4 == 0)
+            try:
+                want = termwise_jet_compose(outer, inner)
+            except WindowError:
+                # a zero outer keeps the window [0, outer.hi], empty when outer.hi < 0
+                with pytest.raises(WindowError):
+                    jet_compose(outer, inner)
+                continue
+            got = jet_compose(outer, inner)
+            assert (got.coeffs, got.lo, got.hi) == (want.coeffs, want.lo, want.hi), (outer, inner)
+            seen["exact"] += got.hi is None
+            seen["outer cut"] += got.hi is not None and got.hi == outer.hi
+            seen["inner cut"] += got.hi is not None and got.hi != outer.hi
+        assert min(seen.values()) >= 5, seen
+
+    def test_product_against_fraction_reference(self):
+        rnd = random.Random(SEED + 7)
+        seen = {"exact": 0, "negative lo": 0, "zero factor": 0}
+        for t in range(300):
+            x = random_laurent(rnd, zero=t % 10 == 0)
+            y = random_laurent(rnd)
+            for p, q in ((x, y), (y, x)):
+                got = p * q
+                assert (got.coeffs, got.lo, got.hi) == fraction_product(p, q), (p, q)
+                assert all(type(c) is Fraction for c in got.coeffs.values())
+            seen["exact"] += x.hi is None and y.hi is None
+            seen["negative lo"] += x.lo < 0 or y.lo < 0
+            seen["zero factor"] += x.is_zero()
+        assert min(seen.values()) >= 20, seen
+
+    def test_zero_factor_keeps_the_window(self):
+        zero = LaurentJet({}, -1, 2, "z")
+        exact = LaurentJet({0: Q(1), 3: Q(2)}, 0, None, "z")
+        for got in (zero * exact, exact * zero):
+            assert (got.coeffs, got.lo, got.hi) == ({}, -1, 2)
+        got = LaurentJet({}, 1, 4, "z") * LaurentJet({-2: Q(3)}, -2, 0, "z")
+        assert (got.coeffs, got.lo, got.hi) == ({}, -1, 1)
+
+    def test_inverse_against_fraction_reference(self):
+        rnd = random.Random(SEED + 8)
+        checked = 0
+        for _ in range(300):
+            x = random_laurent(rnd)
+            if x.is_zero():
+                continue
+            rel_order = rnd.randint(0, 8) if x.hi is None or rnd.random() < 0.5 else None
+            got = x.inv(rel_order=rel_order)
+            assert (got.coeffs, got.lo, got.hi) == fraction_inverse(x, rel_order), (x, rel_order)
+            prod = x * got
+            assert prod.coeffs == ({0: Q(1)} if prod.hi is None or prod.hi >= 0 else {})
+            checked += 1
+        assert checked >= 200
+
+    def test_inverse_of_a_window_zero_is_an_error(self):
+        with pytest.raises(NotInvertible):
+            LaurentJet({}, -1, 3, "z").inv()
+        with pytest.raises(WindowError):
+            LaurentJet({0: Q(2)}, 0, None, "z").inv()
 
 
 class TestResidue:
