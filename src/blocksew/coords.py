@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fock import FockModule, Vector, vacuum_module, vec_is_homogeneous, vec_weight_max, weight
-from .linalg import QMat, as_q
+from .linalg import QMat, _int_product, _int_rows, _of_one_den, as_q
 from .series import (
     CoordJet,
     LaurentJet,
@@ -222,24 +222,52 @@ def u_matrix(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
     """Matrix of the coordinate-change operator on the weight truncation.
 
     Block lower-triangular in the weight filtration: the induced map on each
-    graded quotient is the scalar rho'(0)^n.
+    graded quotient is the scalar rho'(0)^n.  With t = sum c_n L_n = T/D for
+    an integer matrix T, the powers P_k = T^k vanish past the top weight (t
+    lowers it), so exp(t) = sum_k P_k D^(K-k) K!/k! over D^K K!, K the last
+    k with P_k != 0.  The factor rho'(0)^(weight) scales the rows.
     """
     need = _required_order(n_max)
     if rho.order < need and not rho.exact:
         raise InsufficientJetOrder(f"jet order {rho.order} insufficient for truncation {n_max}")
     ec = extract_c(rho.truncate(need))
     dim = module.dim(n_max)
-    t = QMat(dim, dim)
-    for n, cn in enumerate(ec.cs, start=1):
-        if cn:
-            t = t + module.virasoro_matrix(n, n_max, n_max).scale(cn)
-    exp = term = QMat.identity(dim)
-    for k in range(1, n_max + 2):
-        term = (t @ term).scale(Q(1, k))
-        if term.is_zero():
+
+    def add_scaled(into: Dict[int, Dict[int, int]], rows: Dict[int, Dict[int, int]], f: int) -> None:
+        for i, r in rows.items():
+            row = into.setdefault(i, {})
+            for j, x in r.items():
+                row[j] = row.get(j, 0) + f * x
+
+    # T from the integer rows of each L_n, over D = lcm of the denominators of c_n L_n
+    terms = [(cn, *_int_rows(module.virasoro_matrix(n, n_max, n_max))) for n, cn in enumerate(ec.cs, start=1) if cn]
+    d = math.lcm(*(cn.denominator * dn for cn, _, dn in terms))
+    tint: Dict[int, Dict[int, int]] = {}
+    for cn, lrows, dn in terms:
+        add_scaled(tint, lrows, cn.numerator * (d // (cn.denominator * dn)))
+    powers = [{i: {i: 1} for i in range(dim)}]
+    for _ in range(n_max + 1):
+        power = _int_product(tint, powers[-1])
+        if not power:
             break
-        exp = exp + term
-    return module.scalar_pow_weight(ec.c0, n_max) @ exp
+        powers.append(power)
+    top = len(powers) - 1
+    # with K = top, P_k weighs D^(K-k) K!/k!: 1 at k = K, and each step down multiplies by D k
+    acc: Dict[int, Dict[int, int]] = {}
+    f = 1
+    for k in range(top, -1, -1):
+        add_scaled(acc, powers[k], f)
+        f *= d * k
+    den = d**top * math.factorial(top)
+    c0 = as_q(ec.c0)
+    rows = {}
+    for i, mu in enumerate(module.basis(n_max)):
+        w = weight(mu)
+        num = c0.numerator**w
+        row = _of_one_den({j: x * num for j, x in acc[i].items()}, den * c0.denominator**w)
+        if row:
+            rows[i] = row
+    return QMat._of_clean(dim, dim, rows)
 
 
 def u_matrix_inverse(rho: CoordJet, module: FockModule, n_max: int) -> QMat:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import QMat, QVec, as_q, solve
+from .linalg import QMat, QVec, _int_rows, _over_one_den, as_q, solve
 from .series import SeriesError, TruncSeries
 
 Q = Fraction
@@ -193,7 +193,8 @@ def solve_formal(
         for key, (mat, den) in a_int[j].items():
             pv = psi.get((tuple(e - k for e, k in zip(exps, key)), logs))
             if pv is not None:
-                terms.append(([sum(a * x for a, x in zip(row, pv[0]) if a) for row in mat], den * pv[1]))
+                x = pv[0]
+                terms.append(([sum(a * x[c] for c, a in mat.get(i, {}).items()) for i in range(sys.dim)], den * pv[1]))
         if logs[j] + 1 <= log_bound:
             higher = psi.get((exps, logs[:j] + (logs[j] + 1,) + logs[j + 1 :]))
             if higher is not None:
@@ -240,18 +241,6 @@ def solve_formal(
                         psi[(exps, logs)] = _over_one_den(part.to_list())
                         out._store(exps, logs, part)
     return out
-
-
-def _over_one_den(values: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """Rationals as integer numerators over their least common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _int_rows(mat: QMat) -> Tuple[List[List[int]], int]:
-    """A matrix as integer rows over one denominator."""
-    nums, den = _over_one_den([x for row in mat.to_rows() for x in row])
-    return [nums[i : i + mat.ncols] for i in range(0, len(nums), mat.ncols)], den
 
 
 def _outer_range(k: int, order: int) -> List[Tuple[int, ...]]:

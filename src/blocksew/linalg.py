@@ -4,15 +4,22 @@ Everything in this package that looks like a matrix is a QMat: a sparse
 row-dict matrix with Fraction entries.  Solving and kernels go through a
 fraction-free (Bareiss) Gauss-Jordan elimination over integers with a fixed
 pivot order, so repeated runs produce identical output.
+
+The O(n^3) kernels (the QMat product here, and in other modules the
+coordinate-change exponential, slot contraction and the recursions over
+series) run on integer numerators over one denominator: ``_over_one_den``
+and ``_int_rows`` take rationals there, ``_of_one_den`` brings the sums back,
+one Fraction (one gcd) per output entry instead of one per product.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple, TypeVar
 
 Q = Fraction
+K = TypeVar("K", bound=Hashable)
 
 
 def as_q(x) -> Fraction:
@@ -198,19 +205,11 @@ class QMat:
     def __matmul__(self, other: "QMat") -> "QMat":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        out: Dict[int, Dict[int, Fraction]] = {}
-        for i, r in self.rows.items():
-            acc: Dict[int, Fraction] = {}
-            for k, a in r.items():
-                brow = other.rows.get(k)
-                if not brow:
-                    continue
-                for j, b in brow.items():
-                    acc[j] = acc.get(j, Q(0)) + a * b
-            acc = {j: v for j, v in acc.items() if v}
-            if acc:
-                out[i] = acc
-        return QMat._of_clean(self.nrows, other.ncols, out)
+        a, da = _int_rows(self)
+        b, db = _int_rows(other)
+        den = da * db
+        rows = {i: _of_one_den(r, den) for i, r in _int_product(a, b).items()}
+        return QMat._of_clean(self.nrows, other.ncols, rows)
 
     def apply(self, vec: QVec) -> QVec:
         if vec.n != self.ncols:
@@ -283,17 +282,16 @@ def solve(mat: QMat, rhs: QVec) -> Optional[Tuple[QVec, List[QVec]]]:
     if rhs.n != mat.nrows:
         raise ValueError("dimension mismatch")
     ncols = mat.ncols
-    den = math.lcm(*(v.denominator for v in rhs.data.values()))
+    rhs_nums, den = _over_one_den(rhs.data.values())
+    bnums = dict(zip(rhs.data, rhs_nums))
     rows = []
     for i in range(mat.nrows):
         r = mat.rows.get(i, {})
-        scale = math.lcm(*(v.denominator for v in r.values()))
+        nums, scale = _over_one_den(r.values())
         row = [0] * (ncols + 1)
-        for j, v in r.items():
-            row[j] = v.numerator * (scale // v.denominator)
-        b = rhs.data.get(i)
-        if b is not None:
-            row[ncols] = scale * (den // b.denominator) * b.numerator
+        for j, n in zip(r, nums):
+            row[j] = n
+        row[ncols] = scale * bnums.get(i, 0)
         rows.append(row)
     pivots: List[int] = []
     p_prev = 1
@@ -322,3 +320,48 @@ def solve(mat: QMat, rhs: QVec) -> Optional[Tuple[QVec, List[QVec]]]:
         if free not in pivots
     ]
     return part, kernel
+
+
+# ---------------------------------------------------------------------------
+# integer numerators over one denominator
+
+
+def _over_one_den(values: Iterable[Fraction], den: Optional[int] = None) -> Tuple[List[int], int]:
+    """Rationals as integer numerators over one denominator, in order.
+
+    The denominator is ``den`` when given (a common multiple of theirs),
+    else their least common one; 1 for no values.
+    """
+    values = list(values)
+    if den is None:
+        den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _of_one_den(nums: Dict[K, int], den: int) -> Dict[K, Fraction]:
+    """Integer numerators over ``den`` back to rationals; zeros are left out."""
+    if den == 1:
+        return {k: Q(n) for k, n in nums.items() if n}
+    return {k: Q(n, den) for k, n in nums.items() if n}
+
+
+def _int_rows(mat: QMat) -> Tuple[Dict[int, Dict[int, int]], int]:
+    """The rows of a matrix as integer numerators over one denominator."""
+    den = math.lcm(*(v.denominator for r in mat.rows.values() for v in r.values()))
+    return {i: dict(zip(r, _over_one_den(r.values(), den)[0])) for i, r in mat.rows.items()}, den
+
+
+def _int_product(a: Dict[int, Dict[int, int]], b: Dict[int, Dict[int, int]]) -> Dict[int, Dict[int, int]]:
+    """Sparse product of integer rows, as clean rows: no zero entry, no empty row."""
+    out: Dict[int, Dict[int, int]] = {}
+    for i, r in a.items():
+        acc: Dict[int, int] = {}
+        for k, x in r.items():
+            brow = b.get(k)
+            if brow:
+                for j, y in brow.items():
+                    acc[j] = acc.get(j, 0) + x * y
+        acc = {j: v for j, v in acc.items() if v}
+        if acc:
+            out[i] = acc
+    return out

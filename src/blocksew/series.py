@@ -30,7 +30,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .linalg import QMat, QVec, as_q
+from .linalg import QMat, QVec, _over_one_den, as_q
 
 Q = Fraction
 
@@ -78,8 +78,8 @@ def _is_ring_zero(x) -> bool:
 def _numerators(coeffs: Dict[int, Fraction]) -> Tuple[List[int], List[int], int]:
     """Sorted exponents, integer numerators and their one common denominator."""
     es = sorted(coeffs)
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    return es, [coeffs[e].numerator * (den // coeffs[e].denominator) for e in es], den
+    nums, den = _over_one_den(coeffs[e] for e in es)
+    return es, nums, den
 
 
 def ring_one_like(x):

@@ -19,12 +19,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .coords import family_jet, gamma_xi, u_apply
 from .fock import FockModule, Vector, vacuum_module, vec_is_homogeneous, weight
-from .linalg import QMat, QVec, as_q
+from .linalg import QMat, QVec, _int_rows, _of_one_den, _over_one_den, as_q
 from .series import (
     CoordJet,
     LaurentJet,
     TruncSeries,
     WindowError,
+    _vmul,
     diagonal_contract,
     jet_compose,
     reverse_jet,
@@ -135,27 +136,27 @@ class SewingBlock:
         return cls._of_clean([dims, dims], table, pair_slots=(0, 1))
 
     def tensor(self, other: "SewingBlock") -> "SewingBlock":
-        table: Dict[Tuple[int, ...], Fraction] = {}
-        for k1, v1 in self.table.items():
-            for k2, v2 in other.table.items():
-                table[k1 + k2] = v1 * v2
+        """The block of both functionals' product, slots of ``self`` first."""
+        nums1, d1 = _over_one_den(self.table.values())
+        nums2, d2 = _over_one_den(other.table.values())
+        right = list(zip(other.table, nums2))
+        table = _of_one_den({k1 + k2: n1 * n2 for k1, n1 in zip(self.table, nums1) for k2, n2 in right}, d1 * d2)
         return SewingBlock._of_clean(self.slot_dims + other.slot_dims, table, None)
 
     def contract_slot(self, s: int, mat: QMat) -> "SewingBlock":
         """Precompose slot s with a linear map: new[.., j, ..] = sum_i old[.., i, ..] mat[i, j]."""
-        table: Dict[Tuple[int, ...], Fraction] = {}
-        for key, c in self.table.items():
-            row = mat.rows.get(key[s])
+        nums, dt = _over_one_den(self.table.values())
+        rows, dm = _int_rows(mat)
+        acc: Dict[Tuple[int, ...], int] = {}
+        for key, c in zip(self.table, nums):
+            row = rows.get(key[s])
             if not row:
                 continue
+            head, tail = key[:s], key[s + 1 :]
             for j, v in row.items():
-                nk = key[:s] + (j,) + key[s + 1 :]
-                w = table.get(nk, Q(0)) + c * v
-                if w:
-                    table[nk] = w
-                else:
-                    table.pop(nk, None)
-        return SewingBlock._of_clean(self.slot_dims, table, self.pair_slots)
+                nk = head + (j,) + tail
+                acc[nk] = acc.get(nk, 0) + c * v
+        return SewingBlock._of_clean(self.slot_dims, _of_one_den(acc, dt * dm), self.pair_slots)
 
     def reduce_retained(
         self, inputs: Dict[int, QVec], keep: Optional[Sequence[int]] = None
@@ -337,6 +338,25 @@ def sew_multi(
 # two-sided residue identity
 
 
+def _diagonal_of_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """The terms of a * b on the diagonal xi = pi, for plain bivariate a and b.
+
+    Only the pairs of terms that land on the diagonal are multiplied, in the
+    order a * b visits them; the window is that of a * b.
+    """
+    out = TruncSeries(a.vars, {v: min(ta, tb) for v, ta, tb in zip(a.vars, a.trunc, b.trunc)})
+    top = min(out.trunc)
+    # (i, j) + (k, l) is on the diagonal when l - k = i - j
+    by_gap: Dict[int, list] = {}
+    for ((k, l), _logs), val in b.terms.items():
+        by_gap.setdefault(l - k, []).append((k, val))
+    for ((i, j), _logs), v1 in a.terms.items():
+        for k, v2 in by_gap.get(i - j, ()):
+            if i + k <= top:
+                out._store((i + k, i + k), (0, 0), _vmul(v1, v2))
+    return out
+
+
 def residue_identity_check(
     u: Vector,
     f: TruncSeries,
@@ -400,8 +420,8 @@ def residue_identity_check(
     for (exps, logs), val in f.terms.items():
         if exps[0] <= order and exps[1] <= order:
             f2._store(exps, logs, val)
-    lhs = diagonal_contract(sides[0] * f2)
-    rhs = diagonal_contract(sides[1] * f2)
+    lhs = diagonal_contract(_diagonal_of_product(sides[0], f2))
+    rhs = diagonal_contract(_diagonal_of_product(sides[1], f2))
     dressed = TruncSeries(("q",), {"q": lhs.trunc[0]}, offset={"q": module.offset}, terms=lhs.terms)
     return lhs == rhs, order, dressed
 

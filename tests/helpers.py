@@ -224,3 +224,21 @@ def fraction_sew(table, pairs, inputs, orders, log_bounds):
 
     choose(0, (), ())
     return terms
+
+
+def fraction_matmul(a, b):
+    """Sparse rows product of two QMats with one Fraction multiply-add per pair.
+
+    The product loop the package used before its integer kernel; returns
+    clean rows {i: {j: nonzero value}}, for comparison with ``QMat.rows``.
+    """
+    out = {}
+    for i, r in a.rows.items():
+        acc = {}
+        for k, x in r.items():
+            for j, y in b.rows.get(k, {}).items():
+                acc[j] = acc.get(j, Q(0)) + x * y
+        acc = {j: v for j, v in acc.items() if v}
+        if acc:
+            out[i] = acc
+    return out

@@ -21,7 +21,7 @@ from blocksew.coords import (
 from blocksew.fock import BOSON, CONFORMAL, VACUUM, FockModule, partitions_of, vacuum_module, weight
 from blocksew.linalg import QMat
 from blocksew.series import CoordJet, LaurentJet, NotInvertible, compose_jets, ring_one_like
-from helpers import random_jet_coeffs, random_rational
+from helpers import fraction_matmul, random_jet_coeffs, random_rational
 
 Q = Fraction
 SEED = 31337
@@ -184,6 +184,39 @@ class TestUOperator:
                             for tau, c in u_apply(jet, module, {mu: Q(1)}).items():
                                 ref.set_(index[tau], col, c)
                         assert u_matrix(jet, module, n) == ref, (momentum, n, jet)
+
+    @staticmethod
+    def fraction_exponential(rho, module, n):
+        """The operator by its first construction: rho'(0)^wt times exp(t) summed
+        term by term, t^k / k! = (t @ t^(k-1) / (k-1)!) / k, in Fraction products."""
+        ec = extract_c(rho.truncate(n + 1))
+        dim = module.dim(n)
+        t = QMat(dim, dim)
+        for k, ck in enumerate(ec.cs, start=1):
+            if ck:
+                t = t + module.virasoro_matrix(k, n, n).scale(ck)
+        exp = term = QMat.identity(dim)
+        for k in range(1, n + 2):
+            term = QMat(dim, dim, fraction_matmul(t, term)).scale(Q(1, k))
+            if term.is_zero():
+                break
+            exp = exp + term
+        return fraction_matmul(module.scalar_pow_weight(ec.c0, n), exp)
+
+    def test_matrix_matches_fraction_exponential(self):
+        rnd = random.Random(SEED + 10)
+        for momentum in (Q(0), Q(1, 3)):
+            module = FockModule(momentum)
+            for n in range(7):
+                for lead in (Q(1), Q(-3), Q(5, 7)):
+                    small = [lead] + random_jet_coeffs(rnd, n + 1)[1:]
+                    wide = [lead] + [Q(rnd.randint(-50, 50), 997 ** rnd.randint(1, 2)) for _ in range(n)]
+                    for rho in (CoordJet(small), CoordJet(wide), CoordJet(wide[:2], exact=True)):
+                        assert u_matrix(rho, module, n).rows == self.fraction_exponential(rho, module, n), (
+                            momentum,
+                            n,
+                            rho,
+                        )
 
     def test_identity_matrix(self):
         module = vacuum_module()

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from blocksew.linalg import QMat, QVec, solve
-from helpers import fraction_solve
+from blocksew.linalg import QMat, QVec, _int_rows, _of_one_den, _over_one_den, solve
+from helpers import fraction_matmul, fraction_solve
 
 Q = Fraction
 SEED = 4711
@@ -111,3 +112,52 @@ class TestShape:
     def test_from_rows_stays_in_shape(self):
         m = QMat.from_rows([[1, 0, 2], [0, 0, 3]])
         assert (m.nrows, m.ncols) == (2, 3) and m.rows == {0: {0: 1, 2: 2}, 1: {2: 3}}
+
+
+# entries from a small signed set, so products often cancel to 0; 0 leaves holes and empty rows
+ENTRIES = st.sampled_from([Q(0), Q(0), Q(0), Q(1), Q(-1), Q(2), Q(-1, 2), Q(1, 2), Q(2, 3), Q(-5, 997)])
+
+
+@st.composite
+def sparse_pair(draw):
+    """Two random sparse matrices of compatible, possibly non-square, shapes."""
+    n, k, m = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    a = [[draw(ENTRIES) for _ in range(k)] for _ in range(n)]
+    b = [[draw(ENTRIES) for _ in range(m)] for _ in range(k)]
+    return QMat(n, k, {i: dict(enumerate(r)) for i, r in enumerate(a)}), QMat(k, m, {i: dict(enumerate(r)) for i, r in enumerate(b)})
+
+
+class TestIntegerKernel:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pair=sparse_pair())
+    def test_product_matches_fraction_loop(self, pair):
+        a, b = pair
+        got = a @ b
+        assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
+        # rows compare as dicts: no zero entry and no empty row may survive
+        assert got.rows == fraction_matmul(a, b)
+        assert all(type(v) is Fraction for r in got.rows.values() for v in r.values())
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(pair=sparse_pair(), c=ENTRIES)
+    def test_sum_and_scale_match_entrywise(self, pair, c):
+        a, _ = pair
+        assert (a + a.scale(c)).to_rows() == [[x + c * x for x in row] for row in a.to_rows()]
+        assert (a - a).rows == {}
+
+    def test_product_that_cancels_to_zero(self):
+        a = QMat.from_rows([[1, 1], [0, 0], [Q(1, 3), Q(2, 3)]])
+        b = QMat.from_rows([[Q(2, 7), 0], [Q(-2, 7), 0]])
+        got = a @ b
+        assert got.rows == {2: {0: Q(-2, 21)}}
+        assert (QMat(3, 2) @ b).rows == {} and (a @ QMat(2, 4)).rows == {}
+
+    def test_one_denominator_round_trip(self):
+        values = [Q(1, 6), Q(-3, 4), Q(0), Q(5)]
+        nums, den = _over_one_den(values)
+        assert (nums, den) == ([2, -9, 0, 60], 12)
+        assert _over_one_den(values, 24) == ([4, -18, 0, 120], 24)
+        assert _over_one_den([]) == ([], 1)
+        assert _of_one_den(dict(enumerate(nums)), den) == {0: Q(1, 6), 1: Q(-3, 4), 3: Q(5)}
+        rows, den = _int_rows(QMat.from_rows([[Q(1, 2), 0], [0, Q(2, 3)]]))
+        assert (rows, den) == ({0: {0: 3}, 1: {1: 4}}, 6)

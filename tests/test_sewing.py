@@ -15,12 +15,13 @@ from blocksew.fock import (
     weight,
 )
 from blocksew.linalg import QMat, QVec
-from blocksew.series import CoordJet, TruncSeries, reverse_jet
+from blocksew.series import CoordJet, TruncSeries, diagonal_contract, reverse_jet
 from blocksew.sewing import (
     INFINITY,
     SewingBlock,
     SpherePoint,
     TruncationShortfall,
+    _diagonal_of_product,
     expand_section_at_point,
     genus0_invariance_check,
     l0_times,
@@ -336,6 +337,79 @@ class TestSewAgainstReference:
                     want = fraction_sew(block.table, refs, inputs, orders, [m.log_bound for m in mods])
                     assert out.terms == want
                     assert out.offset == tuple(m.offset for m in mods)
+
+
+def cancelling_rational(rnd):
+    """A small signed rational from few values, so that sums often cancel."""
+    return rnd.choice([Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(-1, 2), Q(5, 997)])
+
+
+def random_block(rnd):
+    slot_dims = [[rnd.randint(1, 2) for _ in range(rnd.randint(1, 3))] for _ in range(rnd.randint(1, 3))]
+    table = {}
+    for _ in range(rnd.randint(0, 12)):
+        table[tuple(rnd.randrange(sum(d)) for d in slot_dims)] = cancelling_rational(rnd)
+    return SewingBlock(slot_dims, table)
+
+
+class TestBlockKernels:
+    """contract_slot and tensor against the Fraction loops they replaced."""
+
+    @staticmethod
+    def fraction_contract_slot(table, s, mat):
+        out = {}
+        for key, c in table.items():
+            for j, v in mat.rows.get(key[s], {}).items():
+                nk = key[:s] + (j,) + key[s + 1 :]
+                w = out.get(nk, Q(0)) + c * v
+                if w:
+                    out[nk] = w
+                else:
+                    out.pop(nk, None)
+        return out
+
+    def test_contract_slot_matches_fraction_loop(self):
+        rnd = random.Random(SEED + 20)
+        cancelled = 0
+        for _ in range(300):
+            block = random_block(rnd)
+            s = rnd.randrange(block.arity)
+            dim = block.slot_dim(s)
+            ncols = rnd.randint(1, 4)
+            rows = {i: {j: cancelling_rational(rnd) for j in range(ncols) if rnd.random() < 0.5} for i in range(dim)}
+            mat = QMat(dim, ncols, {i: r for i, r in rows.items() if rnd.random() < 0.8})
+            got = block.contract_slot(s, mat)
+            want = self.fraction_contract_slot(block.table, s, mat)
+            assert got.table == want and got.slot_dims == block.slot_dims
+            assert all(type(v) is Fraction for v in got.table.values())
+            cancelled += len(got.table) < len({k[:s] + (j,) + k[s + 1 :] for k in block.table for j in mat.rows.get(k[s], {})})
+        assert cancelled >= 5
+
+    def test_tensor_matches_fraction_loop(self):
+        rnd = random.Random(SEED + 21)
+        for _ in range(200):
+            b1, b2 = random_block(rnd), random_block(rnd)
+            got = b1.tensor(b2)
+            assert got.table == {k1 + k2: v1 * v2 for k1, v1 in b1.table.items() for k2, v2 in b2.table.items()}
+            assert got.slot_dims == b1.slot_dims + b2.slot_dims and got.pair_slots is None
+            assert all(type(v) is Fraction for v in got.table.values())
+
+    def test_diagonal_of_product_matches_full_product(self):
+        rnd = random.Random(SEED + 22)
+        for _ in range(60):
+            ta, tb = {"xi": rnd.randint(0, 4), "pi": rnd.randint(0, 4)}, {"xi": rnd.randint(0, 4), "pi": rnd.randint(0, 4)}
+            a = TruncSeries(("xi", "pi"), ta)
+            b = TruncSeries(("xi", "pi"), tb)
+            for _ in range(rnd.randint(0, 8)):
+                exps = (rnd.randint(0, ta["xi"]), rnd.randint(0, ta["pi"]))
+                a._store(exps, (0, 0), QMat(3, 3, {rnd.randrange(3): {rnd.randrange(3): cancelling_rational(rnd)}}))
+            for _ in range(rnd.randint(0, 8)):
+                b._store((rnd.randint(0, tb["xi"]), rnd.randint(0, tb["pi"])), (0, 0), cancelling_rational(rnd))
+            full = a * b
+            diag = _diagonal_of_product(a, b)
+            assert diag.trunc == full.trunc
+            assert diag.terms == {k: v for k, v in full.terms.items() if k[0][0] == k[0][1]}
+            assert diagonal_contract(diag) == diagonal_contract(full)
 
 
 class TestResidueIdentity:
