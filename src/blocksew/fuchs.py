@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .linalg import QMat, QVec, _int_rows, _over_one_den, as_q, solve
 from .series import SeriesError, TruncSeries
@@ -107,26 +107,16 @@ class FuchsSystem:
         zero_key = (0,) * self.n_vars
         return self.a[j].get(zero_key, QMat(self.dim, self.dim))
 
-    def a_series(self, j: int, order: int, logmax: int = 0) -> TruncSeries:
+    def _stream_series(self, stream: Dict[Tuple[int, ...], Union[QMat, QVec]], order: int, logmax: int) -> TruncSeries:
+        """One coefficient stream (``a[j]`` or ``omega[j]``) as a series truncated at ``order``."""
         out = TruncSeries(
             self.variables,
             {v: order for v in self.variables},
             logmax={v: logmax for v in self.variables},
         )
-        for key, mat in self.a[j].items():
+        for key, val in stream.items():
             if all(k <= order for k in key):
-                out._store(tuple(key), (0,) * self.n_vars, mat)
-        return out
-
-    def omega_series(self, j: int, order: int, logmax: int = 0) -> TruncSeries:
-        out = TruncSeries(
-            self.variables,
-            {v: order for v in self.variables},
-            logmax={v: logmax for v in self.variables},
-        )
-        for key, vec in self.omega[j].items():
-            if all(k <= order for k in key):
-                out._store(tuple(key), (0,) * self.n_vars, vec)
+                out._store(tuple(key), (0,) * self.n_vars, val)
         return out
 
 
@@ -276,8 +266,8 @@ def residual(sys: FuchsSystem, psi: TruncSeries, j: int = 0) -> TruncSeries:
     var = sys.variables[j]
     order = psi.trunc[psi.var_index(var)]
     logmax = max(psi.logmax)
-    a = sys.a_series(j, order, logmax)
-    w = sys.omega_series(j, order, logmax)
+    a = sys._stream_series(sys.a[j], order, logmax)
+    w = sys._stream_series(sys.omega[j], order, logmax)
     return psi.qdq(var) - (a * psi + w)
 
 

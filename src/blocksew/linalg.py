@@ -168,9 +168,6 @@ class QMat:
             if not row:
                 self.rows.pop(i, None)
 
-    def add_(self, i: int, j: int, v) -> None:
-        self.set_(i, j, self.get(i, j) + as_q(v))
-
     def __add__(self, other: "QMat") -> "QMat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
@@ -227,9 +224,6 @@ class QMat:
             for j, v in r.items():
                 out.setdefault(j, {})[i] = v
         return QMat._of_clean(self.ncols, self.nrows, out)
-
-    def trace(self) -> Fraction:
-        return sum((self.get(i, i) for i in range(min(self.nrows, self.ncols))), Q(0))
 
     def is_zero(self) -> bool:
         return not self.rows

@@ -225,14 +225,6 @@ class LaurentJet:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "LaurentJet":
-        return LaurentJet(
-            {e + k: v for e, v in self.coeffs.items()},
-            self.lo + k,
-            None if self.hi is None else self.hi + k,
-            self.var,
-        )
-
     def inv(self, rel_order: Optional[int] = None) -> "LaurentJet":
         """Multiplicative inverse.
 
@@ -430,65 +422,54 @@ class CoordJet:
         return f"CoordJet<{body}{' exact' if self.exact else ''}>"
 
 
+def _power_step(powers: List[Dict[int, object]], a: Sequence, n: int, zero) -> object:
+    """Extend the table of B = b_1 z + b_2 z^2 + ... to degree n; return sum_j a_j [z^n] B^j.
+
+    powers[j] = {m: [z^m] B^j} holds the nonzero entries; on entry powers[1]
+    holds the b_m known so far and powers[j], j >= 2, the degrees below n.
+    [z^n] B^j = sum_k b_k [z^(n-k)] B^(j-1) reads b_1..b_(n-1) only, so for
+    j >= 2 it is filled in here; j runs to len(a) - 1, and the sum skips the
+    terms whose a_j or table entry is zero.
+    """
+    for j in range(2, min(n, len(a) - 1) + 1):
+        below, acc = powers[j - 1], zero
+        for k, bk in powers[1].items():
+            if k <= n - j + 1 and n - k in below:
+                acc = acc + bk * below[n - k]
+        if not _is_ring_zero(acc):
+            powers[j][n] = acc
+    return sum((aj * p[n] for aj, p in zip(a, powers) if n in p and not _is_ring_zero(aj)), zero)
+
+
 def compose_jets(f: CoordJet, g: CoordJet) -> CoordJet:
     """Group law of coordinate changes: (f o g)(z) = f(g(z)).
 
     The result is exact only when both inputs are; otherwise its order is the
-    minimum of the two orders, which is the full set of exactly determined
-    coefficients.
+    minimum of the inexact inputs' orders, which is the full set of exactly
+    determined coefficients.  [z^n] f(g) = sum_j a_j [z^n] g^j, on the power
+    table of :func:`reverse_jet`.
     """
     g.check_invertible()
-    if f.exact and g.exact:
-        order = None
-    else:
-        order = min(f.order if not f.exact else 10**9, g.order if not g.exact else 10**9)
-    degree_cap = order if order is not None else (f.order * g.order)
+    inexact = [h.order for h in (f, g) if not h.exact]
+    cap = min(inexact) if inexact else f.order * g.order
     zero = ring_zero_like(f.coeffs[0])
-    # poly[k] = coefficient of z^k in the running power g(z)^j
-    out = [zero] * (degree_cap + 1)
-    gpow = [zero] * (degree_cap + 1)
-    if degree_cap >= 0:
-        gpow[0] = ring_one_like(f.coeffs[0])
-    for j in range(1, f.order + 1):
-        gpow = _poly_mul(gpow, _jet_poly(g, degree_cap), degree_cap)
-        aj = f.coeffs[j - 1]
-        if not _is_ring_zero(aj):
-            for k in range(degree_cap + 1):
-                if not _is_ring_zero(gpow[k]):
-                    out[k] = out[k] + aj * gpow[k]
-    coeffs = out[1 : degree_cap + 1]
-    return CoordJet(coeffs, exact=order is None)
-
-
-def _jet_poly(g: CoordJet, cap: int) -> List:
-    zero = ring_zero_like(g.coeffs[0])
-    poly = [zero] * (cap + 1)
-    for k, c in enumerate(g.coeffs):
-        if k + 1 <= cap:
-            poly[k + 1] = c
-    return poly
-
-
-def _poly_mul(p: List, q: List, cap: int) -> List:
-    out = [ring_zero_like(p[0]) if p else Q(0) for _ in range(cap + 1)]
-    for i, a in enumerate(p):
-        if _is_ring_zero(a):
-            continue
-        for j, b in enumerate(q):
-            if i + j > cap:
-                break
-            if not _is_ring_zero(b):
-                out[i + j] = out[i + j] + a * b
-    return out
+    a = [zero] + f.coeffs[:cap]
+    powers: List[Dict[int, object]] = [{} for _ in a]
+    out = []
+    for n in range(1, cap + 1):
+        if n <= g.order and not _is_ring_zero(g.coeffs[n - 1]):
+            # a sum from zero, as every table entry: a LaurentJet's window starts at 0 or below
+            powers[1][n] = zero + g.coeffs[n - 1]
+        out.append(_power_step(powers, a, n, zero))
+    return CoordJet(out, exact=not inexact)
 
 
 def reverse_jet(rho: CoordJet, order: Optional[int] = None) -> CoordJet:
     """Compositional inverse jet: compose(rho, reverse(rho)) = identity up to order.
 
-    With B = b_1 z + b_2 z^2 + ... the inverse and P[j][n] = [z^n] B^j,
-    [z^n] rho(B) = a_1 b_n + sum_{j=2..n} a_j P[j][n] vanishes for n >= 2.
-    For j >= 2, P[j][n] = sum_k b_k P[j-1][n-k] reads b_1..b_(n-1) only, so
-    the powers are built degree by degree alongside b, in O(order^3) ring
+    With B = b_1 z + b_2 z^2 + ... the inverse, [z^n] rho(B) = a_1 b_n +
+    sum_{j=2..n} a_j [z^n] B^j vanishes for n >= 2.  The powers of B are built
+    degree by degree alongside b (:func:`_power_step`), in O(order^3) ring
     operations.
     """
     rho.check_invertible()
@@ -498,25 +479,17 @@ def reverse_jet(rho: CoordJet, order: Optional[int] = None) -> CoordJet:
         raise WindowError("cannot invert beyond the known jet order")
     zero = ring_zero_like(rho.a1)
     inv_a1 = ring_one_like(rho.a1) / rho.a1
-    a = [zero] + rho.coeffs[:order] + [zero] * (order - rho.order)
-    b = [zero, inv_a1]
-    # powers[j] = {n: [z^n] B^j} for the nonzero ones up to the current degree
-    powers: List[Dict[int, object]] = [{}, {1: inv_a1}] + [{} for _ in range(2, order + 1)]
+    # a_j = 0 past an exact jet's order, so no power of B above it is needed
+    a = [zero] + rho.coeffs[:order]
+    powers: List[Dict[int, object]] = [{}, {1: inv_a1}] + [{} for _ in a[2:]]
+    b = [inv_a1]
     for n in range(2, order + 1):
-        excess = zero
-        for j in range(2, n + 1):
-            below, acc = powers[j - 1], zero
-            for k, bk in powers[1].items():
-                if k <= n - j + 1 and n - k in below:
-                    acc = acc + bk * below[n - k]
-            if not _is_ring_zero(acc):
-                powers[j][n] = acc
-                if not _is_ring_zero(a[j]):
-                    excess = excess + a[j] * acc
+        # powers[1] lacks b_n yet, so the sum is over j >= 2
+        excess = _power_step(powers, a, n, zero)
         b.append(-excess * inv_a1 if not _is_ring_zero(excess) else zero)
-        if not _is_ring_zero(b[n]):
-            powers[1][n] = b[n]
-    return CoordJet(b[1:], exact=False)
+        if not _is_ring_zero(b[-1]):
+            powers[1][n] = b[-1]
+    return CoordJet(b, exact=False)
 
 
 DEFAULT_EXACT_PRECISION = 24

@@ -163,9 +163,11 @@ class SewingBlock:
     ) -> Dict[Tuple[int, ...], Fraction]:
         """Contract every slot outside ``keep`` with its input; keys become the kept indices.
 
-        ``keep`` defaults to the sewing pair, giving keys (i_M, i_dual).  With
-        no other slot this only reorders keys, and returns the block's own
-        table when ``keep`` lists every slot in order: callers only read it.
+        ``keep`` defaults to the sewing pair, giving keys (i_M, i_dual).  Each
+        other slot goes through :meth:`contract_slot` with its input as a
+        one-column matrix.  With no other slot this only reorders keys, and
+        returns the block's own table when ``keep`` lists every slot in order:
+        callers only read it.
         """
         if keep is None:
             if self.pair_slots is None:
@@ -180,26 +182,13 @@ class SewingBlock:
             if inputs[s].n != self.slot_dim(s):
                 # QVec reads zeros past its end, which would drop entries silently
                 raise ValueError(f"input for slot {s}: expected a list of {self.slot_dim(s)} rationals")
-        if not retained:
-            if keep == tuple(range(self.arity)):
-                return self.table
-            return {tuple(key[s] for s in keep): c for key, c in self.table.items()}
-        out: Dict[Tuple[int, ...], Fraction] = {}
-        for key, c in self.table.items():
-            prod = c
-            for s in retained:
-                x = inputs[s][key[s]]
-                if not x:
-                    break
-                prod *= x
-            else:
-                k2 = tuple(key[s] for s in keep)
-                w = out.get(k2, Q(0)) + prod
-                if w:
-                    out[k2] = w
-                else:
-                    out.pop(k2, None)
-        return out
+        block = self
+        for s in retained:
+            column = QMat._of_clean(self.slot_dim(s), 1, {i: {0: x} for i, x in inputs[s].data.items()})
+            block = block.contract_slot(s, column)
+        if keep == tuple(range(self.arity)):
+            return block.table
+        return {tuple(key[s] for s in keep): c for key, c in block.table.items()}
 
 
 def _pair_dims(block: SewingBlock, pm: int, pd: int, module, order: int) -> List[int]:
@@ -225,22 +214,25 @@ def _contract_pair(
     entries whose pair indices b, a both lie in one weight-n block of
     ``dims``; the other entries never contribute and are dropped in the one
     pass over the table.  At l = 0 the matrix is the identity, so only b == a
-    is read.  Each coefficient is summed as integer numerators per
-    denominator and becomes one Fraction; zero sums are left out.
+    is read.  Each coefficient is summed as integer numerators over one
+    denominator per (n, l) and becomes one Fraction; zero sums are left out.
     """
     starts = [sum(dims[:n]) for n in range(len(dims))]
     weight_of = {i: n for n, d in enumerate(dims) for i in range(starts[n], starts[n] + d)}
-    # (n, l) -> rest of key -> denominator -> summed numerators
-    sums: Dict[Tuple[int, int], Dict[tuple, Dict[int, int]]] = {}
+    nums, den = _over_one_den(table.values())
+    # (n, l) -> rest of key -> numerator over den * dens[n, l]
+    sums: Dict[Tuple[int, int], Dict[tuple, int]] = {}
+    # (n, l) -> the one denominator of N_n^l / l!; 1 for the identity at l = 0
+    dens: Dict[Tuple[int, int], int] = {}
     by_block: Dict[int, list] = {}
-    for key, c in table.items():
+    for key, c in zip(table, nums):
         b, a = key[0], key[1]
         n = weight_of.get(b)
         if n is None or weight_of.get(a) != n:
             continue
         if b == a:
-            acc = sums.setdefault((n, 0), {}).setdefault(key[2:], {})
-            acc[c.denominator] = acc.get(c.denominator, 0) + c.numerator
+            acc = sums.setdefault((n, 0), {})
+            acc[key[2:]] = acc.get(key[2:], 0) + c
         if log_bound:
             by_block.setdefault(n, []).append((b - starts[n], a - starts[n], key[2:], c))
     for n, entries in by_block.items():
@@ -250,21 +242,17 @@ def _contract_pair(
             if power.is_zero():
                 break
             fact *= l
+            rows, dn = _int_rows(power)
+            dens[n, l] = dn * fact
+            acc = sums.setdefault((n, l), {})
             for b, a, rest, c in entries:
-                v = power.rows.get(b, {}).get(a)
+                v = rows.get(b, {}).get(a)
                 if v:
-                    acc = sums.setdefault((n, l), {}).setdefault(rest, {})
-                    den = v.denominator * c.denominator * fact
-                    acc[den] = acc.get(den, 0) + v.numerator * c.numerator
+                    acc[rest] = acc.get(rest, 0) + v * c
             power = nil @ power
     out = {}
     for nl in sorted(sums):
-        part = {}
-        for rest, by_den in sums[nl].items():
-            lcm = math.lcm(*by_den)
-            num = sum(k * (lcm // den) for den, k in by_den.items())
-            if num:
-                part[rest] = Q(num, lcm)
+        part = _of_one_den(sums[nl], den * dens.get(nl, 1))
         if part:
             out[nl] = part
     return out

@@ -157,6 +157,36 @@ class TestCompose:
             )
 
 
+def poly_mul(p, q, cap):
+    """p * q cut at degree cap, a schoolbook loop that skips zero terms."""
+    out = [ring_zero_like(p[0])] * (cap + 1)
+    for i, x in enumerate(p):
+        if _is_ring_zero(x):
+            continue
+        for j, y in enumerate(q[: cap + 1 - i]):
+            if not _is_ring_zero(y):
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def poly_compose_jets(f, g):
+    """f(g(z)) as sum_j a_j g^j, each power g^j = g^(j-1) * g by one poly_mul."""
+    g.check_invertible()
+    inexact = [h.order for h in (f, g) if not h.exact]
+    cap = min(inexact) if inexact else f.order * g.order
+    zero = ring_zero_like(f.coeffs[0])
+    gpoly = [zero] + g.coeffs[:cap] + [zero] * (cap - g.order)
+    power = [ring_one_like(f.coeffs[0])] + [zero] * cap
+    out = [zero] * (cap + 1)
+    for aj in f.coeffs:
+        power = poly_mul(power, gpoly, cap)
+        if not _is_ring_zero(aj):
+            for k, x in enumerate(power):
+                if not _is_ring_zero(x):
+                    out[k] = out[k] + aj * x
+    return CoordJet(out[1:], exact=not inexact)
+
+
 def compose_reverse_jet(rho, order=None):
     """The reversion by composition: at each degree n, compose rho with the
     partial inverse b_1..b_(n-1) and read b_n off [z^n] rho(B) = 0."""
@@ -167,7 +197,7 @@ def compose_reverse_jet(rho, order=None):
     b = [inv_a1]
     for n in range(2, order + 1):
         partial = CoordJet(b + [ring_zero_like(rho.a1)], exact=False)
-        comp = compose_jets(rho.truncate(max(rho.order, n) if rho.exact else rho.order), partial)
+        comp = poly_compose_jets(rho.truncate(max(rho.order, n) if rho.exact else rho.order), partial)
         excess = comp.coefficient(n)
         b.append(-excess * inv_a1 if not _is_ring_zero(excess) else ring_zero_like(rho.a1))
     return CoordJet(b, exact=False)
@@ -187,6 +217,32 @@ def random_window_jet(rnd, unit=False):
     if unit:
         coeffs[0] = Q(rnd.choice([1, -2, 3]))
     return LaurentJet(coeffs, lo, hi, "t")
+
+
+def random_coord_jet(rnd, laurent, exact):
+    """A coordinate jet of order 1..4 over Fractions or over LaurentJets on finite
+    windows; past a_1, some coefficients are zero, or zero on a finite window."""
+    order = rnd.randint(1, 4)
+    if not laurent:
+        return CoordJet(random_jet_coeffs(rnd, order), exact=exact)
+    rest = [LaurentJet({}, 0, 2, "t") if rnd.random() < 0.2 else random_window_jet(rnd) for _ in range(order - 1)]
+    return CoordJet([random_window_jet(rnd, unit=True)] + rest, exact=exact)
+
+
+class TestComposeJets:
+    def test_against_polynomial_powers(self):
+        # both rings, all four exactness pairs, and mixed rings; windows compared too
+        rnd = random.Random(SEED + 14)
+        seen = set()
+        for t in range(160):
+            f_laurent, g_laurent, f_exact, g_exact = (bool(t >> i & 1) for i in range(4))
+            f = random_coord_jet(rnd, f_laurent, f_exact)
+            g = random_coord_jet(rnd, g_laurent, g_exact)
+            got, want = compose_jets(f, g), poly_compose_jets(f, g)
+            assert got.exact == want.exact == (f_exact and g_exact)
+            assert [window_of(c) for c in got.coeffs] == [window_of(c) for c in want.coeffs], (f, g)
+            seen.add((f_laurent, g_laurent, f_exact, g_exact))
+        assert len(seen) == 16
 
 
 class TestReverse:
