@@ -17,13 +17,12 @@ failure and print a machine-readable discrepancy report.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import random
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from . import jsonio
 from .coords import c2_formula, extract_c, huang_conjugation_checks, u_matrix
@@ -61,29 +60,42 @@ def _size(doc, key: str, default: int) -> int:
 
 
 def _emit(text: str, args) -> None:
+    _emit_chunks((text,), args)
+
+
+def _emit_chunks(chunks: Iterable[str], args) -> None:
+    """Write text pieces one at a time to --out or stdout; the whole text is never built."""
     out = getattr(args, "out", None)
     if out:
         base = os.environ.get("BLOCKSEW_OUTDIR", "")
         path = out if os.path.isabs(out) or not base else os.path.join(base, out)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _csv_value(val) -> str:
+    """A coefficient as one CSV field: a rational as is, a vector's entries
+    joined by ';', a matrix's rows joined so and separated by '|'."""
+    c = jsonio.value_to_json(val)
+    if isinstance(c, str):
+        return c
+    return "|".join(map(";".join, c)) if isinstance(val, QMat) else ";".join(c)
+
+
+def _series_csv(series: TruncSeries) -> Iterator[str]:
+    yield "monomial,log,coefficient\n"
+    for (exps, logs), val in sorted(series.terms.items()):
+        mono = ";".join(format_rational(o + n) for o, n in zip(series.offset, exps))
+        lg = ";".join(str(l) for l in logs)
+        yield f"{mono},{lg},{_csv_value(val)}\n"
 
 
 def _emit_series(series: TruncSeries, args) -> None:
-    if args.format == "csv":
-        buf = io.StringIO()
-        buf.write("monomial,log,coefficient\n")
-        for (exps, logs), val in sorted(series.terms.items()):
-            mono = ";".join(
-                format_rational(o + n) for o, n in zip(series.offset, exps)
-            )
-            lg = ";".join(str(l) for l in logs)
-            buf.write(f"{mono},{lg},{jsonio.value_to_json(val)}\n")
-        _emit(buf.getvalue(), args)
-    else:
-        _emit(jsonio.dumps_canonical(jsonio.series_to_json(series)), args)
+    """The series as CSV rows or as its JSON document, written term by term."""
+    chunks = _series_csv(series) if args.format == "csv" else jsonio.series_json_chunks(series)
+    _emit_chunks(chunks, args)
 
 
 def _fail(report: dict, args) -> int:
@@ -342,19 +354,26 @@ def cmd_sew_run(args) -> int:
     return 0
 
 
+def _character_csv(series: TruncSeries) -> Iterator[str]:
+    yield "n,coefficient\n"
+    for (exps, _logs), val in sorted(series.terms.items()):
+        yield f"{format_rational(series.offset[0] + exps[0])},{format_rational(val)}\n"
+
+
 def cmd_sew_character(args) -> int:
     if args.module == "fock":
         module = FockModule(parse_rational(args.momentum))
     else:
         raise jsonio.SchemaError("module", f"unknown module {args.module!r}")
-    block = SewingBlock.pairing(module, args.order)
-    series = sew(block, {}, module, args.order, normalized=args.normalized)
+    # the pairing is the sum of its weight blocks and sewing is linear in the
+    # block, so one weight block is sewn at a time and only one is held
+    series = None
+    for n in range(args.order + 1):
+        block = SewingBlock.pairing(module, args.order, weight=n)
+        part = sew(block, {}, module, args.order, normalized=args.normalized)
+        series = part if series is None else series + part
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write("n,coefficient\n")
-        for (exps, _logs), val in sorted(series.terms.items()):
-            buf.write(f"{format_rational(series.offset[0] + exps[0])},{format_rational(val)}\n")
-        _emit(buf.getvalue(), args)
+        _emit_chunks(_character_csv(series), args)
     else:
         _emit_series(series, args)
     return 0

@@ -16,9 +16,8 @@ conjugation check below and by the genus-zero machinery).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fock import FockModule, Vector, vacuum_module, vec_is_homogeneous, vec_weight_max, weight
 from .linalg import QMat, _int_product, _int_rows, _of_one_den, as_q
@@ -41,8 +40,7 @@ class InsufficientJetOrder(WindowError):
     pass
 
 
-@dataclass
-class ExpCoeffs:
+class ExpCoeffs(NamedTuple):
     """Coefficients of rho = c_0 exp(sum_{n>0} c_n z^{n+1} d/dz) z."""
 
     c0: object

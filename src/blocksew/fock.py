@@ -322,22 +322,6 @@ class FockModule:
                     rows.setdefault(table[tau], {})[cidx] = c
         return QMat._of_clean(self.dim(tgt_n), self.dim(src_n), rows)
 
-    # -- gradings ------------------------------------------------------------
-
-    def weight_diag(self, n_max: int, with_offset: bool = False) -> QMat:
-        """Diagonal of the integer grading (or of L_0 when with_offset)."""
-        basis = self.basis(n_max)
-        off = self.l0_offset if with_offset else Q(0)
-        return QMat(
-            len(basis), len(basis), {i: {i: Q(weight(mu)) + off} for i, mu in enumerate(basis) if Q(weight(mu)) + off}
-        )
-
-    def scalar_pow_weight(self, c, n_max: int) -> QMat:
-        """Diagonal matrix c^(integer weight) on the truncation."""
-        c = as_q(c)
-        basis = self.basis(n_max)
-        return QMat(len(basis), len(basis), {i: {i: c ** weight(mu)} for i, mu in enumerate(basis)})
-
     # -- sewing interface ----------------------------------------------------
 
     def weight_dims(self, n_max: int) -> List[int]:

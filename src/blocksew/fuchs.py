@@ -19,9 +19,8 @@ a certified radius r_0 < r_1/gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .linalg import QMat, QVec, _int_rows, _over_one_den, as_q, solve
 from .series import SeriesError, TruncSeries
@@ -52,7 +51,6 @@ class BoundViolation(FuchsError):
         self.index = n
 
 
-@dataclass
 class FuchsSystem:
     """Coefficient streams of q_j d/dq_j psi = A^j psi + omega^j.
 
@@ -62,27 +60,32 @@ class FuchsSystem:
     indices beyond the truncation.
     """
 
-    dim: int
-    variables: Tuple[str, ...]
-    trunc: Tuple[int, ...]
-    a: List[Dict[Tuple[int, ...], QMat]]
-    omega: List[Dict[Tuple[int, ...], QVec]]
-    tail: List[Optional[Tuple[Fraction, Fraction]]] = field(default_factory=list)
-
-    def __post_init__(self):
-        m = len(self.variables)
-        if len(self.a) != m or len(self.omega) != m:
+    def __init__(
+        self,
+        dim: int,
+        variables: Tuple[str, ...],
+        trunc: Tuple[int, ...],
+        a: List[Dict[Tuple[int, ...], QMat]],
+        omega: List[Dict[Tuple[int, ...], QVec]],
+        tail: Optional[List[Optional[Tuple[Fraction, Fraction]]]] = None,
+    ):
+        m = len(variables)
+        if len(a) != m or len(omega) != m:
             raise FuchsError("one coefficient stream per variable")
-        if not self.tail:
-            self.tail = [None] * m
-        for stream in self.a:
+        for stream in a:
             for mat in stream.values():
-                if (mat.nrows, mat.ncols) != (self.dim, self.dim):
+                if (mat.nrows, mat.ncols) != (dim, dim):
                     raise FuchsError("matrix coefficient shape mismatch")
-        for stream in self.omega:
+        for stream in omega:
             for vec in stream.values():
-                if vec.n != self.dim:
+                if vec.n != dim:
                     raise FuchsError("vector coefficient shape mismatch")
+        self.dim = dim
+        self.variables = variables
+        self.trunc = trunc
+        self.a = a
+        self.omega = omega
+        self.tail = tail if tail else [None] * m
 
     @classmethod
     def single(
@@ -120,8 +123,7 @@ class FuchsSystem:
         return out
 
 
-@dataclass
-class ResonanceData:
+class ResonanceData(NamedTuple):
     """Natural indices where the leading step is singular, with kernel sizes."""
 
     resonant: Dict[int, int]
@@ -284,8 +286,7 @@ def ode_residual(omega: TruncSeries, psi: TruncSeries, var: str = "q") -> TruncS
 # certificates
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     """Exact constants realizing ||psi_n|| <= c gamma^n r1^{-n}.
 
     All fields are rationals; norms is the list of checked coefficient norms,

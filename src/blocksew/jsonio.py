@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .fuchs import FuchsSystem
 from .linalg import QMat, QVec, format_rational, parse_rational
@@ -71,17 +71,47 @@ def value_from_json(c, path: str):
     raise SchemaError(path, "coefficient must be a rational string or (nested) list")
 
 
-def series_to_json(s: TruncSeries) -> dict:
-    terms = []
-    for (exps, logs), val in sorted(s.terms.items()):
-        terms.append({"n": list(exps), "l": list(logs), "c": value_to_json(val)})
+def _series_head(s: TruncSeries) -> dict:
+    """Every field of a series document but its terms."""
     return {
         "vars": list(s.vars),
         "offset": {v: format_rational(o) for v, o in zip(s.vars, s.offset)},
         "trunc": {v: t for v, t in zip(s.vars, s.trunc)},
         "logmax": {v: m for v, m in zip(s.vars, s.logmax)},
-        "terms": terms,
     }
+
+
+def _series_terms(s: TruncSeries) -> Iterator[dict]:
+    """The term documents of a series, in key order, built one at a time."""
+    for (exps, logs), val in sorted(s.terms.items()):
+        yield {"n": list(exps), "l": list(logs), "c": value_to_json(val)}
+
+
+def series_to_json(s: TruncSeries) -> dict:
+    return {**_series_head(s), "terms": list(_series_terms(s))}
+
+
+def series_json_chunks(s: TruncSeries) -> Iterator[str]:
+    """The text of ``dumps_canonical(series_to_json(s))``, one term at a time.
+
+    The whole document is never built: each field is dumped on its own and
+    re-indented to its depth, which is how ``json.dumps`` nests with
+    ``indent=1`` (a dumped string holds no raw newline).
+    """
+    head = _series_head(s)
+    sep = "{"
+    for key in sorted([*head, "terms"]):
+        yield f"{sep}\n {json.dumps(key)}: "
+        sep = ","
+        if key != "terms":
+            yield json.dumps(head[key], sort_keys=True, indent=1).replace("\n", "\n ")
+            continue
+        item_sep = "["
+        for term in _series_terms(s):
+            yield item_sep + "\n  " + json.dumps(term, sort_keys=True, indent=1).replace("\n", "\n  ")
+            item_sep = ","
+        yield "[]" if item_sep == "[" else "\n ]"
+    yield "\n}\n"
 
 
 def natural(x, path: str) -> int:

@@ -242,18 +242,6 @@ class QMat:
         """Max absolute row sum; submultiplicative operator norm for inf-norm vectors."""
         return max((sum(abs(v) for v in r.values()) for r in self.rows.values()), default=Q(0))
 
-    def submatrix(self, row_range: Tuple[int, int], col_range: Tuple[int, int]) -> "QMat":
-        r0, r1 = row_range
-        c0, c1 = col_range
-        out: Dict[int, Dict[int, Fraction]] = {}
-        for i, r in self.rows.items():
-            if not r0 <= i < r1:
-                continue
-            sub = {j - c0: v for j, v in r.items() if c0 <= j < c1}
-            if sub:
-                out[i - r0] = sub
-        return QMat(r1 - r0, c1 - c0, out)
-
     def __repr__(self):
         return f"QMat({self.nrows}x{self.ncols}, nnz={sum(len(r) for r in self.rows.values())})"
 

@@ -64,29 +64,6 @@ def schwarzian(f: JetLike, order: int) -> TruncSeries:
     return schwarzian_jet(f, order).to_trunc_series()
 
 
-def schwarzian_at(f: CoordJet, p) -> Fraction:
-    """Exact value of S f at a rational point; the jet must be polynomial."""
-    if not f.exact:
-        raise WindowError("pointwise Schwarzian needs an exact polynomial jet")
-    p = as_q(p)
-
-    def deriv_at(k: int) -> Fraction:
-        tot = Q(0)
-        for j in range(k, f.order + 1):
-            a = f.coefficient(j)
-            if a:
-                fall = Q(1)
-                for t in range(k):
-                    fall *= j - t
-                tot += a * fall * p ** (j - k)
-        return tot
-
-    d1, d2, d3 = deriv_at(1), deriv_at(2), deriv_at(3)
-    if not d1:
-        raise NotInvertible(f"derivative vanishes at {p}")
-    return d3 / d1 - Q(3, 2) * (d2 / d1) ** 2
-
-
 def transition_quadratic(g: JetLike, h: CoordJet, order: int) -> LaurentJet:
     """S_h g pulled back to the underlying variable: S(g o h^{-1})(h(z)) h'(z)^2.
 

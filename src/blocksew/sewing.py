@@ -13,9 +13,9 @@ invariance check on the two-pointed sphere with arbitrary coordinate jets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .coords import family_jet, gamma_xi, u_apply
 from .fock import FockModule, Vector, vacuum_module, vec_is_homogeneous, weight
@@ -129,10 +129,15 @@ class SewingBlock:
         return sum(self.slot_dims[s])
 
     @classmethod
-    def pairing(cls, module, n_max: int) -> "SewingBlock":
-        """Two-slot block pairing a module truncation with its graded dual."""
+    def pairing(cls, module, n_max: int, weight: Optional[int] = None) -> "SewingBlock":
+        """Two-slot block pairing a module truncation with its graded dual.
+
+        With ``weight``, only the pairing's weight-``weight`` block, on the
+        same slots: the pairing is the sum of these blocks.
+        """
         dims = module.weight_dims(n_max)
-        table = dict.fromkeys(((i, i) for i in range(sum(dims))), Q(1))
+        indices = range(sum(dims)) if weight is None else range(sum(dims[:weight]), sum(dims[: weight + 1]))
+        table = dict.fromkeys(((i, i) for i in indices), Q(1))
         return cls._of_clean([dims, dims], table, pair_slots=(0, 1))
 
     def tensor(self, other: "SewingBlock") -> "SewingBlock":
@@ -213,12 +218,13 @@ def _contract_pair(
     Returns {(n, l): {rest of key: sum of c * (N_n^l / l!)[b][a]}} over the
     entries whose pair indices b, a both lie in one weight-n block of
     ``dims``; the other entries never contribute and are dropped in the one
-    pass over the table.  At l = 0 the matrix is the identity, so only b == a
-    is read.  Each coefficient is summed as integer numerators over one
-    denominator per (n, l) and becomes one Fraction; zero sums are left out.
+    pass over the table; an index's block is found by bisecting the block
+    starts, so no per-index map is built.  At l = 0 the matrix is the
+    identity, so only b == a is read.  Each coefficient is summed as integer
+    numerators over one denominator per (n, l) and becomes one Fraction;
+    zero sums are left out.
     """
     starts = [sum(dims[:n]) for n in range(len(dims))]
-    weight_of = {i: n for n, d in enumerate(dims) for i in range(starts[n], starts[n] + d)}
     nums, den = _over_one_den(table.values())
     # (n, l) -> rest of key -> numerator over den * dens[n, l]
     sums: Dict[Tuple[int, int], Dict[tuple, int]] = {}
@@ -227,8 +233,11 @@ def _contract_pair(
     by_block: Dict[int, list] = {}
     for key, c in zip(table, nums):
         b, a = key[0], key[1]
-        n = weight_of.get(b)
-        if n is None or weight_of.get(a) != n:
+        # b's block is the last one starting at or below it (n = -1 for a
+        # negative b, which the bound test then rejects)
+        n = bisect_right(starts, b) - 1
+        lo, hi = starts[n], starts[n] + dims[n]
+        if not (lo <= b < hi and lo <= a < hi):
             continue
         if b == a:
             acc = sums.setdefault((n, 0), {})
@@ -418,8 +427,7 @@ def residue_identity_check(
 # genus-zero invariance on the two-pointed sphere
 
 
-@dataclass
-class SpherePoint:
+class SpherePoint(NamedTuple):
     """Marked point on the sphere with a coordinate jet.
 
     position is a rational number or INFINITY; the local coordinate is

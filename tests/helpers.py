@@ -3,12 +3,17 @@
 Oracles here are deliberately independent of the package internals: the
 partition counter uses the pentagonal-number recurrence, series products are
 checked against a direct double loop, and compositional inverses against the
-Lagrange inversion formula.
+Lagrange inversion formula.  The last four helpers build the diagonal and
+block matrices and the pointwise Schwarzian that tests compare package
+results with.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 import random
+
+from blocksew.linalg import QMat
+from blocksew.series import NotInvertible, WindowError
 
 Q = Fraction
 
@@ -242,3 +247,53 @@ def fraction_matmul(a, b):
         if acc:
             out[i] = acc
     return out
+
+
+def scalar_pow_weight(module, c, n_max):
+    """Diagonal matrix c^(weight) on a module's weight-<=n_max truncation."""
+    c = Q(c)
+    basis = module.basis(n_max)
+    return QMat(len(basis), len(basis), {i: {i: c ** sum(mu)} for i, mu in enumerate(basis)})
+
+
+def weight_diag(module, n_max):
+    """Diagonal matrix of the integer grading on a module's truncation."""
+    basis = module.basis(n_max)
+    return QMat(len(basis), len(basis), {i: {i: Q(sum(mu))} for i, mu in enumerate(basis) if sum(mu)})
+
+
+def submatrix(mat, row_range, col_range):
+    """The block of rows [r0, r1) and columns [c0, c1) of a QMat."""
+    r0, r1 = row_range
+    c0, c1 = col_range
+    out = {}
+    for i, r in mat.rows.items():
+        if not r0 <= i < r1:
+            continue
+        sub = {j - c0: v for j, v in r.items() if c0 <= j < c1}
+        if sub:
+            out[i - r0] = sub
+    return QMat(r1 - r0, c1 - c0, out)
+
+
+def schwarzian_at(f, p):
+    """Exact value of S f at a rational point, from the derivatives of the polynomial jet f."""
+    if not f.exact:
+        raise WindowError("pointwise Schwarzian needs an exact polynomial jet")
+    p = Q(p)
+
+    def deriv_at(k):
+        tot = Q(0)
+        for j in range(k, f.order + 1):
+            a = f.coefficient(j)
+            if a:
+                fall = Q(1)
+                for t in range(k):
+                    fall *= j - t
+                tot += a * fall * p ** (j - k)
+        return tot
+
+    d1, d2, d3 = deriv_at(1), deriv_at(2), deriv_at(3)
+    if not d1:
+        raise NotInvertible(f"derivative vanishes at {p}")
+    return d3 / d1 - Q(3, 2) * (d2 / d1) ** 2

@@ -41,7 +41,6 @@ from blocksew.fuchs import (
 from blocksew.linalg import QMat, QVec
 from blocksew.schwarzian import (
     projective_term,
-    schwarzian_at,
     schwarzian_jet,
     cocycle_check,
     vir_transition,
@@ -58,7 +57,7 @@ from blocksew.sewing import (
     residue_identity_check,
     sew,
 )
-from helpers import euler_partition_count, random_jet_coeffs, random_rational
+from helpers import euler_partition_count, random_jet_coeffs, random_rational, scalar_pow_weight, schwarzian_at
 
 Q = Fraction
 SEED = 108
@@ -100,8 +99,8 @@ def test_c03_inversion_exchange_identity():
     n = 6
     u1 = u_matrix(gamma_xi(1, n + 1), module, n)
     for xi in (Q(1), Q(2), Q(-3), Q(5, 7)):
-        lhs = u_matrix(gamma_xi(xi, n + 1), module, n) @ module.scalar_pow_weight(xi, n)
-        rhs = module.scalar_pow_weight(1 / xi, n) @ u1
+        lhs = u_matrix(gamma_xi(xi, n + 1), module, n) @ scalar_pow_weight(module, xi, n)
+        rhs = scalar_pow_weight(module, 1 / xi, n) @ u1
         assert lhs == rhs
     report(3, "inversion exchange identity on W<=6 for xi in {1, 2, -3, 5/7}")
 
@@ -127,7 +126,7 @@ def test_c04_conjugation_of_vertex_operators():
         for k in range(-3, 4):
             tgt = 6 + max(0, dv - k - 1)
             mode = module.vertex_matrix(v, k, 6, tgt)
-            lhs = module.scalar_pow_weight(lam, tgt) @ mode @ module.scalar_pow_weight(1 / lam, 6)
+            lhs = scalar_pow_weight(module, lam, tgt) @ mode @ scalar_pow_weight(module, 1 / lam, 6)
             assert lhs == mode.scale(lam ** (dv - k - 1))
     report(4, "vertex-operator conjugation on window z^-4..z^6, wt(v),wt(w) <= 3")
 

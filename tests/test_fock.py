@@ -22,7 +22,7 @@ from blocksew.fock import (
 )
 from blocksew.linalg import QMat
 from blocksew.series import LaurentJet
-from helpers import euler_partition_count, random_rational
+from helpers import euler_partition_count, random_rational, weight_diag
 
 Q = Fraction
 
@@ -220,7 +220,7 @@ class TestContragredient:
 
     def test_weight_diag_symmetric(self):
         m = vacuum_module()
-        d = m.weight_diag(5)
+        d = weight_diag(m, 5)
         assert d == d.transpose()
 
 

@@ -12,7 +12,6 @@ from blocksew.schwarzian import (
     projective_term,
     projective_term_multi,
     schwarzian,
-    schwarzian_at,
     schwarzian_jet,
     transition_quadratic,
     vir_transition,
@@ -29,7 +28,7 @@ from blocksew.series import (
     compose_jets,
     jet_compose,
 )
-from helpers import fraction_projective_term, random_jet_coeffs, random_rational
+from helpers import fraction_projective_term, random_jet_coeffs, random_rational, schwarzian_at
 
 Q = Fraction
 SEED = 424242

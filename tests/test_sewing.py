@@ -30,7 +30,7 @@ from blocksew.sewing import (
     sew,
     sew_multi,
 )
-from helpers import euler_partition_count, fraction_sew, random_rational
+from helpers import euler_partition_count, fraction_sew, random_rational, submatrix
 
 Q = Fraction
 SEED = 777
@@ -165,6 +165,18 @@ class TestSew:
         assert [s.coefficient({"q": n}) for n in range(7)] == [
             norm.coefficient({"q": n}) for n in range(7)
         ]
+
+    def test_weight_blocks_sum_to_the_pairing(self):
+        # blocks above the order, and the parts of the slots past it, never contribute
+        for module in (vacuum_module(), FockModule(Q(-5, 3)), log_toy_module()):
+            for normalized in (False, True):
+                whole = sew(SewingBlock.pairing(module, 5), {}, module, 5, normalized=normalized)
+                parts = [sew(SewingBlock.pairing(module, 8, weight=w), {}, module, 5, normalized=normalized) for w in range(9)]
+                assert all(p.is_zero() for p in parts[6:])
+                total = parts[0]
+                for p in parts[1:]:
+                    total = total + p
+                assert total == whole
 
     def test_order_zero_is_top_projection(self):
         m = vacuum_module()
@@ -575,7 +587,7 @@ class TestGenus0Invariance:
                 for v in (VACUUM, BOSON, CONFORMAL, {(2,): Q(1)}):
                     for e in range(-3, 4):
                         full = mode(v, e, n, n)
-                        assert mode(v, e, src, n) == full.submatrix((0, full.nrows), (0, m.dim(src))), (cap, v, e)
+                        assert mode(v, e, src, n) == submatrix(full, (0, full.nrows), (0, m.dim(src))), (cap, v, e)
         # a cap above the slot truncation passes when the action only lowers weights
         block = SewingBlock.pairing(m, 3)
         points = [SpherePoint(Q(1), CoordJet.identity(), m), SpherePoint(Q(2), CoordJet.identity(), m, dual=True)]
