@@ -143,6 +143,8 @@ def cmd_coord_check_huang(args) -> int:
     }
     alpha = cases[args.case]
     lo, hi = args.window
+    if lo > hi:
+        raise jsonio.SchemaError("--window", "expected LO <= HI")
     failures = []
     states = [{mu: Q(1)} for w in range(args.wmax + 1) for mu in partitions_of(w)]
     pairs = [(v, w) for v in states for w in states]
@@ -580,7 +582,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except jsonio.SchemaError as e:
         sys.stderr.write(f"schema error: {e}\n")
         return 2
-    except (SeriesError, FuchsError, ValueError) as e:
+    except (SeriesError, FuchsError, ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

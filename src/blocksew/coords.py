@@ -208,11 +208,7 @@ def u_apply(rho: CoordJet, module: FockModule, vec, coeffs: Optional[ExpCoeffs] 
     for mu, c in acc.items():
         if _is_ring_zero(c):
             continue
-        w = weight(mu)
-        if isinstance(c0, Fraction):
-            out[mu] = c0 ** w * c
-        else:
-            out[mu] = c0.pow(w) * c
+        out[mu] = c0 ** weight(mu) * c
     return out
 
 

@@ -198,6 +198,7 @@ class QMat:
         return QMat._of_clean(self.nrows, self.ncols, rows)
 
     __rmul__ = scale
+    __mul__ = scale
 
     def __matmul__(self, other: "QMat") -> "QMat":
         if self.ncols != other.nrows:

@@ -148,9 +148,6 @@ class LaurentJet:
             raise WindowError(f"coefficient of {self.var}^{e} not covered by window [{self.lo}, {self.hi}]")
         return self.coeffs.get(e, Q(0))
 
-    def known(self, e: int) -> bool:
-        return self.hi is None or e <= self.hi
-
     def valuation(self) -> Optional[int]:
         """Smallest exponent with a nonzero coefficient, None for (window-)zero."""
         return min(self.coeffs) if self.coeffs else None
@@ -561,30 +558,14 @@ def residue(f: LaurentJet):
 Value = Union[Fraction, QVec, QMat]
 
 
-def _vadd(x: Value, y: Value) -> Value:
-    return x + y
-
-
-def _vneg(x: Value) -> Value:
-    return -x
-
-
-def _vscale(c: Fraction, x: Value) -> Value:
-    if isinstance(x, Fraction):
-        return c * x
-    return x.scale(c)
-
-
 def _vmul(x: Value, y: Value) -> Value:
-    if isinstance(x, Fraction):
-        return y * x if isinstance(y, Fraction) else _vscale(x, y)
-    if isinstance(y, Fraction):
-        return _vscale(y, x)
+    """Product of two coefficients; ``*`` covers a rational factor on either
+    side, and raises TypeError for a pair that has no product here."""
     if isinstance(x, QMat) and isinstance(y, QMat):
         return x @ y
     if isinstance(x, QMat) and isinstance(y, QVec):
         return x.apply(y)
-    raise TypeError(f"cannot multiply series values {type(x)} * {type(y)}")
+    return x * y
 
 
 class TruncSeries:
@@ -632,13 +613,27 @@ class TruncSeries:
         if not _is_ring_zero(val):
             key = (exps, logs)
             if key in self.terms:
-                cur = _vadd(self.terms[key], val)
+                cur = self.terms[key] + val
                 if _is_ring_zero(cur):
                     del self.terms[key]
                 else:
                     self.terms[key] = cur
             else:
                 self.terms[key] = val
+
+    def _like(
+        self,
+        trunc: Optional[Tuple[int, ...]] = None,
+        offset: Optional[Tuple[Fraction, ...]] = None,
+        logmax: Optional[Tuple[int, ...]] = None,
+    ) -> "TruncSeries":
+        """An empty series on the same variables; a tuple given replaces that part of the shape."""
+        out = TruncSeries.__new__(TruncSeries)
+        out.vars, out.terms = self.vars, {}
+        out.trunc = self.trunc if trunc is None else trunc
+        out.offset = self.offset if offset is None else offset
+        out.logmax = self.logmax if logmax is None else logmax
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -691,7 +686,8 @@ class TruncSeries:
         shifts_a: List[int] = []
         shifts_b: List[int] = []
         new_off: List[Fraction] = []
-        for oa, ob in zip(self.offset, other.offset):
+        tops: List[Fraction] = []
+        for oa, ta, ob, tb in zip(self.offset, self.trunc, other.offset, other.trunc):
             d = oa - ob
             if d.denominator != 1:
                 raise OffsetError(f"offsets {oa} and {ob} differ by a non-integer")
@@ -699,37 +695,25 @@ class TruncSeries:
             new_off.append(base)
             shifts_a.append(int(oa - base))
             shifts_b.append(int(ob - base))
+            # exact absolute window top: offset + trunc
+            tops.append(min(oa + ta, ob + tb) - base)
+        if min(tops) < 0:
+            raise WindowError("no common exact window after offset renormalization")
+        trunc, offset = tuple(map(int, tops)), tuple(new_off)
+
         def rebase(s: "TruncSeries", shifts: List[int]) -> "TruncSeries":
-            # exact absolute window top per var: offset_j + trunc_j
-            new_trunc = {}
-            for v, oa, ta, ob, tb, base in zip(
-                self.vars, self.offset, self.trunc, other.offset, other.trunc, new_off
-            ):
-                top = min(oa + ta, ob + tb) - base
-                if top < 0:
-                    raise WindowError("no common exact window after offset renormalization")
-                new_trunc[v] = int(top)
-            out = TruncSeries(
-                s.vars,
-                new_trunc,
-                offset={v: o for v, o in zip(s.vars, new_off)},
-                logmax={v: m for v, m in zip(s.vars, s.logmax)},
-            )
+            out = s._like(trunc, offset)
             for (exps, logs), val in s.terms.items():
                 e = tuple(n + sh for n, sh in zip(exps, shifts))
-                if all(x <= t for x, t in zip(e, out.trunc)):
+                if all(x <= t for x, t in zip(e, trunc)):
                     out._store(e, logs, val)
             return out
+
         return rebase(self, shifts_a), rebase(other, shifts_b)
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         a, b = self._aligned(other)
-        out = TruncSeries(
-            a.vars,
-            {v: min(ta, tb) for v, ta, tb in zip(a.vars, a.trunc, b.trunc)},
-            offset={v: o for v, o in zip(a.vars, a.offset)},
-            logmax={v: max(la, lb) for v, la, lb in zip(a.vars, a.logmax, b.logmax)},
-        )
+        out = a._like(tuple(map(min, a.trunc, b.trunc)), logmax=tuple(map(max, a.logmax, b.logmax)))
         for src in (a, b):
             for (exps, logs), val in src.terms.items():
                 if all(n <= t for n, t in zip(exps, out.trunc)):
@@ -737,14 +721,8 @@ class TruncSeries:
         return out
 
     def __neg__(self) -> "TruncSeries":
-        out = TruncSeries(
-            self.vars,
-            {v: t for v, t in zip(self.vars, self.trunc)},
-            offset={v: o for v, o in zip(self.vars, self.offset)},
-            logmax={v: m for v, m in zip(self.vars, self.logmax)},
-        )
-        for key, val in self.terms.items():
-            out.terms[key] = _vneg(val)
+        out = self._like()
+        out.terms = {key: -val for key, val in self.terms.items()}
         return out
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
@@ -752,15 +730,9 @@ class TruncSeries:
 
     def scale(self, c) -> "TruncSeries":
         c = as_q(c)
-        out = TruncSeries(
-            self.vars,
-            {v: t for v, t in zip(self.vars, self.trunc)},
-            offset={v: o for v, o in zip(self.vars, self.offset)},
-            logmax={v: m for v, m in zip(self.vars, self.logmax)},
-        )
+        out = self._like()
         if c:
-            for key, val in self.terms.items():
-                out.terms[key] = _vscale(c, val)
+            out.terms = {key: c * val for key, val in self.terms.items()}
         return out
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
@@ -768,11 +740,10 @@ class TruncSeries:
             return self.scale(other)
         if self.vars != other.vars:
             raise VariableMismatch(f"{self.vars} vs {other.vars}")
-        out = TruncSeries(
-            self.vars,
-            {v: min(ta, tb) for v, ta, tb in zip(self.vars, self.trunc, other.trunc)},
-            offset={v: oa + ob for v, oa, ob in zip(self.vars, self.offset, other.offset)},
-            logmax={v: max(la, lb) for v, la, lb in zip(self.vars, self.logmax, other.logmax)},
+        out = self._like(
+            tuple(map(min, self.trunc, other.trunc)),
+            tuple(map(operator.add, self.offset, other.offset)),
+            tuple(map(max, self.logmax, other.logmax)),
         )
         for (e1, l1), v1 in self.terms.items():
             for (e2, l2), v2 in other.terms.items():
@@ -793,41 +764,22 @@ class TruncSeries:
     def qdq(self, var: str) -> "TruncSeries":
         """Logarithmic derivative q d/dq in the given variable (offset-aware)."""
         j = self.var_index(var)
-        out = TruncSeries(
-            self.vars,
-            {v: t for v, t in zip(self.vars, self.trunc)},
-            offset={v: o for v, o in zip(self.vars, self.offset)},
-            logmax={v: m for v, m in zip(self.vars, self.logmax)},
-        )
+        out = self._like()
         lam = self.offset[j]
         for (exps, logs), val in self.terms.items():
             power = lam + exps[j]
             if power:
-                out._store(exps, logs, _vscale(power, val))
+                out._store(exps, logs, power * val)
             if logs[j]:
                 lowered = logs[:j] + (logs[j] - 1,) + logs[j + 1 :]
-                out._store(exps, lowered, _vscale(Q(logs[j]), val))
+                out._store(exps, lowered, Q(logs[j]) * val)
         return out
 
     def normalized(self) -> "TruncSeries":
         """Fold integer offsets into exponents when all exponents remain >= 0."""
-        shifts = []
-        new_off = []
-        for o in self.offset:
-            if o.denominator == 1 and o >= 0:
-                shifts.append(int(o))
-                new_off.append(Q(0))
-            else:
-                shifts.append(0)
-                new_off.append(o)
-        out = TruncSeries(
-            self.vars,
-            {v: t + s for v, t, s in zip(self.vars, self.trunc, shifts)},
-            offset={v: o for v, o in zip(self.vars, new_off)},
-            logmax={v: m for v, m in zip(self.vars, self.logmax)},
-        )
-        for (exps, logs), val in self.terms.items():
-            out._store(tuple(n + s for n, s in zip(exps, shifts)), logs, val)
+        shifts = [int(o) if o.denominator == 1 and o >= 0 else 0 for o in self.offset]
+        out = self._like(tuple(map(operator.add, self.trunc, shifts)), tuple(map(operator.sub, self.offset, shifts)))
+        out.terms = {(tuple(map(operator.add, exps, shifts)), logs): val for (exps, logs), val in self.terms.items()}
         return out
 
     def __eq__(self, other) -> bool:

@@ -79,12 +79,7 @@ def l0_times(module, series: TruncSeries) -> TruncSeries:
     dims = module.weight_dims(series.trunc[0])
     total = sum(dims)
     lam = module.offset
-    out = TruncSeries(
-        series.vars,
-        {series.vars[0]: series.trunc[0]},
-        offset={series.vars[0]: series.offset[0]},
-        logmax={series.vars[0]: series.logmax[0]},
-    )
+    out = series._like()
     for (exps, logs), mat in series.terms.items():
         n = exps[0]
         start = sum(dims[:n])
@@ -163,21 +158,14 @@ class SewingBlock:
                 acc[nk] = acc.get(nk, 0) + c * v
         return SewingBlock._of_clean(self.slot_dims, _of_one_den(acc, dt * dm), self.pair_slots)
 
-    def reduce_retained(
-        self, inputs: Dict[int, QVec], keep: Optional[Sequence[int]] = None
-    ) -> Dict[Tuple[int, ...], Fraction]:
+    def reduce_retained(self, inputs: Dict[int, QVec], keep: Sequence[int]) -> Dict[Tuple[int, ...], Fraction]:
         """Contract every slot outside ``keep`` with its input; keys become the kept indices.
 
-        ``keep`` defaults to the sewing pair, giving keys (i_M, i_dual).  Each
-        other slot goes through :meth:`contract_slot` with its input as a
+        Each other slot goes through :meth:`contract_slot` with its input as a
         one-column matrix.  With no other slot this only reorders keys, and
         returns the block's own table when ``keep`` lists every slot in order:
         callers only read it.
         """
-        if keep is None:
-            if self.pair_slots is None:
-                raise ValueError("block has no designated sewing pair")
-            keep = self.pair_slots
         keep = tuple(keep)
         retained = [s for s in range(self.arity) if s not in keep]
         missing = [s for s in retained if s not in inputs]
@@ -276,20 +264,21 @@ def sew(
 ) -> TruncSeries:
     """Contract the sewing pair of a block against q^{L_0} (or q^{wtd L_0}).
 
-    The standard variant carries the module offset and log-q terms from the
+    This is :func:`sew_multi` on the one pair, in the variable q.  The
+    standard variant carries the module offset and log-q terms from the
     nilpotent part of L_0; the normalized variant uses the integer grading
     and has neither.  Emitting order q^K requires the pair slots to cover
     weight K; a shortfall is an error carrying the minimal required weight.
     """
     if block.pair_slots is None:
         raise ValueError("block has no designated sewing pair")
-    dims = _pair_dims(block, *block.pair_slots, module, order)
-    logbound = 0 if normalized else module.log_bound
-    offset = {} if normalized else {"q": module.offset}
-    out = TruncSeries(("q",), {"q": order}, offset=offset, logmax={"q": logbound})
-    for (n, l), part in _contract_pair(block.reduce_retained(inputs), dims, module, logbound).items():
-        out._store((n,), (l,), part[()])
-    return out
+    out = sew_multi(block, inputs, [(*block.pair_slots, module)], [order], ["q"])
+    if not normalized:
+        return out
+    # no log term feeds l = 0, so the l = 0 terms are the integer-graded contraction
+    flat = out._like(offset=(Q(0),), logmax=(0,))
+    flat.terms = {key: v for key, v in out.terms.items() if key[1] == (0,)}
+    return flat
 
 
 def sew_multi(
@@ -341,7 +330,7 @@ def _diagonal_of_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     Only the pairs of terms that land on the diagonal are multiplied, in the
     order a * b visits them; the window is that of a * b.
     """
-    out = TruncSeries(a.vars, {v: min(ta, tb) for v, ta, tb in zip(a.vars, a.trunc, b.trunc)})
+    out = a._like(tuple(map(min, a.trunc, b.trunc)))
     top = min(out.trunc)
     # (i, j) + (k, l) is on the diagonal when l - k = i - j
     by_gap: Dict[int, list] = {}

@@ -75,6 +75,10 @@ class TestCoordCommands:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_check_huang_reversed_window_is_schema_error(self, capsys):
+        assert main(["coord", "check-huang", "--window", "6", "-4"]) == 2
+        assert capsys.readouterr().err == "schema error: --window: expected LO <= HI\n"
+
 
 class TestVoaCommands:
     def test_dump_mode_virasoro(self, capsys):
@@ -306,6 +310,23 @@ class TestNegativeSizes:
         doc = write(tmp_path, "a.json", {"A": [[["0"]]], "omega": [["1"]], "log_bound": -1})
         self.rejected(["fuchs", "solve", doc, "--order", "3"], capsys, "input.log_bound")
         self.rejected(["fuchs", "certify", doc, "--order", "3"], capsys, "input.log_bound")
+
+
+class TestIoErrors:
+    """A file that cannot be read or written is an error with exit 2, never a traceback."""
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["fuchs", "solve", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "x.json"
+        assert main(["sew", "character", "--order", "2", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.parent.exists()
 
 
 # documents whose rationals or toy-module fields were read through str() or int()

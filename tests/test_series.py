@@ -106,6 +106,82 @@ class TestRingAxioms:
             assert a * (b + c) == a * b + a * c
 
 
+OFFSETS = [Q(0), Q(2), Q(-1), Q(1, 3), Q(-5, 2)]
+
+
+def shape(s):
+    return s.vars, s.trunc, s.offset, s.logmax
+
+
+def random_shaped(rnd, vars_, offset, logs=True):
+    """A series with random truncations and log bounds; log terms only when ``logs``."""
+    trunc = {v: rnd.randint(0, 4) for v in vars_}
+    logmax = {v: rnd.randint(0, 2) for v in vars_}
+    s = TruncSeries(vars_, trunc, offset=offset, logmax=logmax)
+    for _ in range(5):
+        exps = tuple(rnd.randint(0, trunc[v]) for v in vars_)
+        ls = tuple(rnd.randint(0, logmax[v]) if logs else 0 for v in vars_)
+        s._store(exps, ls, random_rational(rnd))
+    return s
+
+
+class TestDerivedShapes:
+    """``==`` compares vars, offset and terms only, so the truncation and log
+    bound of each derived series are pinned here, against these rules:
+
+    * ``-s``, ``c * s`` and ``s.qdq(v)`` keep the shape of ``s``;
+    * ``s.normalized()`` folds an integer offset o >= 0 into the exponents:
+      truncation t + o, offset 0; other offsets and every log bound stay;
+    * ``s + t`` takes per variable the lower offset b, the truncation
+      min(o_s + t_s, o_t + t_t) - b (the common exact window) and the larger
+      log bound;
+    * ``s * t`` takes the smaller truncation, the sum of the offsets and the
+      larger log bound.
+    """
+
+    def check_types(self, s):
+        assert all(type(n) is int for n in s.trunc + s.logmax)
+        assert all(type(o) is Fraction for o in s.offset)
+
+    def test_derived_shapes(self):
+        rnd = random.Random(SEED + 2)
+        for case in range(60):
+            vars_ = ("q", "p", "r")[: 1 + case % 3]
+            offset = {v: rnd.choice(OFFSETS) for v in vars_}
+            s = random_shaped(rnd, vars_, offset)
+            # equal offsets in a quarter of the cases, else integer gaps (the aligned path)
+            gap = {v: 0 if case % 4 == 0 else rnd.randint(-2, 2) for v in vars_}
+            t = random_shaped(rnd, vars_, {v: offset[v] + gap[v] for v in vars_}, logs=False)
+            c = random_rational(rnd) or Q(1)
+            for derived in (-s, c * s, s * c, s.scale(c), s.qdq(rnd.choice(vars_))):
+                assert shape(derived) == shape(s)
+                self.check_types(derived)
+
+            folded = [o.denominator == 1 and o >= 0 for o in s.offset]
+            n = s.normalized()
+            assert n.vars == s.vars and n.logmax == s.logmax
+            assert n.trunc == tuple(tr + int(o) if f else tr for tr, o, f in zip(s.trunc, s.offset, folded))
+            assert n.offset == tuple(Q(0) if f else o for o, f in zip(s.offset, folded))
+            self.check_types(n)
+
+            total = s + t
+            base = tuple(map(min, s.offset, t.offset))
+            assert total.vars == s.vars
+            assert total.offset == base
+            assert total.trunc == tuple(
+                int(min(os + ts, ot + tt) - b) for os, ts, ot, tt, b in zip(s.offset, s.trunc, t.offset, t.trunc, base)
+            )
+            assert total.logmax == tuple(map(max, s.logmax, t.logmax))
+            self.check_types(total)
+
+            prod = s * t
+            assert prod.vars == s.vars
+            assert prod.trunc == tuple(map(min, s.trunc, t.trunc))
+            assert prod.offset == tuple(a + b for a, b in zip(s.offset, t.offset))
+            assert prod.logmax == tuple(map(max, s.logmax, t.logmax))
+            self.check_types(prod)
+
+
 class TestCoordJetEquality:
     def test_equal_jets_hash_equal(self):
         pairs = [
