@@ -347,11 +347,10 @@ def cmd_sew_run(args) -> int:
             s = None
         if s not in range(len(slots)) or s in (pair or ()):
             raise jsonio.SchemaError(path, "names no retained slot")
-        if not isinstance(v, list) or len(v) != sizes[s]:
-            raise jsonio.SchemaError(path, f"expected a list of {sizes[s]} rationals")
-        inputs[s] = QVec.from_list([jsonio.rational_from_json(x, f"{path}[{i}]") for i, x in enumerate(v)])
+        inputs[s] = QVec.from_list(jsonio.rationals(v, path, sizes[s]))
     order = _order(args, doc, 6)
-    series = sew(block, inputs, module, order, normalized=bool(doc.get("normalized", False)))
+    normalized = jsonio.boolean(doc.get("normalized", False), "input.normalized")
+    series = sew(block, inputs, module, order, normalized=normalized)
     _emit_series(series, args)
     return 0
 

@@ -46,11 +46,6 @@ class ExpCoeffs(NamedTuple):
     c0: object
     cs: List  # cs[n-1] = c_n
 
-    def c(self, n: int):
-        if n == 0:
-            return self.c0
-        return self.cs[n - 1]
-
 
 def _vf_apply(cs: Sequence, poly: List, cap: int) -> List:
     """Apply the derivation sum c_n z^{n+1} d/dz to a polynomial (degree-indexed)."""
@@ -129,10 +124,8 @@ def extract_c(rho: CoordJet) -> ExpCoeffs:
 
 
 def c2_formula(rho: CoordJet):
-    """Closed form (1/6) rho'''(0)/rho'(0) - (1/4) (rho''(0)/rho'(0))^2."""
+    """c_2 in closed form, (1/6) rho'''(0)/rho'(0) - (1/4) (rho''(0)/rho'(0))^2; reads a_1..a_3."""
     rho.check_invertible()
-    if rho.order < 3 and not rho.exact:
-        raise InsufficientJetOrder("c2 needs a jet of order >= 3")
     d1 = rho.coefficient(1)
     d2 = rho.coefficient(2) * 2
     d3 = rho.coefficient(3) * 6
@@ -157,31 +150,25 @@ def varrho(eta: CoordJet, mu: CoordJet, order: Optional[int] = None) -> CoordJet
 # the operator on graded modules
 
 
-def _required_order(n_weight: int) -> int:
-    # c_n for n <= N needs jet coefficients a_1..a_{N+1}
-    return n_weight + 1
+def _exp_coeffs(rho: CoordJet, top_weight: int) -> ExpCoeffs:
+    """c_0..c_N of rho for N = top_weight, the c_n that act on weights up to N.
+
+    c_n depends on a_1..a_{n+1} only, so the jet is cut to order N+1 (an exact
+    jet is padded with zeros) before the solve.
+    """
+    need = top_weight + 1
+    if rho.order < need and not rho.exact:
+        raise InsufficientJetOrder(f"jet order {rho.order} insufficient for weight {top_weight} (need {need})")
+    return extract_c(rho.truncate(need))
 
 
-def u_apply(rho: CoordJet, module: FockModule, vec, coeffs: Optional[ExpCoeffs] = None):
-    """Apply rho'(0)^{weight} exp(sum c_n L_n) to an exact module vector.
+def _exp_action(ec: ExpCoeffs, module: FockModule, vec):
+    """Apply c_0^{weight} exp(sum c_n L_n) to a vector, for c_n covering its weights.
 
     The exponential is a finite sum because positive Virasoro modes strictly
-    lower the weight.  Works for ring-valued vectors as well (family jets).
-    ``coeffs`` may come from a solve of rho at any order covering the weight.
+    lower the weight.  Works for ring-valued vectors and coefficients.
     """
-    if not vec:
-        return {}
-    wmax = vec_weight_max(vec)
-    need = _required_order(wmax)
-    if rho.order < need:
-        if rho.exact:
-            rho = rho.truncate(need)
-        else:
-            raise InsufficientJetOrder(
-                f"jet order {rho.order} insufficient for weight {wmax} (need {need})"
-            )
-    ec = coeffs if coeffs is not None else extract_c(rho.truncate(need) if rho.order > need else rho)
-    cs = ec.cs[:wmax]  # L_n kills every vector of weight below n
+    cs = ec.cs[: vec_weight_max(vec)]  # L_n kills every vector of weight below n
     acc = dict(vec)
     term = dict(vec)
     k = 1
@@ -195,13 +182,11 @@ def u_apply(rho: CoordJet, module: FockModule, vec, coeffs: Optional[ExpCoeffs] 
                 w = nxt.get(mu)
                 add = cn * c
                 nxt[mu] = add if w is None else w + add
-        nxt = {mu: c for mu, c in nxt.items() if not _is_ring_zero(c)}
         invk = Q(1, k)
-        for mu, c in nxt.items():
-            add = c * invk
+        term = {mu: c * invk for mu, c in nxt.items() if not _is_ring_zero(c)}
+        for mu, c in term.items():
             cur = acc.get(mu)
-            acc[mu] = add if cur is None else cur + add
-        term = {mu: c * invk for mu, c in nxt.items()}
+            acc[mu] = c if cur is None else cur + c
         k += 1
     c0 = ec.c0
     out = {}
@@ -210,6 +195,16 @@ def u_apply(rho: CoordJet, module: FockModule, vec, coeffs: Optional[ExpCoeffs] 
             continue
         out[mu] = c0 ** weight(mu) * c
     return out
+
+
+def u_apply(rho: CoordJet, module: FockModule, vec):
+    """Apply rho'(0)^{weight} exp(sum c_n L_n) to an exact module vector.
+
+    Works for ring-valued vectors and jets as well (family jets).
+    """
+    if not vec:
+        return {}
+    return _exp_action(_exp_coeffs(rho, vec_weight_max(vec)), module, vec)
 
 
 def u_matrix(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
@@ -221,10 +216,7 @@ def u_matrix(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
     lowers it), so exp(t) = sum_k P_k D^(K-k) K!/k! over D^K K!, K the last
     k with P_k != 0.  The factor rho'(0)^(weight) scales the rows.
     """
-    need = _required_order(n_max)
-    if rho.order < need and not rho.exact:
-        raise InsufficientJetOrder(f"jet order {rho.order} insufficient for truncation {n_max}")
-    ec = extract_c(rho.truncate(need))
+    ec = _exp_coeffs(rho, n_max)
     dim = module.dim(n_max)
 
     def add_scaled(into: Dict[int, Dict[int, int]], rows: Dict[int, Dict[int, int]], f: int) -> None:
@@ -265,7 +257,7 @@ def u_matrix(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
 
 
 def u_matrix_inverse(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
-    return u_matrix(reverse_jet(rho, order=_required_order(n_max)), module, n_max)
+    return u_matrix(reverse_jet(rho, order=n_max + 1), module, n_max)
 
 
 def u_matrix_dual(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
@@ -327,11 +319,13 @@ def huang_conjugation_check(
     tracking.  Returns (equal, report); the report lists any coefficient
     discrepancies as (partition, exponent, lhs, rhs).
 
-    ``shared`` memoizes the work that depends on alpha alone; only calls with
-    the same alpha may pass the same dict (huang_conjugation_checks does).
+    ``shared`` memoizes the work that depends on alpha alone and records that
+    alpha; a call with another alpha on the same dict is a ValueError.
     """
     shared = {} if shared is None else shared
-    voa = vacuum_module()
+    known = shared.setdefault("alpha", alpha)
+    if (known.coeffs, known.exact) != (alpha.coeffs, alpha.exact):
+        raise ValueError(f"shared work was filled for alpha {known}, not {alpha}")
     dv = vec_is_homogeneous(v)
     if dv is None:
         raise ValueError("v must be homogeneous")
@@ -340,24 +334,19 @@ def huang_conjugation_check(
     work = z_hi + max(0, k_top) + 4
 
     # -- left side
-    need = _required_order(ww + dv + max(z_hi, 0) + 1)
-    if ("left", need) not in shared:
-        if alpha.order < need and not alpha.exact:
-            raise InsufficientJetOrder(f"alpha must be known to order {need}")
-        # c_n depends on a_1..a_{n+1} only, so one solve serves every z-mode
-        alpha_fwd = alpha.truncate(need)
-        alpha_inv = reverse_jet(alpha_fwd, order=need)
-        shared["left", need] = (alpha_fwd, extract_c(alpha_fwd), alpha_inv)
-    alpha_fwd, fwd_coeffs, alpha_inv = shared["left", need]
-    if ("inverse", need, ww) not in shared:
-        # U(alpha_inv) w reads c_0..c_ww only
-        shared["inverse", need, ww] = extract_c(alpha_inv.truncate(_required_order(ww)))
-    w_in = u_apply(alpha_inv, module, w, coeffs=shared["inverse", need, ww])
+    top = ww + dv + max(z_hi, 0) + 1  # above every weight Y(v)_k w reaches on the window
+    if ("left", top) not in shared:
+        # one solve serves every z-mode; the inverse needs alpha to the same order
+        fwd = _exp_coeffs(alpha, top)
+        shared["left", top] = (fwd, reverse_jet(alpha.truncate(top + 1), order=top + 1))
+    fwd, alpha_inv = shared["left", top]
+    if ("inverse", top, ww) not in shared:
+        shared["inverse", top, ww] = _exp_coeffs(alpha_inv, ww)
+    w_in = _exp_action(shared["inverse", top, ww], module, w)
     lhs: Dict[tuple, Dict[int, Fraction]] = {}
     for e in range(z_lo, z_hi + 1):
         k = -e - 1
-        vec = module.apply_vertex(v, k, w_in)
-        vec = u_apply(alpha_fwd, module, vec, coeffs=fwd_coeffs)
+        vec = _exp_action(fwd, module, module.apply_vertex(v, k, w_in))
         for mu, c in vec.items():
             lhs.setdefault(mu, {})[e] = c
 
@@ -365,7 +354,7 @@ def huang_conjugation_check(
     gkey = ("g", tuple(sorted(v.items())), work)
     if gkey not in shared:
         fam = family_jet(alpha, var="z", work_order=work, max_degree=max(dv + 1, 2))
-        shared[gkey] = u_apply(fam, voa, {mu: LaurentJet.const(c, var="z") for mu, c in v.items()})
+        shared[gkey] = u_apply(fam, vacuum_module(), {mu: LaurentJet.const(c, var="z") for mu, c in v.items()})
     gvec = shared[gkey]
     if ("powers", work) not in shared:
         alpha_lt = alpha.to_laurent("z").truncated(work)

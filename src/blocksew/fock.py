@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import QMat, as_q
@@ -75,12 +75,8 @@ def weight(mu: Partition) -> int:
 
 def vec_add(a: Vector, b: Vector) -> Vector:
     out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, Q(0)) + v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
+    for mu, c in b.items():
+        _acc(out, mu, c)
     return out
 
 
@@ -114,7 +110,7 @@ class FockModule:
 
     def __init__(self, momentum=0):
         self.momentum = as_q(momentum)
-        self.l0_offset = self.momentum * self.momentum / 2
+        self.offset = self.momentum * self.momentum / 2
         self._matrix_cache: Dict[tuple, QMat] = {}
         # exact images of basis monomials: L_n mu keyed (n, mu), Y(nu)_m mu keyed (nu, m, mu)
         self._virasoro_images: Dict[Tuple[int, Partition], Vector] = {}
@@ -187,18 +183,12 @@ class FockModule:
 
         Uses the free-field formula: for v = a_{-n_1}...a_{-n_k}|0>, the field
         is the normally ordered product of the derivative currents
-        d^{n_i - 1} a(z) / (n_i - 1)!.
+        d^{n_i - 1} a(z) / (n_i - 1)!.  v may mix weights; each of its terms
+        must have weight at most MAX_VERTEX_WEIGHT.
         """
-        d = vec_is_homogeneous(v)
-        if d is None:
-            out: Vector = {}
-            for mu, c in v.items():
-                for nu, w in self.apply_vertex({mu: c}, m, vec).items():
-                    _acc(out, nu, w)
-            return out
-        _check_vertex_weight(d)
-        out = {}
+        out: Vector = {}
         for nu_parts, cv in v.items():
+            _check_vertex_weight(weight(nu_parts))
             for mu, cw in vec.items():
                 img = self._vertex_images.get((nu_parts, m, mu))
                 if img is None:
@@ -250,35 +240,33 @@ class FockModule:
 
     # -- matrices ----------------------------------------------------------
 
-    def heisenberg_matrix(self, k: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
+    def _mode_matrix(self, key: tuple, shift: int, src_n: int, tgt_n: Optional[int], build) -> QMat:
+        """The cached matrix of a mode raising the weight by ``shift``, from
+        weights up to src_n to weights up to tgt_n (by default src_n plus the
+        rise); ``build(src_n, tgt_n)`` makes it on the first request."""
         if tgt_n is None:
-            tgt_n = src_n + max(0, -k)
-        key = ("a", k, src_n, tgt_n)
+            tgt_n = src_n + max(0, shift)
+        key += (src_n, tgt_n)
         if key not in self._matrix_cache:
-            self._matrix_cache[key] = self._snapshot(lambda mu: self.apply_heisenberg(k, {mu: Q(1)}), -k, src_n, tgt_n)
+            self._matrix_cache[key] = build(src_n, tgt_n)
         return self._matrix_cache[key]
 
+    def heisenberg_matrix(self, k: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
+        build = partial(self._snapshot, lambda mu: self.apply_heisenberg(k, {mu: Q(1)}), -k)
+        return self._mode_matrix(("a", k), -k, src_n, tgt_n, build)
+
     def virasoro_matrix(self, n: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
-        if tgt_n is None:
-            tgt_n = src_n + max(0, -n)
-        key = ("L", n, src_n, tgt_n)
-        if key not in self._matrix_cache:
-            self._matrix_cache[key] = self._snapshot(lambda mu: self._virasoro_monomial(n, mu), -n, src_n, tgt_n)
-        return self._matrix_cache[key]
+        build = partial(self._snapshot, lambda mu: self._virasoro_monomial(n, mu), -n)
+        return self._mode_matrix(("L", n), -n, src_n, tgt_n, build)
 
     def vertex_matrix(self, v: Vector, m: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
         d = vec_is_homogeneous(v)
         if d is None:
             raise ValueError("vertex modes need a homogeneous vector")
         _check_vertex_weight(d)
-        if tgt_n is None:
-            tgt_n = src_n + max(0, d - m - 1)
-        key = ("Y", _vec_key(v), m, src_n, tgt_n)
-        if key not in self._matrix_cache:
-            self._matrix_cache[key] = self._snapshot(
-                lambda mu: self.apply_vertex(v, m, {mu: Q(1)}), d - m - 1, src_n, tgt_n
-            )
-        return self._matrix_cache[key]
+        shift = d - m - 1
+        build = partial(self._snapshot, lambda mu: self.apply_vertex(v, m, {mu: Q(1)}), shift)
+        return self._mode_matrix(("Y", _vec_key(v), m), shift, src_n, tgt_n, build)
 
     def contragredient_matrix(self, v: Vector, m: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
         """Mode of v on the graded dual, in the dual basis.
@@ -290,25 +278,21 @@ class FockModule:
         d = vec_is_homogeneous(v)
         if d is None:
             raise ValueError("contragredient modes need a homogeneous vector")
-        shift = d - m - 1
-        if tgt_n is None:
-            tgt_n = src_n + max(0, shift)
-        key = ("Yd", _vec_key(v), m, src_n, tgt_n)
-        if key in self._matrix_cache:
-            return self._matrix_cache[key]
-        voa = vacuum_module()
-        total = QMat(self.dim(tgt_n), self.dim(src_n))
-        u = dict(v)
-        for j in range(0, d + 1):
-            kk = 2 * d - j - m - 2
-            if u:
-                # Y_M(u)_kk : M^{<=tgt} -> M^{<=src}; its transpose acts on duals
-                a = self.vertex_matrix(u, kk, tgt_n, src_n)
-                coeff = Q((-1) ** d, math.factorial(j))
-                total = total + a.transpose().scale(coeff)
-            u = voa.apply_virasoro(1, u)
-        self._matrix_cache[key] = total
-        return total
+
+        def build(src_n: int, tgt_n: int) -> QMat:
+            total = QMat(self.dim(tgt_n), self.dim(src_n))
+            u = dict(v)
+            for j in range(0, d + 1):
+                kk = 2 * d - j - m - 2
+                if u:
+                    # Y_M(u)_kk : M^{<=tgt} -> M^{<=src}; its transpose acts on duals
+                    a = self.vertex_matrix(u, kk, tgt_n, src_n)
+                    coeff = Q((-1) ** d, math.factorial(j))
+                    total = total + a.transpose().scale(coeff)
+                u = vacuum_module().apply_virasoro(1, u)
+            return total
+
+        return self._mode_matrix(("Yd", _vec_key(v), m), d - m - 1, src_n, tgt_n, build)
 
     def _snapshot(self, image, shift: int, src_n: int, tgt_n: int) -> QMat:
         """Matrix of a mode raising the weight by ``shift``, from the images of
@@ -329,10 +313,6 @@ class FockModule:
 
     def nilpotent_block(self, n: int) -> QMat:
         return QMat(partition_count(n), partition_count(n))
-
-    @property
-    def offset(self) -> Fraction:
-        return self.l0_offset
 
     @property
     def log_bound(self) -> int:
@@ -366,14 +346,9 @@ def _current_coeff(n: int, j: int) -> Fraction:
     return Q(num, math.factorial(r))
 
 
-_VACUUM_MODULE: Optional[FockModule] = None
-
-
+@lru_cache(maxsize=None)
 def vacuum_module() -> FockModule:
-    global _VACUUM_MODULE
-    if _VACUUM_MODULE is None:
-        _VACUUM_MODULE = FockModule(0)
-    return _VACUUM_MODULE
+    return FockModule(0)
 
 
 class NilpotentToyModule:

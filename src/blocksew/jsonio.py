@@ -42,13 +42,18 @@ def rational_from_json(x, path: str) -> Fraction:
         raise SchemaError(path, str(e)) from None
 
 
+def rationals(x, path: str, n: Optional[int] = None) -> List[Fraction]:
+    """A JSON list of rational strings, of length n when n is given."""
+    if not isinstance(x, list) or n not in (None, len(x)):
+        raise SchemaError(path, "expected a list of rationals" if n is None else f"expected a list of {n} rationals")
+    return [rational_from_json(c, f"{path}[{i}]") for i, c in enumerate(x)]
+
+
 def matrix_rows_from_json(rows, path: str) -> QMat:
     """A matrix given as a list of equally long rows of rational strings."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows) or len(set(map(len, rows))) > 1:
         raise SchemaError(path, "expected a list of equally long rows")
-    return QMat.from_rows(
-        [[rational_from_json(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(rows)]
-    )
+    return QMat.from_rows([rationals(row, f"{path}[{i}]") for i, row in enumerate(rows)])
 
 
 def value_to_json(v):
@@ -67,7 +72,7 @@ def value_from_json(c, path: str):
     if isinstance(c, list):
         if c and isinstance(c[0], list):
             return matrix_rows_from_json(c, path)
-        return QVec.from_list([rational_from_json(x, f"{path}[{i}]") for i, x in enumerate(c)])
+        return QVec.from_list(rationals(c, path))
     raise SchemaError(path, "coefficient must be a rational string or (nested) list")
 
 
@@ -121,6 +126,13 @@ def natural(x, path: str) -> int:
     return x
 
 
+def boolean(x, path: str) -> bool:
+    """A JSON true or false; a string, number or null is a schema error."""
+    if not isinstance(x, bool):
+        raise SchemaError(path, "expected true or false")
+    return x
+
+
 def _object(x, path: str) -> dict:
     if not isinstance(x, dict):
         raise SchemaError(path, "expected an object")
@@ -165,11 +177,10 @@ def jet_to_json(j: CoordJet) -> dict:
 
 
 def jet_from_json(obj: dict, path: str = "jet") -> CoordJet:
-    taylor = require(_object(obj, path), "taylor", path)
-    if not taylor:
+    coeffs = rationals(require(_object(obj, path), "taylor", path), f"{path}.taylor")
+    if not coeffs:
         raise SchemaError(f"{path}.taylor", "empty jet")
-    coeffs = [rational_from_json(c, f"{path}.taylor[{i}]") for i, c in enumerate(taylor)]
-    return CoordJet(coeffs, exact=bool(obj.get("exact", False)))
+    return CoordJet(coeffs, exact=boolean(obj.get("exact", False), f"{path}.exact"))
 
 
 def matrix_to_json(m: QMat, labels: Optional[List[str]] = None) -> dict:
@@ -200,19 +211,21 @@ def fuchs_system_from_json(obj: dict, path: str = "system") -> Tuple[FuchsSystem
     w_raw = require(obj, "omega", path)
     if not isinstance(a_raw, list) or not isinstance(w_raw, list):
         raise SchemaError(path, "A and omega must be coefficient lists")
-    a_coeffs = []
+    # the first coefficient fixes the dimension; every other must match it
     dim = None
+    a_coeffs = []
     for k, mat in enumerate(a_raw):
-        a_coeffs.append(matrix_rows_from_json(mat, f"{path}.A[{k}]"))
-        if dim is None:
-            dim = a_coeffs[-1].nrows
+        a = matrix_rows_from_json(mat, f"{path}.A[{k}]")
+        dim = a.nrows if dim is None else dim
+        if (a.nrows, a.ncols) != (dim, dim):
+            raise SchemaError(f"{path}.A[{k}]", f"expected a {dim} x {dim} matrix")
+        a_coeffs.append(a)
     w_coeffs = []
     for k, vec in enumerate(w_raw):
-        w_coeffs.append(QVec.from_list([rational_from_json(x, f"{path}.omega[{k}][{i}]") for i, x in enumerate(vec)]))
-        if dim is None:
-            dim = w_coeffs[-1].n
-    if dim is None:
-        raise SchemaError(path, "need at least one coefficient")
+        w_coeffs.append(QVec.from_list(rationals(vec, f"{path}.omega[{k}]", dim)))
+        dim = w_coeffs[-1].n
+    if not dim:
+        raise SchemaError(path, "need at least one coefficient, of dimension at least 1")
     tail = None
     if obj.get("tail") is not None:
         t = _object(obj["tail"], f"{path}.tail")
@@ -223,9 +236,7 @@ def fuchs_system_from_json(obj: dict, path: str = "system") -> Tuple[FuchsSystem
             n, l = (int(x) for x in key.split(","))
         except ValueError:
             raise SchemaError(f"{path}.seeds.{key}", "seed keys are 'n,l'") from None
-        if not isinstance(val, list):
-            raise SchemaError(f"{path}.seeds.{key}", "expected a list of rationals")
-        seeds[(n, l)] = [rational_from_json(x, f"{path}.seeds.{key}[{i}]") for i, x in enumerate(val)]
+        seeds[(n, l)] = rationals(val, f"{path}.seeds.{key}")
     return FuchsSystem.single(a_coeffs, w_coeffs, dim=dim, tail=tail), seeds
 
 

@@ -341,6 +341,13 @@ NUMBER_AND_SHAPE_CASES = [
     (["sew", "run"], {"module": {"type": "toy", "dims": [1], "nilpotents": [3]}}, "input.module.nilpotents[0]"),
     (["sew", "run"], {"module": {"type": "toy", "dims": [2], "nilpotents": [[["0", "0"], ["0", "0", "1"]]]}}, "input.module.nilpotents[0]"),
     (["fuchs", "solve"], {"A": [[["0"]], [["1"], ["1", "1"]]]}, "system.A[1]"),
+    (["fuchs", "solve"], {"A": [[["0"]], [["1", "0"], ["0", "1"]]]}, "system.A[1]"),
+    (["fuchs", "solve"], {"A": [[]], "omega": []}, "system"),
+    (["fuchs", "solve"], {"omega": [5]}, "system.omega[0]"),
+    (["fuchs", "solve"], {"omega": ["12"]}, "system.omega[0]"),
+    (["fuchs", "solve"], {"omega": [["0"], ["1", "2"]]}, "system.omega[1]"),
+    (["sew", "run"], {"normalized": "false"}, "input.normalized"),
+    (["sew", "run"], {"normalized": 1}, "input.normalized"),
     (["fuchs", "certify"], {"r1": 0.5}, "input.r1"),
     (["fuchs", "solve"], {"tail": {"C": 1, "a": "1/2"}}, "system.tail.C"),
     (["fuchs", "solve"], {"tail": {"C": "1", "a": 2}}, "system.tail.a"),
@@ -358,6 +365,9 @@ class TestMalformedDocuments:
 
     def test_numbers_where_rationals_are_expected(self, tmp_path, capsys):
         self.rejected(["coord", "extract-c", write(tmp_path, "jet.json", {"taylor": [1, 2]})], capsys, "jet.taylor[0]")
+        # a string was read digit by digit as a jet, a number gave a traceback
+        for taylor in ("12", 5):
+            self.rejected(["coord", "extract-c", write(tmp_path, "jet.json", {"taylor": taylor})], capsys, "jet.taylor")
         run_doc = {"block": {"slots": [[1], [1]], "pair": [0, 1], "entries": [{"idx": [0, 0], "c": 1}]}}
         self.rejected(["sew", "run", write(tmp_path, "run.json", run_doc)], capsys, "input.block.entries[0].c")
 
@@ -467,6 +477,19 @@ class TestMalformedDocuments:
             "fuchs": {"A": [[["0"]], [["1"]]], "omega": [["0"]], "seeds": {"0,0": ["1"]}},
         }[argv[0]]
         self.rejected(argv + [write(tmp_path, "doc.json", {**base, **doc})], capsys, path)
+
+    def test_jet_exact_is_a_json_boolean(self, tmp_path, capsys):
+        # "exact": "false" used to read as true: a truncated jet taken for a polynomial, with exit 0
+        for exact in ("false", 0, None):
+            doc = write(tmp_path, "jet.json", {"taylor": ["1", "1"], "exact": exact})
+            for argv in (["coord", "extract-c", doc], ["coord", "u-op", doc, "--trunc", "3"], ["schwarz", "sd", doc]):
+                self.rejected(argv, capsys, "jet.exact")
+
+    def test_residual_system_shapes(self, tmp_path, capsys):
+        psi = {"vars": ["z"], "trunc": {"z": 2}, "terms": []}
+        bad = [({"A": [[["0"]]], "omega": [5]}, "system.omega[0]"), ({"A": [[["0"]], [[]]], "omega": []}, "system.A[1]")]
+        for system, path in bad:
+            self.rejected(["fuchs", "residual", write(tmp_path, "r.json", {"psi": psi, "system": system})], capsys, path)
 
     def test_document_that_is_not_an_object(self, tmp_path, capsys):
         self.rejected(["fuchs", "residual", write(tmp_path, "list.json", [1, 2])], capsys, "input")

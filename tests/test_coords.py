@@ -20,7 +20,7 @@ from blocksew.coords import (
 )
 from blocksew.fock import BOSON, CONFORMAL, VACUUM, FockModule, partitions_of, vacuum_module, weight
 from blocksew.linalg import QMat
-from blocksew.series import CoordJet, LaurentJet, NotInvertible, compose_jets, ring_one_like
+from blocksew.series import CoordJet, LaurentJet, NotInvertible, WindowError, compose_jets, ring_one_like
 from helpers import fraction_matmul, random_jet_coeffs, random_rational, scalar_pow_weight
 
 Q = Fraction
@@ -132,6 +132,10 @@ class TestC2Formula:
     def test_scaling(self):
         assert c2_formula(CoordJet.from_poly([2])) == 0
 
+    def test_needs_order_three(self):
+        with pytest.raises(WindowError):
+            c2_formula(CoordJet([Q(1), Q(1)]))
+
     def test_matches_triangular_solve(self):
         rnd = random.Random(SEED + 2)
         for _ in range(20):
@@ -178,7 +182,8 @@ class TestUOperator:
                         [Q(rnd.choice([-3, -2, 2, 5]))]
                         + [Q(rnd.randint(-num, num), rnd.randint(1, den)) for _ in range(n + 2)]
                     )
-                    for jet in (rho, CoordJet.from_poly([rho.a1, rho.coefficient(2)])):
+                    # a jet past n+1, one of order exactly n+1, and an exact jet shorter than n+1
+                    for jet in (rho, rho.truncate(n + 1), CoordJet.from_poly([rho.a1, rho.coefficient(2)])):
                         ref = QMat(len(index), len(index))
                         for mu, col in index.items():
                             for tau, c in u_apply(jet, module, {mu: Q(1)}).items():
@@ -252,9 +257,15 @@ class TestUOperator:
             assert u_matrix(compose_jets(r1, r2), module, 4) == u_matrix(r1, module, 4) @ u_matrix(r2, module, 4)
 
     def test_insufficient_jet_order(self):
+        # weight 4 needs a_1..a_5: u_apply and u_matrix refuse the same short jet
         module = vacuum_module()
+        short = CoordJet([Q(1)] * 4)
         with pytest.raises(InsufficientJetOrder):
-            u_matrix(CoordJet([Q(1), Q(1)]), module, 4)
+            u_matrix(short, module, 4)
+        with pytest.raises(InsufficientJetOrder):
+            u_apply(short, module, {(2, 2): Q(1)})
+        assert u_matrix(short, module, 3) == u_matrix(CoordJet([Q(1)] * 5), module, 3)
+        assert u_apply(short, module, {(2, 1): Q(1)}) == u_apply(CoordJet([Q(1)] * 5), module, {(2, 1): Q(1)})
 
     def test_inverse(self):
         module = vacuum_module()
@@ -391,6 +402,18 @@ class TestHuangConjugation:
         with pytest.raises(InsufficientJetOrder):
             for v, w in pairs:
                 huang_conjugation_check(short, v, w, module, -4, 6)
+
+    def test_shared_work_is_refused_for_another_alpha(self):
+        # the memo's keys name no alpha: work filled for one alpha must not serve another
+        module = vacuum_module()
+        shared: dict = {}
+        scaling, quadratic = CoordJet.from_poly([Q(3, 2)]), CoordJet.from_poly([1, 1])
+        first = huang_conjugation_check(scaling, CONFORMAL, {(1, 1): Q(1)}, module, -4, 4, shared)
+        assert huang_conjugation_check(scaling, CONFORMAL, {(1, 1): Q(1)}, module, -4, 4, shared) == first
+        with pytest.raises(ValueError):
+            huang_conjugation_check(quadratic, CONFORMAL, {(1, 1): Q(1)}, module, -4, 4, shared)
+        with pytest.raises(ValueError):
+            huang_conjugation_check(CoordJet([Q(3, 2)]), CONFORMAL, {(1, 1): Q(1)}, module, -4, 4, shared)
 
     def test_family_jet_windows(self):
         fam = family_jet(CoordJet([Q(1)] * 8), max_degree=3)

@@ -164,6 +164,19 @@ class TestVertexModes:
         m = vacuum_module()
         with pytest.raises(UnsupportedVertexWeight):
             m.apply_vertex({(5,): Q(1)}, 0, VACUUM)
+        with pytest.raises(UnsupportedVertexWeight):
+            m.apply_vertex({**BOSON, (5,): Q(1)}, 0, VACUUM)
+
+    def test_inhomogeneous_state_is_the_sum_of_its_components(self):
+        rnd = random.Random(11)
+        for m in (vacuum_module(), FockModule(Q(-2, 3))):
+            for v in ({**VACUUM, **BOSON, **CONFORMAL}, {(4,): Q(3), (2, 1): Q(-1, 5), (1,): Q(2)}):
+                for k in range(-3, 5):
+                    vec = {mu: random_rational(rnd) for w in range(4) for mu in partitions_of(w)}
+                    want: dict = {}
+                    for mu, c in v.items():
+                        want = vec_add(want, m.apply_vertex({mu: c}, k, vec))
+                    assert m.apply_vertex(v, k, vec) == want, (m.momentum, v, k)
 
     def test_creation_axiom_at_weight_four(self):
         # Y(v, z)|0> = v + O(z), so the mode at -1 recovers the state
