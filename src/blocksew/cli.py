@@ -26,8 +26,8 @@ from typing import Iterable, Iterator, List, Optional
 
 from . import jsonio
 from .coords import c2_formula, extract_c, huang_conjugation_checks, u_matrix
-from .fock import CONFORMAL, BOSON, VACUUM, FockModule, NilpotentToyModule, partitions_of, vacuum_module, vec_add, vec_scale
-from .fuchs import BoundViolation, FuchsError, certify, ode_residual, residual, solve_formal
+from .fock import CONFORMAL, BOSON, VACUUM, FockModule, NilpotentToyModule, vacuum_module, vec_add, vec_scale
+from .fuchs import BoundViolation, FuchsError, SeedError, certify, ode_residual, residual, solve_formal
 from .linalg import QMat, QVec, format_rational, parse_rational
 from .schwarzian import cocycle_check, projective_term, schwarzian
 from .series import CoordJet, SeriesError, TruncSeries
@@ -146,7 +146,7 @@ def cmd_coord_check_huang(args) -> int:
     if lo > hi:
         raise jsonio.SchemaError("--window", "expected LO <= HI")
     failures = []
-    states = [{mu: Q(1)} for w in range(args.wmax + 1) for mu in partitions_of(w)]
+    states = [{mu: Q(1)} for mu in FockModule.basis(args.wmax)]
     pairs = [(v, w) for v in states for w in states]
     for (v, w), (ok, rep) in zip(pairs, huang_conjugation_checks(alpha, pairs, module, lo, hi)):
         if not ok:
@@ -196,7 +196,7 @@ def cmd_voa_check_relations(args) -> int:
     failures = []
     n = args.trunc
     rng = args.range
-    basis = [{mu: Q(1)} for w in range(n + 1) for mu in partitions_of(w)]
+    basis = [{mu: Q(1)} for mu in FockModule.basis(n)]
 
     def comm(apply_a, apply_b, vec):
         return vec_add(apply_a(apply_b(vec)), vec_scale(-1, apply_b(apply_a(vec))))
@@ -383,7 +383,7 @@ def cmd_sew_character(args) -> int:
 def cmd_sew_residue_check(args) -> int:
     module = vacuum_module()
     failures = []
-    spans = [{mu: Q(1)} for w in range(args.wmax + 1) for mu in partitions_of(w)]
+    spans = [{mu: Q(1)} for mu in FockModule.basis(args.wmax)]
     for u in spans:
         for ax in range(args.bidegree + 1):
             for bx in range(args.bidegree + 1):
@@ -580,6 +580,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.fn(args)
     except jsonio.SchemaError as e:
         sys.stderr.write(f"schema error: {e}\n")
+        return 2
+    except SeedError as e:
+        # fuchs solve and certify read their seeds from the system's "seeds"
+        (n,), (l,) = e.key
+        sys.stderr.write(f"schema error: system.seeds.{n},{l}: {e.reason}\n")
         return 2
     except (SeriesError, FuchsError, ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")

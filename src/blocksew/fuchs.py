@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .linalg import QMat, QVec, _int_rows, _over_one_den, as_q, solve
@@ -37,6 +38,15 @@ class MissingSeed(FuchsError):
         super().__init__(f"resonant step {key} needs {kernel_dim} seed coefficient(s)")
         self.key = key
         self.kernel_dim = kernel_dim
+
+
+class SeedError(FuchsError):
+    """A given seed that the walk does not read, or reads with the wrong length."""
+
+    def __init__(self, key, reason):
+        super().__init__(f"seed {key}: {reason}")
+        self.key = key
+        self.reason = reason
 
 
 class InconsistentResonance(FuchsError):
@@ -123,22 +133,19 @@ class FuchsSystem:
         return out
 
 
-class ResonanceData(NamedTuple):
-    """Natural indices where the leading step is singular, with kernel sizes."""
+def _step(a0: QMat, n: int) -> QMat:
+    """The leading step n I - A_0 of the recursion at exponent n."""
+    return QMat.identity(a0.nrows).scale(n) - a0
 
-    resonant: Dict[int, int]
 
-
-def resonances(sys: FuchsSystem, order: int) -> ResonanceData:
-    a0 = sys.a0()
+def resonances(sys: FuchsSystem, order: int) -> Dict[int, int]:
+    """{n: kernel size} for each natural n <= order whose leading step is singular."""
     out: Dict[int, int] = {}
     for n in range(order + 1):
-        mat = QMat.identity(sys.dim).scale(n) - a0
-        sol = solve(mat, QVec(sys.dim))
-        kdim = len(sol[1]) if sol else 0
-        if kdim:
-            out[n] = kdim
-    return ResonanceData(out)
+        kernel = solve(_step(sys.a0(), n), QVec(sys.dim))[1]
+        if kernel:
+            out[n] = len(kernel)
+    return out
 
 
 def solve_formal(
@@ -151,31 +158,24 @@ def solve_formal(
 
     Seeds are keyed by (exponent tuple, log tuple) -- or (n, l) for a single
     variable -- and hold coefficients for the kernel basis of the singular
-    step, in the deterministic order produced by the linear solver.  Only the
-    first variable's equation drives the recursion; for several variables the
-    remaining equations should be checked with :func:`residual`.
+    step, in the deterministic order produced by the linear solver; a seed the
+    walk would not read, at this order or above it, raises :class:`SeedError`.
+    Only the first variable's equation drives the recursion; for several
+    variables the remaining equations should be checked with :func:`residual`.
     """
     seeds = _normalize_seeds(seeds or {}, sys.n_vars)
     m = sys.n_vars
-    a0 = sys.a0()
     for j, (t, tail) in enumerate(zip(sys.trunc, sys.tail)):
         # streams without a declared tail are complete polynomials; with one,
         # coefficients beyond the truncation exist but are unknown
         if order > t and tail is not None and tail[0]:
             raise FuchsError(f"order {order} exceeds the declared truncation {t} of variable {j}")
-    out = TruncSeries(
-        sys.variables,
-        {v: order for v in sys.variables},
-        logmax={v: log_bound for v in sys.variables},
-    )
+    out = sys._stream_series({}, order, log_bound)  # empty, in the solution's shape
     psi: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[List[int], int]] = {}
-
-    outer_indices = _outer_range(m - 1, order)
-    zero_key = (0,) * m
 
     # A^j_k and omega^j_k as integers over one denominator each, and every
     # psi coefficient likewise, so each step's rhs is summed with int products
-    a_int = [{k: _int_rows(mat) for k, mat in sys.a[j].items() if k != zero_key} for j in range(m)]
+    a_int = [{k: _int_rows(mat) for k, mat in sys.a[j].items() if any(k)} for j in range(m)]
     w_int = [{k: _over_one_den(vec.to_list()) for k, vec in sys.omega[j].items()} for j in range(m)]
 
     def step_rhs(j: int, exps: Tuple[int, ...], logs: Tuple[int, ...]) -> QVec:
@@ -187,10 +187,9 @@ def solve_formal(
             if pv is not None:
                 x = pv[0]
                 terms.append(([sum(a * x[c] for c, a in mat.get(i, {}).items()) for i in range(sys.dim)], den * pv[1]))
-        if logs[j] + 1 <= log_bound:
-            higher = psi.get((exps, logs[:j] + (logs[j] + 1,) + logs[j + 1 :]))
-            if higher is not None:
-                terms.append(([-(logs[j] + 1) * x for x in higher[0]], higher[1]))
+        higher = psi.get((exps, logs[:j] + (logs[j] + 1,) + logs[j + 1 :]))
+        if higher is not None:
+            terms.append(([-(logs[j] + 1) * x for x in higher[0]], higher[1]))
         den = math.lcm(*(d for _, d in terms))
         total = [0] * sys.dim
         for nums, d in terms:
@@ -198,57 +197,42 @@ def solve_formal(
             total = [t + f * x for t, x in zip(total, nums)]
         return QVec(sys.dim, {i: Q(x, den) for i, x in enumerate(total) if x})
 
-    a0s = [sys.a[j].get(zero_key, QMat(sys.dim, sys.dim)) for j in range(m)]
-    for logsum in range(m * log_bound, -1, -1):
-        for logs in (l for l in _outer_range(m, log_bound) if sum(l) == logsum):
-            for mouter in outer_indices:
-                for n1 in range(order + 1):
-                    exps = (n1,) + mouter
-                    # use the first variable whose leading step is regular;
-                    # cross-equation consistency is checked a posteriori
-                    chosen = None
-                    for j in range(m):
-                        step = QMat.identity(sys.dim).scale(exps[j]) - a0s[j]
-                        sol = solve(step, step_rhs(j, exps, logs))
-                        if sol is not None and not sol[1]:
-                            chosen = sol
-                            break
-                        if j == 0:
-                            first = sol
-                    if chosen is None:
-                        if first is None:
-                            raise InconsistentResonance((exps, logs))
-                        part, kernel = first
-                        key = (exps, logs)
-                        if key not in seeds:
-                            raise MissingSeed(key, len(kernel))
-                        coeffs = seeds[key]
-                        if len(coeffs) != len(kernel):
-                            raise MissingSeed(key, len(kernel))
-                        for cf, basis_vec in zip(coeffs, kernel):
-                            part = part + basis_vec.scale(as_q(cf))
-                    else:
-                        part = chosen[0]
-                    if not part.is_zero():
-                        psi[(exps, logs)] = _over_one_den(part.to_list())
-                        out._store(exps, logs, part)
-    return out
+    a0s = [sys.a0(j) for j in range(m)]
 
+    def coefficient(key, rhs) -> QVec:
+        # the first variable whose leading step is regular gives the
+        # coefficient, else the first variable's kernel and the seed at key;
+        # cross-equation consistency is checked a posteriori
+        sols = (solve(_step(a0, n), rhs(j)) for j, (a0, n) in enumerate(zip(a0s, key[0])))
+        first = next(sols)
+        sol = next((s for s in chain((first,), sols) if s is not None and not s[1]), first)
+        if sol is None:
+            raise InconsistentResonance(key)
+        part, kernel = sol
+        coeffs = seeds.pop(key, ())
+        if len(coeffs) != len(kernel):
+            if not coeffs:
+                raise MissingSeed(key, len(kernel))
+            raise SeedError(key, f"the step leaves {len(kernel)} coefficient(s) free, got {len(coeffs)}")
+        for cf, basis_vec in zip(coeffs, kernel):
+            part = part + basis_vec.scale(as_q(cf))
+        return part
 
-def _outer_range(k: int, order: int) -> List[Tuple[int, ...]]:
-    if k == 0:
-        return [()]
-    out = []
-
-    def rec(i, acc):
-        if i == k:
-            out.append(tuple(acc))
-            return
-        for n in range(order + 1):
-            rec(i + 1, acc + [n])
-
-    rec(0, [])
-    out.sort(key=lambda t: (sum(t), t))
+    # highest log degree first, then exponents by total degree; each step
+    # reads only coefficients of higher log degree or lower exponents
+    for logs in sorted(product(range(log_bound + 1), repeat=m), key=lambda t: (-sum(t), t)):
+        for outer in sorted(product(range(order + 1), repeat=m - 1), key=lambda t: (sum(t), t)):
+            for n1 in range(order + 1):
+                exps = (n1,) + outer
+                part = coefficient((exps, logs), lambda j: step_rhs(j, exps, logs))
+                if not part.is_zero():
+                    psi[(exps, logs)] = _over_one_den(part.to_list())
+                    out._store(exps, logs, part)
+    # a seed left over must be one the walk reads above the order
+    for exps, logs in list(seeds):
+        if len(exps) != m or len(logs) != m or min(exps) < 0 or not all(0 <= l <= log_bound for l in logs):
+            raise SeedError((exps, logs), f"names no step (natural exponents, log degrees in [0, {log_bound}])")
+        coefficient((exps, logs), lambda j: QVec(sys.dim))
     return out
 
 
@@ -256,10 +240,9 @@ def _normalize_seeds(seeds: Dict, n_vars: int) -> Dict:
     out = {}
     for key, val in seeds.items():
         if n_vars == 1 and len(key) == 2 and all(isinstance(x, int) for x in key):
-            out[((key[0],), (key[1],))] = list(val)
-        else:
-            exps, logs = key
-            out[(tuple(exps), tuple(logs))] = list(val)
+            key = ((key[0],), (key[1],))
+        exps, logs = key
+        out[(tuple(exps), tuple(logs))] = list(val)
     return out
 
 
@@ -269,8 +252,7 @@ def residual(sys: FuchsSystem, psi: TruncSeries, j: int = 0) -> TruncSeries:
     order = psi.trunc[psi.var_index(var)]
     logmax = max(psi.logmax)
     a = sys._stream_series(sys.a[j], order, logmax)
-    w = sys._stream_series(sys.omega[j], order, logmax)
-    return psi.qdq(var) - (a * psi + w)
+    return ode_residual(a, psi, var) - sys._stream_series(sys.omega[j], order, logmax)
 
 
 def ode_residual(omega: TruncSeries, psi: TruncSeries, var: str = "q") -> TruncSeries:

@@ -266,6 +266,11 @@ class TestFuchsCommands:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
 
+    def test_missing_seed_is_an_error(self, tmp_path, capsys):
+        path = write(tmp_path, "sys.json", {"A": [[["0"]], [["1"]]], "omega": [["0"]]})
+        assert main(["fuchs", "solve", path, "--order", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: resonant step ((0,), (0,)) needs 1 seed coefficient(s)")
+
     def test_empty_input_is_schema_error(self, tmp_path, capsys):
         p = tmp_path / "empty.json"
         p.write_text("", encoding="utf-8")
@@ -456,6 +461,20 @@ class TestMalformedDocuments:
         self.rejected(["fuchs", "solve", doc], capsys, "system.seeds.0,0")
         doc = write(tmp_path, "e.json", {**system, "seeds": {"0,0": ["x"]}})
         self.rejected(["fuchs", "solve", doc], capsys, "system.seeds.0,0[0]")
+
+    def test_fuchs_seeds_the_walk_does_not_read(self, tmp_path, capsys):
+        # each printed a series with exit 0, or an error naming no JSON path
+        system = {"A": [[["0"]], [["1"]]], "omega": [["0"]]}
+        cases = [
+            ({"0,0": ["1"], "2,0": ["7"], "-1,3": ["5"]}, "system.seeds.2,0"),
+            ({"0,0": ["1"], "-1,3": ["5"]}, "system.seeds.-1,3"),
+            ({"0,0": ["1"], "9,0": ["7"]}, "system.seeds.9,0"),
+            ({"0,0": ["1", "2"]}, "system.seeds.0,0"),
+        ]
+        for seeds, path in cases:
+            doc = write(tmp_path, "a.json", {**system, "seeds": seeds})
+            self.rejected(["fuchs", "solve", doc, "--order", "3"], capsys, path)
+            self.rejected(["fuchs", "certify", doc, "--order", "3"], capsys, path)
 
     def test_fuchs_tail_without_field(self, tmp_path, capsys):
         system = {"A": [[["0"]]], "omega": [["1"]]}

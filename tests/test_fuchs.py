@@ -11,6 +11,7 @@ from blocksew.fuchs import (
     FuchsSystem,
     InconsistentResonance,
     MissingSeed,
+    SeedError,
     certify,
     majorant_alpha,
     ode_residual,
@@ -43,7 +44,7 @@ class TestSolveFormal:
 
     def test_resonant_monomial(self):
         sys_ = scalar_system([2], [0])
-        assert resonances(sys_, 6).resonant == {2: 1}
+        assert resonances(sys_, 6) == {2: 1}
         psi = solve_formal(sys_, {(2, 0): [1]}, order=6)
         assert psi == TruncSeries(("q",), {"q": 6}, terms={((2,), (0,)): QVec.from_list([1])})
         assert residual(sys_, psi).is_zero()
@@ -90,7 +91,7 @@ class TestSolveFormal:
         a1 = QMat.from_rows([[random_rational(rnd) for _ in range(2)] for _ in range(2)])
         w0 = QVec.from_list([1, 2])
         sys_ = FuchsSystem.single([a0, a1], [w0])
-        assert resonances(sys_, 10).resonant == {}
+        assert resonances(sys_, 10) == {}
         p1 = solve_formal(sys_, {}, order=8)
         p2 = solve_formal(sys_, {}, order=8)
         assert p1 == p2
@@ -112,6 +113,51 @@ class TestSolveFormal:
                 assert (got[0] if got else Q(0)) == want
         assert residual(sys_, psi, 0).is_zero()
         assert residual(sys_, psi, 1).is_zero()
+
+    @pytest.mark.parametrize("second_is_nilpotent", [True, False])
+    def test_multi_variable_log_walk(self, second_is_nilpotent):
+        # A^1_0 = A^2_0 = N nilpotent: psi = (I + N log q1 + N log q2)(a, b).
+        # With A^2 = 0 instead, psi = (I + N log q1)(a, b), and every singular
+        # step takes one seed coefficient from the kernel of the first
+        # variable's step, never two from the second's.
+        nil = QMat.from_rows([[0, 1], [0, 0]])
+        second = nil if second_is_nilpotent else QMat(2, 2)
+        sys_ = FuchsSystem(2, ("q1", "q2"), (0, 0), [{(0, 0): nil}, {(0, 0): second}], [{}, {}])
+        a, b = Q(3), Q(-2, 5)
+        log2 = b if second_is_nilpotent else 0
+        seeds = {((0, 0), (1, 1)): [0], ((0, 0), (0, 1)): [log2], ((0, 0), (1, 0)): [b], ((0, 0), (0, 0)): [a]}
+        psi = solve_formal(sys_, seeds, order=3, log_bound=1)
+        want = {((0, 0), (0, 0)): QVec.from_list([a, b]), ((0, 0), (1, 0)): QVec.from_list([b, 0])}
+        if second_is_nilpotent:
+            want[((0, 0), (0, 1))] = QVec.from_list([b, 0])
+        assert psi.terms == want
+        assert residual(sys_, psi, 0).is_zero()
+        assert residual(sys_, psi, 1).is_zero()
+
+    def test_seed_above_the_order_is_read_at_a_higher_order(self):
+        sys_ = scalar_system([5], [0])
+        seeds = {(5, 0): [Q(2, 3)]}
+        assert solve_formal(sys_, seeds, order=3) == solve_formal(sys_, {}, order=3)
+        psi = solve_formal(sys_, seeds, order=6)
+        assert psi == TruncSeries(("q",), {"q": 6}, terms={((5,), (0,)): QVec.from_list([Q(2, 3)])})
+        assert residual(sys_, psi).is_zero()
+
+    @pytest.mark.parametrize(
+        "a0, seeds, key",
+        [
+            (0, {(0, 0): [1], (2, 0): [7]}, ((2,), (0,))),  # step 2 is regular
+            (0, {(0, 0): [1], (-1, 3): [5]}, ((-1,), (3,))),  # a negative exponent
+            (-1, {(-1, 0): [5]}, ((-1,), (0,))),  # though the step -1 - A_0 is singular
+            (0, {(0, 0): [1], (0, 1): [5]}, ((0,), (1,))),  # a log degree above log_bound = 0
+            (0, {(0, 0): [1], (9, 0): [7]}, ((9,), (0,))),  # above the order, at a regular step
+            (0, {(0, 0): [1, 2]}, ((0,), (0,))),  # step 0 leaves one coefficient free
+            (5, {(5, 0): [1, 2]}, ((5,), (0,))),  # so does step 5, above the order
+        ],
+    )
+    def test_seed_the_walk_does_not_read(self, a0, seeds, key):
+        with pytest.raises(SeedError) as e:
+            solve_formal(scalar_system([a0, 1], [0]), seeds, order=3)
+        assert e.value.key == key
 
     def test_tail_forbids_extrapolation(self):
         sys_ = scalar_system([0, 1], [0], tail=(Q(1), Q(2)))
