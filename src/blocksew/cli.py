@@ -432,6 +432,8 @@ def cmd_fuchs_certify(args) -> int:
     doc = _read_json(args.input)
     system, seeds = jsonio.fuchs_system_from_json(doc)
     if "psi" in doc:
+        if "seeds" in doc:
+            raise jsonio.SchemaError("system.seeds", "a supplied psi is certified as given and takes no seeds")
         psi = jsonio.series_from_json(doc["psi"], "psi")
         # a supplied psi must solve the system before its growth is certified
         res = residual(system, psi)
@@ -479,20 +481,16 @@ def _common(p, order_default=None, with_input=False):
     p.add_argument("--out", help="output file (relative paths go under $BLOCKSEW_OUTDIR)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="blocksew")
-    top = ap.add_subparsers(dest="group", required=True)
-
-    coord = top.add_parser("coord").add_subparsers(dest="cmd", required=True)
-    p = coord.add_parser("extract-c")
+def _coord_commands(sub) -> None:
+    p = sub.add_parser("extract-c")
     _common(p, with_input=True)
     p.set_defaults(fn=cmd_coord_extract_c)
-    p = coord.add_parser("u-op")
+    p = sub.add_parser("u-op")
     _common(p, with_input=True)
     p.add_argument("--trunc", type=int, default=6)
     p.add_argument("--momentum", default="0")
     p.set_defaults(fn=cmd_coord_u_op)
-    p = coord.add_parser("check-huang")
+    p = sub.add_parser("check-huang")
     _common(p)
     p.add_argument("--case", choices=["lam-z", "quadratic", "mobius"], default="lam-z")
     p.add_argument("--lam", default="3/2")
@@ -500,8 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wmax", type=int, default=2)
     p.set_defaults(fn=cmd_coord_check_huang)
 
-    voa = top.add_parser("voa").add_subparsers(dest="cmd", required=True)
-    p = voa.add_parser("dump-mode")
+
+def _voa_commands(sub) -> None:
+    p = sub.add_parser("dump-mode")
     _common(p)
     p.add_argument("--kind", choices=["heisenberg", "virasoro", "vertex", "contragredient"], required=True)
     p.add_argument("--index", type=int, required=True)
@@ -509,58 +508,83 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum", default="0")
     p.add_argument("--state", default="boson", help="vacuum|boson|omega or comma-separated partition")
     p.set_defaults(fn=cmd_voa_dump_mode)
-    p = voa.add_parser("check-relations")
+    p = sub.add_parser("check-relations")
     _common(p)
     p.add_argument("--trunc", type=int, default=6)
     p.add_argument("--range", type=int, default=3)
     p.add_argument("--momentum", default="0")
     p.set_defaults(fn=cmd_voa_check_relations)
 
-    schwarz = top.add_parser("schwarz").add_subparsers(dest="cmd", required=True)
-    p = schwarz.add_parser("sd")
+
+def _schwarz_commands(sub) -> None:
+    p = sub.add_parser("sd")
     _common(p, order_default=8, with_input=True)
     p.set_defaults(fn=cmd_schwarz_sd)
-    p = schwarz.add_parser("cocycle")
+    p = sub.add_parser("cocycle")
     _common(p, order_default=4)
     p.add_argument("--count", type=int, default=5)
     p.set_defaults(fn=cmd_schwarz_cocycle)
-    p = schwarz.add_parser("term")
+    p = sub.add_parser("term")
     _common(p, with_input=True)
     p.set_defaults(fn=cmd_schwarz_term)
 
-    sew_p = top.add_parser("sew").add_subparsers(dest="cmd", required=True)
-    p = sew_p.add_parser("run")
+
+def _sew_commands(sub) -> None:
+    p = sub.add_parser("run")
     _common(p, with_input=True)
     p.set_defaults(fn=cmd_sew_run)
-    p = sew_p.add_parser("character")
+    p = sub.add_parser("character")
     _common(p, order_default=10)
     p.add_argument("--module", default="fock")
     p.add_argument("--momentum", default="0")
     p.add_argument("--standard", dest="normalized", action="store_false")
     p.set_defaults(fn=cmd_sew_character, format="csv")
-    p = sew_p.add_parser("residue-check")
+    p = sub.add_parser("residue-check")
     _common(p, order_default=4)
     p.add_argument("--wmax", type=int, default=2)
     p.add_argument("--bidegree", type=int, default=2)
     p.set_defaults(fn=cmd_sew_residue_check)
-    p = sew_p.add_parser("invariance")
+    p = sub.add_parser("invariance")
     _common(p)
     p.add_argument("--weight-cap", type=int, default=4)
     p.add_argument("--kmin", type=int, default=-2)
     p.add_argument("--kmax", type=int, default=2)
     p.set_defaults(fn=cmd_sew_invariance)
 
-    fuchs = top.add_parser("fuchs").add_subparsers(dest="cmd", required=True)
-    p = fuchs.add_parser("solve")
+
+def _fuchs_commands(sub) -> None:
+    p = sub.add_parser("solve")
     _common(p, with_input=True)
     p.set_defaults(fn=cmd_fuchs_solve)
-    p = fuchs.add_parser("certify")
+    p = sub.add_parser("certify")
     _common(p, with_input=True)
     p.add_argument("--r1", default="1/2")
     p.set_defaults(fn=cmd_fuchs_certify)
-    p = fuchs.add_parser("residual")
+    p = sub.add_parser("residual")
     _common(p, with_input=True)
     p.set_defaults(fn=cmd_fuchs_residual)
+
+
+_GROUPS = {
+    "coord": _coord_commands,
+    "voa": _voa_commands,
+    "schwarz": _schwarz_commands,
+    "sew": _sew_commands,
+    "fuchs": _fuchs_commands,
+}
+
+
+def build_parser(argv: Optional[List[str]] = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given the arguments it will parse, it fills in
+    the commands of their group only (the first non-option argument names it);
+    no other group's commands can be reached or shown."""
+    ap = argparse.ArgumentParser(prog="blocksew")
+    top = ap.add_subparsers(dest="group", required=True)
+    wanted = None if argv is None else next((a for a in argv if not a.startswith("-")), None)
+    for name, add_commands in _GROUPS.items():
+        group = top.add_parser(name)
+        if argv is None or name == wanted:
+            add_commands(group.add_subparsers(dest="cmd", required=True))
     return ap
 
 
@@ -572,7 +596,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     # exact output may need integers longer than CPython's default str limit
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         for name in _SIZES:
             if (getattr(args, name, None) or 0) < 0:

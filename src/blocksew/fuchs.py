@@ -1,13 +1,13 @@
 """Formal solutions and convergence certificates for simple-pole systems.
 
 Systems q_j d/dq_j psi = A^j psi + omega^j are solved coefficientwise: away
-from resonances each step inverts (n - A_0); at a resonant n the step is a
-singular linear solve whose remaining freedom must be supplied as seeds.  Log
-terms are handled level by level from the highest log degree down, each level
-being a log-free system with a modified inhomogeneity.  Several variables are
-solved through the first variable's equation with the remaining ones treated
-as outer expansion indices; the other equations are then checked on the
-result.
+from resonances each step inverts (n - A_0) through its adjugate polynomial,
+in integers; at a resonant n the step is a singular linear solve whose
+remaining freedom must be supplied as seeds.  Log terms are handled level by
+level from the highest log degree down, each level being a log-free system
+with a modified inhomogeneity.  Several variables are solved through the
+first variable's equation with the remaining ones treated as outer expansion
+indices; the other equations are then checked on the result.
 
 Certificates replay the majorant argument in exact arithmetic: with the
 max-row-sum norm (submultiplicative, which is all the argument uses),
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, product
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import product
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .linalg import QMat, QVec, _int_rows, _over_one_den, as_q, solve
 from .series import SeriesError, TruncSeries
@@ -138,6 +138,39 @@ def _step(a0: QMat, n: int) -> QMat:
     return QMat.identity(a0.nrows).scale(n) - a0
 
 
+def _resolvent(a0: QMat) -> Callable[[int], Tuple[List[List[int]], int]]:
+    """n -> (D adj(nD - A), det(nD - A)) in integers, where A = D A_0 is integer.
+
+    Wherever the determinant is nonzero, (n - A_0)^{-1} is the first matrix
+    over the second.  For a d x d A_0, Faddeev-LeVerrier gives
+    adj(x - A) = sum_k M_k x^(d-1-k) and det(x - A) = sum_k c_k x^(d-k) once,
+    in integers (each division by k is exact); each n is then one Horner
+    evaluation, memoized so that log levels and outer exponents share it.
+    """
+    dim = a0.nrows
+    rows, den = _int_rows(a0)
+    # M_0 = I, c_0 = 1; c_k = -tr(A M_{k-1}) / k and M_k = A M_{k-1} + c_k I
+    ms = [[[int(i == j) for j in range(dim)] for i in range(dim)]]
+    cs = [1]
+    for k in range(1, dim + 1):
+        am = [[sum(x * ms[-1][c][j] for c, x in rows.get(i, {}).items()) for j in range(dim)] for i in range(dim)]
+        cs.append(-sum(am[i][i] for i in range(dim)) // k)
+        ms.append([[x + cs[-1] * (i == j) for j, x in enumerate(r)] for i, r in enumerate(am)])
+    ms.pop()  # M_d = 0 (Cayley-Hamilton)
+    memo: Dict[int, Tuple[List[List[int]], int]] = {}
+
+    def at(n: int) -> Tuple[List[List[int]], int]:
+        if n not in memo:
+            x = n * den
+            adj = ms[0]
+            for m in ms[1:]:
+                adj = [[x * u + v for u, v in zip(r, s)] for r, s in zip(adj, m)]
+            memo[n] = [[den * u for u in r] for r in adj], sum(c * x ** (dim - k) for k, c in enumerate(cs))
+        return memo[n]
+
+    return at
+
+
 def resonances(sys: FuchsSystem, order: int) -> Dict[int, int]:
     """{n: kernel size} for each natural n <= order whose leading step is singular."""
     out: Dict[int, int] = {}
@@ -178,7 +211,7 @@ def solve_formal(
     a_int = [{k: _int_rows(mat) for k, mat in sys.a[j].items() if any(k)} for j in range(m)]
     w_int = [{k: _over_one_den(vec.to_list()) for k, vec in sys.omega[j].items()} for j in range(m)]
 
-    def step_rhs(j: int, exps: Tuple[int, ...], logs: Tuple[int, ...]) -> QVec:
+    def step_rhs(j: int, exps: Tuple[int, ...], logs: Tuple[int, ...]) -> Tuple[List[int], int]:
         terms = []  # (numerators, denominator)
         if not any(logs) and exps in w_int[j]:
             terms.append(w_int[j][exps])
@@ -195,28 +228,37 @@ def solve_formal(
         for nums, d in terms:
             f = den // d
             total = [t + f * x for t, x in zip(total, nums)]
-        return QVec(sys.dim, {i: Q(x, den) for i, x in enumerate(total) if x})
+        return total, den
 
     a0s = [sys.a0(j) for j in range(m)]
+    resolvents = [_resolvent(a0) for a0 in a0s]
 
-    def coefficient(key, rhs) -> QVec:
+    def coefficient(key, rhs) -> List[Fraction]:
         # the first variable whose leading step is regular gives the
-        # coefficient, else the first variable's kernel and the seed at key;
+        # coefficient through its resolvent, in integers up to one Fraction
+        # per entry; else the first variable's kernel and the seed at key;
         # cross-equation consistency is checked a posteriori
-        sols = (solve(_step(a0, n), rhs(j)) for j, (a0, n) in enumerate(zip(a0s, key[0])))
-        first = next(sols)
-        sol = next((s for s in chain((first,), sols) if s is not None and not s[1]), first)
+        coeffs = seeds.pop(key, ())
+        for j, n in enumerate(key[0]):
+            adj, det = resolvents[j](n)
+            if det:
+                if coeffs:
+                    raise SeedError(key, f"the step leaves 0 coefficient(s) free, got {len(coeffs)}")
+                nums, den = rhs(j)
+                den *= det
+                return [Q(sum(u * x for u, x in zip(r, nums)), den) for r in adj]
+        nums, den = rhs(0)
+        sol = solve(_step(a0s[0], key[0][0]), QVec(sys.dim, {i: Q(x, den) for i, x in enumerate(nums) if x}))
         if sol is None:
             raise InconsistentResonance(key)
         part, kernel = sol
-        coeffs = seeds.pop(key, ())
         if len(coeffs) != len(kernel):
             if not coeffs:
                 raise MissingSeed(key, len(kernel))
             raise SeedError(key, f"the step leaves {len(kernel)} coefficient(s) free, got {len(coeffs)}")
         for cf, basis_vec in zip(coeffs, kernel):
             part = part + basis_vec.scale(as_q(cf))
-        return part
+        return part.to_list()
 
     # highest log degree first, then exponents by total degree; each step
     # reads only coefficients of higher log degree or lower exponents
@@ -225,14 +267,14 @@ def solve_formal(
             for n1 in range(order + 1):
                 exps = (n1,) + outer
                 part = coefficient((exps, logs), lambda j: step_rhs(j, exps, logs))
-                if not part.is_zero():
-                    psi[(exps, logs)] = _over_one_den(part.to_list())
-                    out._store(exps, logs, part)
+                if any(part):
+                    psi[(exps, logs)] = _over_one_den(part)
+                    out._store(exps, logs, QVec(sys.dim, dict(enumerate(part))))
     # a seed left over must be one the walk reads above the order
     for exps, logs in list(seeds):
         if len(exps) != m or len(logs) != m or min(exps) < 0 or not all(0 <= l <= log_bound for l in logs):
             raise SeedError((exps, logs), f"names no step (natural exponents, log degrees in [0, {log_bound}])")
-        coefficient((exps, logs), lambda j: QVec(sys.dim))
+        coefficient((exps, logs), lambda j: ([0] * sys.dim, 1))
     return out
 
 

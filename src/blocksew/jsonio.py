@@ -234,8 +234,10 @@ def fuchs_system_from_json(obj: dict, path: str = "system") -> Tuple[FuchsSystem
     for key, val in _object(obj.get("seeds", {}), f"{path}.seeds").items():
         try:
             n, l = (int(x) for x in key.split(","))
+            if key != f"{n},{l}":  # one spelling per step, so no two keys name one
+                raise ValueError
         except ValueError:
-            raise SchemaError(f"{path}.seeds.{key}", "seed keys are 'n,l'") from None
+            raise SchemaError(f"{path}.seeds.{key}", "seed keys are 'n,l', two integers in plain decimal form") from None
         seeds[(n, l)] = rationals(val, f"{path}.seeds.{key}")
     return FuchsSystem.single(a_coeffs, w_coeffs, dim=dim, tail=tail), seeds
 

@@ -212,12 +212,11 @@ class QMat:
     def apply(self, vec: QVec) -> QVec:
         if vec.n != self.ncols:
             raise ValueError("dimension mismatch")
-        out: Dict[int, Fraction] = {}
-        for i, r in self.rows.items():
-            s = sum((a * vec.data[j] for j, a in r.items() if j in vec.data), Q(0))
-            if s:
-                out[i] = s
-        return QVec(self.nrows, out)
+        rows, da = _int_rows(self)
+        nums, dx = _over_one_den(vec.data.values())
+        x = dict(zip(vec.data, nums))
+        out = {i: sum(a * x[j] for j, a in r.items() if j in x) for i, r in rows.items()}
+        return QVec(self.nrows, _of_one_den(out, da * dx))
 
     def transpose(self) -> "QMat":
         out: Dict[int, Dict[int, Fraction]] = {}

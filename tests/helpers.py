@@ -3,16 +3,19 @@
 Oracles here are deliberately independent of the package internals: the
 partition counter uses the pentagonal-number recurrence, series products are
 checked against a direct double loop, and compositional inverses against the
-Lagrange inversion formula.  The last four helpers build the diagonal and
-block matrices and the pointwise Schwarzian that tests compare package
-results with.
+Lagrange inversion formula.  One reference shares a kernel on purpose:
+``fuchs_walk_per_step`` replays the Fuchs walk with ``linalg.solve`` at
+every step, the path the integer resolvent steps replaced.  The last four
+helpers build the diagonal and block matrices and the pointwise Schwarzian
+that tests compare package results with.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 import random
 
-from blocksew.linalg import QMat
+from blocksew.linalg import QMat, QVec, solve
 from blocksew.series import NotInvertible, WindowError
 
 Q = Fraction
@@ -141,6 +144,54 @@ def fraction_fuchs_solution(a, omega, seeds, order):
             x = [xi + cf * vec.get(i, 0) for i, xi in enumerate(x)]
         psi.append(x)
     return psi
+
+
+def fuchs_walk_per_step(sys_, seeds, order, log_bound=0):
+    """The terms of ``solve_formal(sys_, seeds, order, log_bound)``, one linalg.solve per step.
+
+    The walk that ``solve_formal`` made before its steps went through the
+    adjugate: every step sums its right-hand side in Fractions (a matrix
+    product is a Fraction loop here) and solves ``n I - A^j_0`` with
+    ``linalg.solve`` for every variable j.  The first variable whose solution
+    is unique gives the coefficient, else the first variable's kernel takes
+    the seed at the step.  Seeds are {(exps, logs): coefficients}, and every
+    one the walk reads must have the kernel's length.
+    """
+    m, dim = sys_.n_vars, sys_.dim
+    out = {}
+
+    def apply(mat, vec):
+        return QVec(dim, {i: sum((a * vec[j] for j, a in r.items()), Q(0)) for i, r in mat.rows.items()})
+
+    def rhs(j, exps, logs):
+        total = QVec(dim) if any(logs) else sys_.omega[j].get(exps, QVec(dim))
+        for key, mat in sys_.a[j].items():
+            prev = (tuple(e - k for e, k in zip(exps, key)), logs)
+            if any(key) and prev in out:
+                total = total + apply(mat, out[prev])
+        higher = (exps, logs[:j] + (logs[j] + 1,) + logs[j + 1 :])
+        if higher in out:
+            total = total - out[higher].scale(logs[j] + 1)
+        return total
+
+    for logs in sorted(product(range(log_bound + 1), repeat=m), key=lambda t: (-sum(t), t)):
+        for outer in sorted(product(range(order + 1), repeat=m - 1), key=lambda t: (sum(t), t)):
+            for n1 in range(order + 1):
+                exps = (n1,) + outer
+                sols = [
+                    solve(QMat.identity(dim).scale(n) - sys_.a0(j), rhs(j, exps, logs))
+                    for j, n in enumerate(exps)
+                ]
+                sol = next((s for s in sols if s is not None and not s[1]), sols[0])
+                assert sol is not None, (exps, logs)
+                part, kernel = sol
+                coeffs = seeds.get((exps, logs), [])
+                assert len(coeffs) == len(kernel), (exps, logs)
+                for cf, vec in zip(coeffs, kernel):
+                    part = part + vec.scale(cf)
+                if not part.is_zero():
+                    out[(exps, logs)] = part
+    return out
 
 
 def fraction_projective_term(pairs, marked, c, order):

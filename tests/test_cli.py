@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from blocksew import jsonio
-from blocksew.cli import main
+from blocksew.cli import build_parser, main
 from blocksew.linalg import QMat, QVec, parse_rational
 from blocksew.series import CoordJet, TruncSeries
 from helpers import euler_partition_count, random_rational
@@ -49,6 +50,42 @@ class TestDeterminism:
         code, _ = run(["sew", "character", "--order", "4", "--out", "chr.json"], capsys)
         assert code == 0
         assert (tmp_path / "chr.json").exists()
+
+
+def _subcommands(parser):
+    """{name: parser} of a parser's subcommands; empty when it has none."""
+    return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def _help_and_error_argvs():
+    full = build_parser()
+    out = [["-h"], [], ["--bogus"], ["nope"], ["-h", "fuchs"]]
+    for group, group_parser in _subcommands(full).items():
+        out += [[group, "-h"], [group], [group, "nope"], [group, "--bogus"]]
+        for cmd in _subcommands(group_parser):
+            out += [[group, cmd, "-h"], [group, cmd, "--bogus"], [group, cmd, "--order", "x"]]
+    return out
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", _help_and_error_argvs(), ids=" ".join)
+    def test_help_and_usage_errors_read_as_with_every_group_built(self, argv, capsys):
+        # main builds the commands of the group named in argv only
+        def printed(parse):
+            with pytest.raises(SystemExit) as e:
+                parse()
+            return e.value.code, capsys.readouterr()
+
+        assert printed(lambda: main(argv)) == printed(lambda: build_parser().parse_args(argv))
+
+    def test_only_the_named_group_gets_its_commands(self):
+        def built(argv):
+            return {name for name, p in _subcommands(build_parser(argv)).items() if _subcommands(p)}
+
+        assert built(["-h"]) == set()
+        assert built(["fuchs", "solve", "-", "--order", "3"]) == {"fuchs"}
+        assert built(["--", "sew", "run"]) == {"sew"}
+        assert built(None) == {"coord", "voa", "schwarz", "sew", "fuchs"}
 
 
 class TestCoordCommands:
@@ -222,7 +259,6 @@ class TestFuchsCommands:
         system = {
             "A": [[["0"]], [["1"]]],
             "omega": [["0"]],
-            "seeds": {"0,0": ["1"]},
             "r1": "1/2",
             "psi": {"vars": ["q"], "trunc": {"q": 30}, "offset": {}, "logmax": {}, "terms": terms},
         }
@@ -475,6 +511,32 @@ class TestMalformedDocuments:
             doc = write(tmp_path, "a.json", {**system, "seeds": seeds})
             self.rejected(["fuchs", "solve", doc, "--order", "3"], capsys, path)
             self.rejected(["fuchs", "certify", doc, "--order", "3"], capsys, path)
+
+    def test_fuchs_seed_keys_are_canonical(self, tmp_path, capsys):
+        # "00,0" also named step (0, 0), and the later key won: psi_0 = 2 with exit 0
+        system = {"A": [[["0"]], [["1"]]], "omega": [["0"]]}
+        for seeds, key in [
+            ({"0,0": ["1"], "00,0": ["2"]}, "00,0"),
+            ({" 0 , 0": ["1"]}, " 0 , 0"),
+            ({"+0,0": ["1"]}, "+0,0"),
+            ({"0,-0": ["1"]}, "0,-0"),
+            ({"0,1_0": ["1"]}, "0,1_0"),
+            ({"0": ["1"]}, "0"),
+        ]:
+            doc = write(tmp_path, "a.json", {**system, "seeds": seeds})
+            self.rejected(["fuchs", "solve", doc, "--order", "2"], capsys, f"system.seeds.{key}")
+        # a canonical key that names no step still reaches the walk's check
+        doc = write(tmp_path, "b.json", {**system, "seeds": {"0,0": ["1"], "-1,3": ["5"]}})
+        assert main(["fuchs", "solve", doc, "--order", "2"]) == 2
+        assert "names no step" in capsys.readouterr().err
+
+    def test_fuchs_certify_of_a_supplied_psi_takes_no_seeds(self, tmp_path, capsys):
+        # the seeds were never read, so one that fuchs solve rejects was accepted
+        psi = {"vars": ["q"], "trunc": {"q": 2}, "terms": [{"n": [0], "l": [0], "c": ["1"]}]}
+        doc = {"A": [[["0"]]], "omega": [["0"]], "psi": psi}
+        self.rejected(["fuchs", "certify", write(tmp_path, "a.json", {**doc, "seeds": {"-1,3": ["5"]}})], capsys, "system.seeds")
+        self.rejected(["fuchs", "certify", write(tmp_path, "b.json", {**doc, "seeds": {"0,0": ["1"]}})], capsys, "system.seeds")
+        assert run(["fuchs", "certify", write(tmp_path, "c.json", doc)], capsys)[0] == 0
 
     def test_fuchs_tail_without_field(self, tmp_path, capsys):
         system = {"A": [[["0"]]], "omega": [["1"]]}

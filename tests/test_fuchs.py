@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,10 +19,11 @@ from blocksew.fuchs import (
     resonances,
     residual,
     solve_formal,
+    _resolvent,
 )
-from blocksew.linalg import QMat, QVec
+from blocksew.linalg import QMat, QVec, solve
 from blocksew.series import TruncSeries
-from helpers import fraction_fuchs_solution, random_rational
+from helpers import fraction_fuchs_solution, fuchs_walk_per_step, random_rational
 
 Q = Fraction
 SEED = 9090
@@ -130,7 +132,7 @@ class TestSolveFormal:
         want = {((0, 0), (0, 0)): QVec.from_list([a, b]), ((0, 0), (1, 0)): QVec.from_list([b, 0])}
         if second_is_nilpotent:
             want[((0, 0), (0, 1))] = QVec.from_list([b, 0])
-        assert psi.terms == want
+        assert psi.terms == want == fuchs_walk_per_step(sys_, seeds, 3, 1)
         assert residual(sys_, psi, 0).is_zero()
         assert residual(sys_, psi, 1).is_zero()
 
@@ -222,6 +224,117 @@ class TestIntegerRecurrence:
         high = solve_formal(sys_, seeds, order=order + extra)
         assert low.terms == {k: v for k, v in high.terms.items() if k[0][0] <= order}
         assert residual(sys_, low).is_zero()
+
+
+def random_step_matrix(rnd, dim):
+    """A rational A_0 and its eigenvalues: P T P^{-1} with T upper triangular.
+
+    Half of T's diagonal is natural (0..8, so some steps n - A_0 are singular,
+    some twice), the rest half-integer; P is unit lower triangular.
+    """
+    diag = [Q(rnd.randint(0, 8)) if rnd.random() < 0.5 else Q(2 * rnd.randint(-4, 4) + 1, 2) for _ in range(dim)]
+    t = QMat.from_rows([[diag[i] if i == j else (random_rational(rnd) if j > i else 0) for j in range(dim)] for i in range(dim)])
+    p = QMat.from_rows([[1 if i == j else (random_rational(rnd) if j < i else 0) for j in range(dim)] for i in range(dim)])
+    # P = I + L with L strictly lower triangular, so P^{-1} = sum_k (-L)^k
+    p_inv = power = QMat.identity(dim)
+    for _ in range(dim - 1):
+        power = power @ (QMat.identity(dim) - p)
+        p_inv = p_inv + power
+    return p @ t @ p_inv, diag
+
+
+class TestResolvent:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_adjugate_inverts_every_step(self, dim):
+        rnd = random.Random(SEED + 20 + dim)
+        dense = QMat.from_rows([[random_rational(rnd, den=7) for _ in range(dim)] for _ in range(dim)])
+        for a0, eigenvalues in [random_step_matrix(rnd, dim) for _ in range(6)] + [(dense, None)]:
+            at = _resolvent(a0)
+            for n in range(9):
+                adj, det = at(n)
+                step = QMat.identity(dim).scale(n) - a0
+                assert step @ QMat.from_rows(adj) == QMat.identity(dim).scale(det)
+                assert (det == 0) == bool(solve(step, QVec(dim))[1])
+                assert eigenvalues is None or (det == 0) == (n in eigenvalues)
+                assert at(n) is at(n)  # memoized per n
+
+
+def nonzero_rational(rnd):
+    return Q(rnd.choice([-1, 1]) * rnd.randint(1, 6), rnd.randint(1, 4))
+
+
+def jordan_system(rnd, dim, log_bound, n_coeffs=3):
+    """A^1_0 with one nilpotent Jordan block of size log_bound + 1, then a
+    half-integer diagonal; omega_0 = 0.  Step 0 takes one seed per log level
+    and is consistent whatever the seeds and the A_k (k >= 1) are."""
+    size = log_bound + 1
+    a0 = [[Q(1) if j == i + 1 < size else Q(0) for j in range(dim)] for i in range(dim)]
+    for i in range(size, dim):
+        a0[i][i] = Q(2 * rnd.randint(-3, 3) + 1, 2)
+    a = [a0] + [[[random_rational(rnd) for _ in range(dim)] for _ in range(dim)] for _ in range(n_coeffs - 1)]
+    omega = [[Q(0)] * dim] + [[random_rational(rnd) for _ in range(dim)] for _ in range(n_coeffs - 1)]
+    seeds = {((0,), (l,)): [nonzero_rational(rnd)] for l in range(log_bound + 1)}
+    return as_system(a, omega), seeds
+
+
+def two_variable_system(rnd, second_is_nilpotent):
+    """q1, q2 with A^1_0 = [[0, 1], [0, 0]] and A^2_0 that matrix or 0, random
+    A^j_k at k = (1, 0), (0, 1), (1, 1) and omega^j away from (0, 0); log
+    bound 1.  Steps (0, n2 > 0) are singular in q1 and regular in q2."""
+    nil = QMat.from_rows([[0, 1], [0, 0]])
+    keys = [(1, 0), (0, 1), (1, 1)]
+
+    def stream(a0):
+        out = {k: QMat.from_rows([[random_rational(rnd) for _ in range(2)] for _ in range(2)]) for k in keys}
+        return {(0, 0): a0, **out} if not a0.is_zero() else out
+
+    a = [stream(nil), stream(nil if second_is_nilpotent else QMat(2, 2))]
+    omega = [{k: QVec.from_list([random_rational(rnd), random_rational(rnd)]) for k in keys} for _ in range(2)]
+    seeds = {((0, 0), logs): [nonzero_rational(rnd)] for logs in product(range(2), repeat=2)}
+    return FuchsSystem(2, ("q1", "q2"), (1, 1), a, omega), seeds
+
+
+class TestWalkAgainstPerStepSolves:
+    """solve_formal against the walk with one linalg.solve per step (tests/helpers.py)."""
+
+    def check(self, sys_, seeds, order, log_bound=0):
+        psi = solve_formal(sys_, seeds, order=order, log_bound=log_bound)
+        m = sys_.n_vars
+        assert (psi.vars, psi.trunc, psi.logmax, psi.offset) == (sys_.variables, (order,) * m, (log_bound,) * m, (0,) * m)
+        assert psi.terms == fuchs_walk_per_step(sys_, seeds, order, log_bound)
+        return psi
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_non_resonant(self, dim):
+        rnd = random.Random(SEED + 30 + dim)
+        for _ in range(3):
+            a, omega = triangular_system(rnd, dim)
+            self.check(as_system(a, omega), {}, 20)
+
+    @pytest.mark.parametrize("resonance", [0, 1, 3])
+    def test_resonant_with_seeds(self, resonance):
+        rnd = random.Random(SEED + 40 + resonance)
+        for dim in (1, 2, 3):
+            a, omega = triangular_system(rnd, dim, resonance)
+            self.check(as_system(a, omega), {((resonance,), (0,)): [random_rational(rnd)]}, 15)
+
+    @pytest.mark.parametrize("log_bound", [1, 2])
+    def test_log_levels(self, log_bound):
+        rnd = random.Random(SEED + 50 + log_bound)
+        for dim in (log_bound + 1, log_bound + 2):
+            sys_, seeds = jordan_system(rnd, dim, log_bound)
+            psi = self.check(sys_, seeds, 12, log_bound)
+            assert any(logs[0] for _, logs in psi.terms)
+            assert residual(sys_, psi).is_zero()
+
+    @pytest.mark.parametrize("second_is_nilpotent", [True, False])
+    def test_two_variables(self, second_is_nilpotent):
+        rnd = random.Random(SEED + 60 + second_is_nilpotent)
+        for _ in range(2):
+            sys_, seeds = two_variable_system(rnd, second_is_nilpotent)
+            psi = self.check(sys_, seeds, 4, 1)
+            # steps (0, n2 > 0) are singular in q1, so q2's resolvent gives them
+            assert any(exps[0] == 0 < exps[1] for exps, _ in psi.terms)
 
 
 class TestNormChoice:

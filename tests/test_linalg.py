@@ -145,6 +145,23 @@ class TestIntegerKernel:
         assert (a + a.scale(c)).to_rows() == [[x + c * x for x in row] for row in a.to_rows()]
         assert (a - a).rows == {}
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pair=sparse_pair(), data=st.data())
+    def test_apply_matches_fraction_loop(self, pair, data):
+        a, _ = pair
+        vec = QVec.from_list([data.draw(ENTRIES) for _ in range(a.ncols)])
+        got = a.apply(vec)
+        want = {i: sum((x * vec[j] for j, x in r.items()), Q(0)) for i, r in a.rows.items()}
+        assert got.n == a.nrows and got.data == {i: v for i, v in want.items() if v}
+        assert all(type(v) is Fraction for v in got.data.values())
+
+    def test_apply_that_cancels_to_zero(self):
+        a = QMat.from_rows([[1, 1], [Q(1, 3), Q(2, 3)], [0, 0]])
+        assert a.apply(QVec.from_list([Q(5, 997), Q(-5, 997)])).data == {1: Q(-5, 2991)}
+        assert a.apply(QVec(2)).data == {}
+        with pytest.raises(ValueError):
+            a.apply(QVec(3))
+
     def test_product_that_cancels_to_zero(self):
         a = QMat.from_rows([[1, 1], [0, 0], [Q(1, 3), Q(2, 3)]])
         b = QMat.from_rows([[Q(2, 7), 0], [Q(-2, 7), 0]])
