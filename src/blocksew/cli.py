@@ -28,7 +28,7 @@ from . import jsonio
 from .coords import c2_formula, extract_c, huang_conjugation_checks, u_matrix
 from .fock import CONFORMAL, BOSON, VACUUM, FockModule, NilpotentToyModule, vacuum_module, vec_add, vec_scale
 from .fuchs import BoundViolation, FuchsError, SeedError, certify, ode_residual, residual, solve_formal
-from .linalg import QMat, QVec, format_rational, parse_rational
+from .linalg import QMat, QVec, format_rational
 from .schwarzian import cocycle_check, projective_term, schwarzian
 from .series import CoordJet, SeriesError, TruncSeries
 from .sewing import INFINITY, SewingBlock, SpherePoint, genus0_invariance_check, residue_identity_check, sew
@@ -44,19 +44,21 @@ def _read_json(path: Optional[str]):
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise jsonio.SchemaError("input", f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise jsonio.SchemaError("input", "expected a JSON object")
-    return doc
+    return jsonio._object(doc, "input")
 
 
-def _order(args, doc, default: int) -> int:
-    """--order, else the document's "order", else the default."""
-    return args.order if args.order is not None else _size(doc, "order", default)
+def _setting(args, doc, key: str, read, default):
+    """--key when given, else the document's ``key``, else the default, each
+    read by ``read`` under its own path (--key or input.key)."""
+    flag = getattr(args, key, None)
+    if flag is not None:
+        return read(flag, f"--{key}")
+    return read(doc.get(key, default), f"input.{key}")
 
 
-def _size(doc, key: str, default: int) -> int:
-    """The document's non-negative integer ``key``, else the default."""
-    return jsonio.natural(doc.get(key, default), f"input.{key}")
+def _fock_module(args) -> FockModule:
+    """The Fock module of --momentum."""
+    return FockModule(jsonio.rational_from_json(args.momentum, "--momentum"))
 
 
 def _emit(text: str, args) -> None:
@@ -98,14 +100,10 @@ def _emit_series(series: TruncSeries, args) -> None:
     _emit_chunks(chunks, args)
 
 
-def _fail(report: dict, args) -> int:
-    _emit(jsonio.dumps_canonical({"ok": False, **report}), args)
-    return 1
-
-
-def _ok(report: dict, args) -> int:
-    _emit(jsonio.dumps_canonical({"ok": True, **report}), args)
-    return 0
+def _report(ok: bool, report: dict, args) -> int:
+    """Print a check's report with its verdict "ok"; the exit status is 0 if ok, else 1."""
+    _emit(jsonio.dumps_canonical({"ok": ok, **report}), args)
+    return 0 if ok else 1
 
 
 # -- coord -------------------------------------------------------------------
@@ -125,7 +123,7 @@ def cmd_coord_extract_c(args) -> int:
 
 def cmd_coord_u_op(args) -> int:
     jet = jsonio.jet_from_json(_read_json(args.input))
-    module = FockModule(parse_rational(args.momentum))
+    module = _fock_module(args)
     n = args.trunc
     mat = u_matrix(jet, module, n)
     labels = [",".join(map(str, mu)) for mu in module.basis(n)]
@@ -135,7 +133,7 @@ def cmd_coord_u_op(args) -> int:
 
 def cmd_coord_check_huang(args) -> int:
     module = vacuum_module()
-    lam = parse_rational(args.lam)
+    lam = jsonio.rational_from_json(args.lam, "--lam")
     cases = {
         "lam-z": CoordJet.from_poly([lam]),
         "quadratic": CoordJet.from_poly([1, 1]),
@@ -158,25 +156,27 @@ def cmd_coord_check_huang(args) -> int:
                 }
             )
     report = {"case": args.case, "window": [lo, hi], "checked": len(pairs), "failures": failures}
-    return _ok(report, args) if not failures else _fail(report, args)
+    return _report(not failures, report, args)
 
 
 # -- voa ---------------------------------------------------------------------
 
 
+# the named states of --state, and the states sew invariance checks
+_STATES = {"vacuum": VACUUM, "boson": BOSON, "omega": CONFORMAL}
+
+
 def _parse_state(name: str):
-    if name == "vacuum":
-        return dict(VACUUM)
-    if name == "boson":
-        return dict(BOSON)
-    if name == "omega":
-        return dict(CONFORMAL)
-    parts = tuple(sorted((int(x) for x in name.split(",") if x), reverse=True))
-    return {parts: Q(1)}
+    if name in _STATES:
+        return dict(_STATES[name])
+    parts = jsonio._integers(name, None, "--state", "expected vacuum, boson, omega or a partition such as 2,1")
+    if min(parts) < 1:
+        raise jsonio.SchemaError("--state", "the parts of a partition are positive integers")
+    return {tuple(sorted(parts, reverse=True)): Q(1)}
 
 
 def cmd_voa_dump_mode(args) -> int:
-    module = FockModule(parse_rational(args.momentum))
+    module = _fock_module(args)
     n = args.trunc
     if args.kind == "heisenberg":
         mat = module.heisenberg_matrix(args.index, n)
@@ -192,44 +192,30 @@ def cmd_voa_dump_mode(args) -> int:
 
 
 def cmd_voa_check_relations(args) -> int:
-    module = FockModule(parse_rational(args.momentum))
+    module = _fock_module(args)
     failures = []
     n = args.trunc
     rng = args.range
     basis = [{mu: Q(1)} for mu in FockModule.basis(n)]
-
-    def comm(apply_a, apply_b, vec):
-        return vec_add(apply_a(apply_b(vec)), vec_scale(-1, apply_b(apply_a(vec))))
-
-    for m in range(-rng, rng + 1):
-        for k in range(-rng, rng + 1):
-            for vec in basis:
-                got = comm(
-                    lambda x, m=m: module.apply_heisenberg(m, x),
-                    lambda x, k=k: module.apply_heisenberg(k, x),
-                    vec,
-                )
-                want = vec_scale(Q(m), vec) if m + k == 0 else {}
-                if got != want:
-                    failures.append(["heisenberg", m, k])
-    vr = min(rng, 3)
-    for m in range(-vr, vr + 1):
-        for k in range(-vr, vr + 1):
-            for vec in basis:
-                got = comm(
-                    lambda x, m=m: module.apply_virasoro(m, x),
-                    lambda x, k=k: module.apply_virasoro(k, x),
-                    vec,
-                )
-                want = vec_scale(Q(m - k), module.apply_virasoro(m + k, vec))
-                if m + k == 0:
-                    want = vec_add(want, vec_scale(Q(m ** 3 - m, 12), vec))
-                if got != want:
-                    failures.append(["virasoro", m, k])
+    # [X_m, X_k] = s(m, k) X_{m+k} + delta_{m+k,0} z(m): name, X, mode range, s, z
+    families = (
+        ("heisenberg", module.apply_heisenberg, rng, lambda m, k: 0, lambda m: Q(m)),
+        ("virasoro", module.apply_virasoro, min(rng, 3), lambda m, k: m - k, lambda m: Q(m ** 3 - m, 12)),
+    )
+    for name, act, r, s, z in families:
+        for m in range(-r, r + 1):
+            for k in range(-r, r + 1):
+                for vec in basis:
+                    got = vec_add(act(m, act(k, vec)), vec_scale(-1, act(k, act(m, vec))))
+                    want = vec_scale(Q(s(m, k)), act(m + k, vec)) if s(m, k) else {}
+                    if m + k == 0:
+                        want = vec_add(want, vec_scale(z(m), vec))
+                    if got != want:
+                        failures.append([name, m, k])
     if module.apply_virasoro(2, CONFORMAL) != {(): Q(1, 2)}:
         failures.append(["central-charge"])
     report = {"trunc": n, "range": rng, "failures": failures}
-    return _ok(report, args) if not failures else _fail(report, args)
+    return _report(not failures, report, args)
 
 
 # -- schwarz -----------------------------------------------------------------
@@ -254,7 +240,7 @@ def cmd_schwarz_cocycle(args) -> int:
         if not cocycle_check(eta, mu, f, args.order):
             failures.append(trial)
     report = {"count": args.count, "order": args.order, "seed": args.seed, "failures": failures}
-    return _ok(report, args) if not failures else _fail(report, args)
+    return _report(not failures, report, args)
 
 
 def cmd_schwarz_term(args) -> int:
@@ -265,7 +251,7 @@ def cmd_schwarz_term(args) -> int:
     s_eta = [jsonio.series_from_json(x, f"S_eta[{i}]") for i, x in enumerate(doc.get("S_eta", []))]
     h = [jsonio.series_from_json(x, f"h[{i}]") for i, x in enumerate(doc.get("h", []))]
     c = jsonio.rational_from_json(doc.get("c", "1"), "input.c")
-    order = _order(args, doc, 6)
+    order = _setting(args, doc, "order", jsonio.natural, 6)
     _emit_series(projective_term(s_xi, s_pi, s_eta, a, b, h, c, order), args)
     return 0
 
@@ -274,9 +260,7 @@ def cmd_schwarz_term(args) -> int:
 
 
 def _module_from_json(doc, path):
-    if not isinstance(doc, dict):
-        raise jsonio.SchemaError(path, "expected an object")
-    kind = doc.get("type", "fock")
+    kind = jsonio._object(doc, path).get("type", "fock")
     if kind == "fock":
         return FockModule(jsonio.rational_from_json(doc.get("momentum", "0"), f"{path}.momentum"))
     if kind == "toy":
@@ -295,21 +279,10 @@ def _module_from_json(doc, path):
     raise jsonio.SchemaError(path, f"unknown module type {kind!r}")
 
 
-def _indices(x, bounds) -> bool:
-    """Whether x is a list of len(bounds) integers with 0 <= x[i] < bounds[i]."""
-    return (
-        isinstance(x, list)
-        and len(x) == len(bounds)
-        and all(type(i) is int and 0 <= i < b for i, b in zip(x, bounds))
-    )
-
-
 def cmd_sew_run(args) -> int:
     doc = _read_json(args.input)
     module = _module_from_json(doc.get("module", {}), "input.module")
-    block_doc = jsonio.require(doc, "block", "input")
-    if not isinstance(block_doc, dict):
-        raise jsonio.SchemaError("input.block", "expected an object")
+    block_doc = jsonio._object(jsonio.require(doc, "block", "input"), "input.block")
     slots = jsonio.require(block_doc, "slots", "input.block")
     if not isinstance(slots, list):
         raise jsonio.SchemaError("input.block.slots", "expected a list of dimension lists")
@@ -319,36 +292,27 @@ def cmd_sew_run(args) -> int:
     sizes = [sum(dims) for dims in slots]
     pair = block_doc.get("pair")
     if pair is not None:
-        if not _indices(pair, [len(slots)] * 2) or pair[0] == pair[1]:
+        pair = jsonio.indices(pair, [len(slots)] * 2, "input.block.pair", "two distinct slot numbers")
+        if pair[0] == pair[1]:
             raise jsonio.SchemaError("input.block.pair", "expected two distinct slot numbers")
-        pair = tuple(pair)
     entries_doc = block_doc.get("entries", [])
     if not isinstance(entries_doc, list):
         raise jsonio.SchemaError("input.block.entries", "expected a list")
     entries = {}
     for n, e in enumerate(entries_doc):
         path = f"input.block.entries[{n}]"
-        if not isinstance(e, dict):
-            raise jsonio.SchemaError(path, "expected an object")
-        idx = jsonio.require(e, "idx", path)
-        if not _indices(idx, sizes):
-            raise jsonio.SchemaError(f"{path}.idx", f"expected {len(sizes)} indices, each in [0, its slot dimension)")
-        entries[tuple(idx)] = jsonio.rational_from_json(jsonio.require(e, "c", path), f"{path}.c")
+        idx = jsonio.require(jsonio._object(e, path), "idx", path)
+        idx = jsonio.indices(idx, sizes, f"{path}.idx", f"{len(sizes)} indices, each in [0, its slot dimension)")
+        entries[idx] = jsonio.rational_from_json(jsonio.require(e, "c", path), f"{path}.c")
     block = SewingBlock(slots, entries, pair_slots=pair)
-    inputs_doc = doc.get("inputs", {})
-    if not isinstance(inputs_doc, dict):
-        raise jsonio.SchemaError("input.inputs", "expected an object")
     inputs = {}
-    for k, v in inputs_doc.items():
+    for k, v in jsonio._object(doc.get("inputs", {}), "input.inputs").items():
         path = f"input.inputs.{k}"
-        try:
-            s = int(k)
-        except ValueError:
-            s = None
+        (s,) = jsonio._integers(k, 1, path, "expected a slot number in plain decimal form")
         if s not in range(len(slots)) or s in (pair or ()):
             raise jsonio.SchemaError(path, "names no retained slot")
         inputs[s] = QVec.from_list(jsonio.rationals(v, path, sizes[s]))
-    order = _order(args, doc, 6)
+    order = _setting(args, doc, "order", jsonio.natural, 6)
     normalized = jsonio.boolean(doc.get("normalized", False), "input.normalized")
     series = sew(block, inputs, module, order, normalized=normalized)
     _emit_series(series, args)
@@ -362,10 +326,9 @@ def _character_csv(series: TruncSeries) -> Iterator[str]:
 
 
 def cmd_sew_character(args) -> int:
-    if args.module == "fock":
-        module = FockModule(parse_rational(args.momentum))
-    else:
-        raise jsonio.SchemaError("module", f"unknown module {args.module!r}")
+    if args.module != "fock":
+        raise jsonio.SchemaError("--module", f"unknown module {args.module!r}")
+    module = _fock_module(args)
     # the pairing is the sum of its weight blocks and sewing is linear in the
     # block, so one weight block is sewn at a time and only one is held
     series = None
@@ -394,7 +357,7 @@ def cmd_sew_residue_check(args) -> int:
                 if not ok:
                     failures.append({"u": [list(k) for k in u], "f": [ax, bx]})
     report = {"order": args.order, "wmax": args.wmax, "failures": failures}
-    return _ok(report, args) if not failures else _fail(report, args)
+    return _report(not failures, report, args)
 
 
 def cmd_sew_invariance(args) -> int:
@@ -406,14 +369,13 @@ def cmd_sew_invariance(args) -> int:
         SpherePoint(INFINITY, CoordJet.identity(), module, dual=True),
     ]
     failures = []
-    states = {"vacuum": VACUUM, "boson": BOSON, "omega": CONFORMAL}
-    for name, v in states.items():
+    for name, v in _STATES.items():
         for k in range(args.kmin, args.kmax + 1):
             ok, fails = genus0_invariance_check(block, points, v, k, args.weight_cap)
             if not ok:
                 failures.append({"v": name, "k": k, "count": len(fails)})
     report = {"weight_cap": args.weight_cap, "k": [args.kmin, args.kmax], "failures": failures}
-    return _ok(report, args) if not failures else _fail(report, args)
+    return _report(not failures, report, args)
 
 
 # -- fuchs -------------------------------------------------------------------
@@ -422,8 +384,8 @@ def cmd_sew_invariance(args) -> int:
 def cmd_fuchs_solve(args) -> int:
     doc = _read_json(args.input)
     system, seeds = jsonio.fuchs_system_from_json(doc)
-    order = _order(args, doc, 10)
-    psi = solve_formal(system, seeds, order=order, log_bound=_size(doc, "log_bound", 0))
+    order = _setting(args, doc, "order", jsonio.natural, 10)
+    psi = solve_formal(system, seeds, order=order, log_bound=_setting(args, doc, "log_bound", jsonio.natural, 0))
     _emit_series(psi, args)
     return 0
 
@@ -440,15 +402,15 @@ def cmd_fuchs_certify(args) -> int:
         if not res.is_zero():
             first = min(exps[0] for exps, _logs in res.terms)
             message = f"psi does not solve the system: residual nonzero at n={first}"
-            return _fail({"violation_index": first, "message": message}, args)
+            return _report(False, {"violation_index": first, "message": message}, args)
     else:
-        order = _order(args, doc, 30)
-        psi = solve_formal(system, seeds, order=order, log_bound=_size(doc, "log_bound", 0))
-    r1 = jsonio.rational_from_json(doc["r1"], "input.r1") if "r1" in doc else parse_rational(args.r1)
+        order = _setting(args, doc, "order", jsonio.natural, 30)
+        psi = solve_formal(system, seeds, order=order, log_bound=_setting(args, doc, "log_bound", jsonio.natural, 0))
+    r1 = _setting(args, doc, "r1", jsonio.rational_from_json, "1/2")
     try:
         cert = certify(system, psi, r1)
     except BoundViolation as e:
-        return _fail({"violation_index": e.index, "message": str(e)}, args)
+        return _report(False, {"violation_index": e.index, "message": str(e)}, args)
     _emit(jsonio.dumps_canonical(cert.to_dict()), args)
     return 0
 
@@ -464,9 +426,8 @@ def cmd_fuchs_residual(args) -> int:
         res = ode_residual(omega, psi, var=psi.vars[0])
     else:
         raise jsonio.SchemaError("input", "need 'system' or 'Omega'")
-    if res.is_zero():
-        return _ok({"residual": "0"}, args)
-    return _fail({"residual": jsonio.series_to_json(res)}, args)
+    ok = res.is_zero()
+    return _report(ok, {"residual": "0" if ok else jsonio.series_to_json(res)}, args)
 
 
 # -- wiring ------------------------------------------------------------------
@@ -558,7 +519,7 @@ def _fuchs_commands(sub) -> None:
     p.set_defaults(fn=cmd_fuchs_solve)
     p = sub.add_parser("certify")
     _common(p, with_input=True)
-    p.add_argument("--r1", default="1/2")
+    p.add_argument("--r1")
     p.set_defaults(fn=cmd_fuchs_certify)
     p = sub.add_parser("residual")
     _common(p, with_input=True)

@@ -96,6 +96,8 @@ class FuchsSystem:
         self.a = a
         self.omega = omega
         self.tail = tail if tail else [None] * m
+        if any(t is not None and min(map(as_q, t)) < 0 for t in self.tail):
+            raise FuchsError("a declared tail bound C a^n needs C >= 0 and a >= 0")
 
     @classmethod
     def single(

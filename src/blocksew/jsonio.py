@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .fuchs import FuchsSystem
 from .linalg import QMat, QVec, format_rational, parse_rational
@@ -139,13 +139,39 @@ def _object(x, path: str) -> dict:
     return x
 
 
-def _key(x, bounds: Tuple[int, ...], path: str) -> Tuple[int, ...]:
-    """A term's ``n`` or ``l``: one integer per variable, each in [0, its bound]."""
+def indices(x, bounds: Sequence[int], path: str, expected: str) -> Tuple[int, ...]:
+    """A JSON list of ``len(bounds)`` integers with ``0 <= x[i] < bounds[i]``,
+    such as a term's ``n`` or a table entry's index; else a schema error
+    saying what was ``expected``."""
     if not isinstance(x, list) or len(x) != len(bounds) or not all(
-        type(i) is int and 0 <= i <= b for i, b in zip(x, bounds)
+        type(i) is int and 0 <= i < b for i, b in zip(x, bounds)
     ):
-        raise SchemaError(path, f"expected {len(bounds)} integers, each between 0 and its bound in {list(bounds)}")
+        raise SchemaError(path, f"expected {expected}")
     return tuple(x)
+
+
+def _integers(text: str, count: Optional[int], path: str, msg: str) -> Tuple[int, ...]:
+    """``count`` comma-separated integers (any number when None), each in its one
+    plain decimal spelling, so that no two texts name one tuple: "2" and "-1",
+    not "02", "+2", " 2", "-0" or "1_0"."""
+    parts = text.split(",")
+    try:
+        ints = tuple(map(int, parts))
+    except ValueError:
+        ints = None
+    if ints is None or list(map(str, ints)) != parts or count not in (None, len(ints)):
+        raise SchemaError(path, msg)
+    return ints
+
+
+def _per_variable(x, vars_: List[str], path: str, read) -> dict:
+    """A per-variable field such as ``offset``: an object whose every key names a variable."""
+    out = {}
+    for v, val in _object(x, path).items():
+        if v not in vars_:
+            raise SchemaError(f"{path}.{v}", f"names no variable of {vars_}")
+        out[v] = read(val, f"{path}.{v}")
+    return out
 
 
 def series_from_json(obj: dict, path: str = "series") -> TruncSeries:
@@ -153,21 +179,24 @@ def series_from_json(obj: dict, path: str = "series") -> TruncSeries:
     vars_ = require(obj, "vars", path)
     if not isinstance(vars_, list) or not all(isinstance(v, str) for v in vars_) or len(set(vars_)) != len(vars_):
         raise SchemaError(f"{path}.vars", "expected a list of distinct variable names")
-    trunc_doc = _object(require(obj, "trunc", path), f"{path}.trunc")
-    trunc = {v: natural(require(trunc_doc, v, f"{path}.trunc"), f"{path}.trunc.{v}") for v in vars_}
-    offset_doc = _object(obj.get("offset", {}), f"{path}.offset")
-    offset = {v: rational_from_json(o, f"{path}.offset.{v}") for v, o in offset_doc.items()}
-    logmax_doc = _object(obj.get("logmax", {}), f"{path}.logmax")
-    logmax = {v: natural(m, f"{path}.logmax.{v}") for v, m in logmax_doc.items()}
+    trunc = _per_variable(require(obj, "trunc", path), vars_, f"{path}.trunc", natural)
+    for v in vars_:
+        require(trunc, v, f"{path}.trunc")
+    offset = _per_variable(obj.get("offset", {}), vars_, f"{path}.offset", rational_from_json)
+    logmax = _per_variable(obj.get("logmax", {}), vars_, f"{path}.logmax", natural)
     s = TruncSeries(vars_, trunc, offset=offset, logmax=logmax)
     terms = obj.get("terms", [])
     if not isinstance(terms, list):
         raise SchemaError(f"{path}.terms", "expected a list")
+    # a term's n and l: one integer per variable, each between 0 and its bound
+    keys = [
+        (f, [b + 1 for b in bounds], f"{len(bounds)} integers, each between 0 and its bound in {list(bounds)}")
+        for f, bounds in (("n", s.trunc), ("l", s.logmax))
+    ]
     for i, term in enumerate(terms):
         tp = f"{path}.terms[{i}]"
         _object(term, tp)
-        exps = _key(require(term, "n", tp), s.trunc, f"{tp}.n")
-        logs = _key(require(term, "l", tp), s.logmax, f"{tp}.l")
+        exps, logs = (indices(require(term, f, tp), bounds, f"{tp}.{f}", what) for f, bounds, what in keys)
         s._store(exps, logs, value_from_json(require(term, "c", tp), f"{tp}.c"))
     return s
 
@@ -230,15 +259,14 @@ def fuchs_system_from_json(obj: dict, path: str = "system") -> Tuple[FuchsSystem
     if obj.get("tail") is not None:
         t = _object(obj["tail"], f"{path}.tail")
         tail = tuple(rational_from_json(require(t, k, f"{path}.tail"), f"{path}.tail.{k}") for k in ("C", "a"))
+        for k, x in zip(("C", "a"), tail):
+            if x < 0:
+                raise SchemaError(f"{path}.tail.{k}", "a tail bound C a^n needs C >= 0 and a >= 0")
     seeds = {}
     for key, val in _object(obj.get("seeds", {}), f"{path}.seeds").items():
-        try:
-            n, l = (int(x) for x in key.split(","))
-            if key != f"{n},{l}":  # one spelling per step, so no two keys name one
-                raise ValueError
-        except ValueError:
-            raise SchemaError(f"{path}.seeds.{key}", "seed keys are 'n,l', two integers in plain decimal form") from None
-        seeds[(n, l)] = rationals(val, f"{path}.seeds.{key}")
+        # one spelling per step, so no two keys name one
+        kp = f"{path}.seeds.{key}"
+        seeds[_integers(key, 2, kp, "seed keys are 'n,l', two integers in plain decimal form")] = rationals(val, kp)
     return FuchsSystem.single(a_coeffs, w_coeffs, dim=dim, tail=tail), seeds
 
 

@@ -509,6 +509,8 @@ def genus0_invariance_check(
     if len(points) != block.arity:
         raise ValueError("one marked point per slot")
     dv = vec_is_homogeneous(v)
+    if dv is None:
+        raise ValueError("v must be homogeneous")
     work = weight_cap + abs(k) + dv + 6
     # indices below limits[s] are the inputs of weight <= weight_cap in slot s
     limits = [sum(dims[: weight_cap + 1]) for dims in block.slot_dims]

@@ -132,6 +132,47 @@ class TestVoaCommands:
         assert code == 0
         assert json.loads(out)["failures"] == []
 
+    def test_check_relations_reports_each_failing_bracket_in_order(self, monkeypatch, capsys):
+        from blocksew.fock import FockModule, vec_scale
+
+        # the vacuum component of L_n, n >= 2, carries the central term: doubling it breaks
+        # [L_2, L_-2] and L_2 omega = c/2 |0>
+        virasoro_monomial = FockModule._virasoro_monomial
+
+        def doubled_central_term(self, n, mu):
+            img = dict(virasoro_monomial(self, n, mu))
+            if n >= 2 and () in img:
+                img[()] *= 2
+            return img
+
+        with monkeypatch.context() as m:
+            m.setattr(FockModule, "_virasoro_monomial", doubled_central_term)
+            code, out = run(["voa", "check-relations", "--trunc", "3", "--range", "2"], capsys)
+        assert code == 1
+        assert json.loads(out) == {
+            "ok": False,
+            "trunc": 3,
+            "range": 2,
+            "failures": [["virasoro", -2, 2]] * 2 + [["virasoro", 2, -2]] * 2 + [["central-charge"]],
+        }
+        # a_k twice too large for k > 0: the Heisenberg brackets fail first, then the Virasoro ones
+        apply_heisenberg = FockModule.apply_heisenberg
+        monkeypatch.setattr(
+            FockModule, "apply_heisenberg", lambda self, k, vec: vec_scale(2 if k > 0 else 1, apply_heisenberg(self, k, vec))
+        )
+        code, out = run(["voa", "check-relations", "--trunc", "2", "--range", "1"], capsys)
+        assert code == 1
+        assert json.loads(out)["failures"] == (
+            [["heisenberg", -1, 1]] * 4
+            + [["heisenberg", 1, -1]] * 4
+            + [["virasoro", -1, 0]] * 3
+            + [["virasoro", -1, 1]] * 3
+            + [["virasoro", 0, -1]] * 3
+            + [["virasoro", 0, 1]]
+            + [["virasoro", 1, -1]] * 3
+            + [["virasoro", 1, 0], ["central-charge"]]
+        )
+
 
 class TestSchwarzCommands:
     def test_sd_of_mobius_is_zero(self, tmp_path, capsys):
@@ -438,6 +479,10 @@ class TestMalformedDocuments:
             (three, {"2": ["1", "0", "1", "2"], "0": ["1", "0", "0", "0"]}, "input.inputs.0"),
             (three, {"2": ["1", "0"]}, "input.inputs.2"),
             (three, {"x": ["1", "0", "1", "2"]}, "input.inputs.x"),
+            # "02" also named slot 2, and the later key won with exit 0
+            (three, {"2": ["1", "0", "1", "2"], "02": ["1", "5", "1", "2"]}, "input.inputs.02"),
+            (three, {" 2": ["1", "0", "1", "2"]}, "input.inputs. 2"),
+            (three, {"+2": ["1", "0", "1", "2"]}, "input.inputs.+2"),
             (three, ["1"], "input.inputs"),
         ]
         for block, inputs, path in bad:
@@ -469,6 +514,10 @@ class TestMalformedDocuments:
             ({**half, "trunc": {"xi": -1, "pi": 4}}, "a.trunc.xi"),
             ({**half, "logmax": {"xi": "x"}}, "a.logmax.xi"),
             ({**half, "offset": ["0"]}, "a.offset"),
+            # a key that names no variable was dropped: an offset on "Q" read as offset 0
+            ({**half, "offset": {"Q": "1/2"}}, "a.offset.Q"),
+            ({**half, "logmax": {"xi": 0, "z": 1}}, "a.logmax.z"),
+            ({**half, "trunc": {"xi": 4, "pi": 4, "q": 2}}, "a.trunc.q"),
             ({**half, "terms": {"n": [0, 0]}}, "a.terms"),
             ({**half, "terms": [[0, 0]]}, "a.terms[0]"),
             ({**half, "terms": [{"n": [0], "l": [0, 0], "c": "1/2"}]}, "a.terms[0].n"),
@@ -547,6 +596,16 @@ class TestMalformedDocuments:
         doc = write(tmp_path, "c.json", {**system, "tail": ["1", "1/2"]})
         self.rejected(["fuchs", "solve", doc], capsys, "system.tail")
 
+    def test_fuchs_tail_bound_is_non_negative(self, tmp_path, capsys):
+        # C = -5 certified r0 = 1/8 (alpha = -2), above the r0 = 1/12 of C = 5; a = -3
+        # certified r0 = 5/28 where the tail sum C a^n r1^n diverges
+        system = {"A": [[["0"]], [["1"]]], "omega": [["0"]], "seeds": {"0,0": ["1"]}}
+        argv = ["fuchs", "certify", "--order", "1", "--r1", "1/2"]
+        for tail, path in [({"C": "-5", "a": "1"}, "system.tail.C"), ({"C": "1", "a": "-3"}, "system.tail.a")]:
+            self.rejected(argv + [write(tmp_path, "a.json", {**system, "tail": tail})], capsys, path)
+        code, out = run(argv + [write(tmp_path, "b.json", {**system, "tail": {"C": "5", "a": "1"}})], capsys)
+        assert code == 0 and json.loads(out)["r0"] == "1/12"
+
     @pytest.mark.parametrize("argv, doc, path", NUMBER_AND_SHAPE_CASES, ids=[c[2] for c in NUMBER_AND_SHAPE_CASES])
     def test_numbers_and_shapes_in_module_and_scalar_fields(self, tmp_path, capsys, argv, doc, path):
         # an integer used to pass, a float gave an error without a path, "nilpotents": 3 a traceback
@@ -574,6 +633,46 @@ class TestMalformedDocuments:
 
     def test_document_that_is_not_an_object(self, tmp_path, capsys):
         self.rejected(["fuchs", "residual", write(tmp_path, "list.json", [1, 2])], capsys, "input")
+
+
+class TestFlags:
+    """A flag wins over the document's field of its name; a malformed flag is a schema error naming it."""
+
+    SYSTEM = {"A": [[["0"]], [["1"]]], "omega": [["0"]], "seeds": {"0,0": ["1"]}}
+
+    def test_flags_win_over_the_document(self, tmp_path, capsys):
+        # --r1 used to lose to the document's r1, while --order won over its order
+        doc = write(tmp_path, "a.json", {**self.SYSTEM, "order": 8, "r1": "1/2"})
+        code, out = run(["fuchs", "certify", doc, "--order", "4", "--r1", "1/8"], capsys)
+        assert code == 0 and (json.loads(out)["r1"], json.loads(out)["n_checked"]) == ("1/8", 4)
+        code, out = run(["fuchs", "certify", doc], capsys)
+        assert code == 0 and (json.loads(out)["r1"], json.loads(out)["n_checked"]) == ("1/2", 8)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["voa", "check-relations", "--momentum", "x"], "--momentum"),
+            (["voa", "dump-mode", "--kind", "heisenberg", "--index", "1", "--momentum", "1.5"], "--momentum"),
+            (["sew", "character", "--momentum", "x"], "--momentum"),
+            (["sew", "character", "--module", "lattice"], "--module"),
+            (["coord", "check-huang", "--lam", "x"], "--lam"),
+            (["voa", "dump-mode", "--kind", "vertex", "--index", "0", "--state", "0,1"], "--state"),
+            (["voa", "dump-mode", "--kind", "vertex", "--index", "0", "--state", "2,x"], "--state"),
+            (["voa", "dump-mode", "--kind", "contragredient", "--index", "0", "--state", "-1"], "--state"),
+        ],
+    )
+    def test_malformed_flag(self, argv, flag, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"schema error: {flag}: ")
+
+    def test_malformed_flag_with_an_input(self, tmp_path, capsys):
+        jet = write(tmp_path, "jet.json", {"taylor": ["2"], "exact": True})
+        for argv, flag in [
+            (["coord", "u-op", jet, "--momentum", "y"], "--momentum"),
+            (["fuchs", "certify", write(tmp_path, "a.json", self.SYSTEM), "--r1", "x"], "--r1"),
+        ]:
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"schema error: {flag}: "), argv
 
 
 class TestJsonRoundTrip:

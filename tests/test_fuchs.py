@@ -415,6 +415,13 @@ class TestCertify:
         with pytest.raises(FuchsError):
             certify(sys_, psi, Q(1, 2))
 
+    @pytest.mark.parametrize("tail", [(Q(-5), Q(1)), (Q(1), Q(-3)), ("-1/2", "1")])
+    def test_negative_tail_rejected(self, tail):
+        # C = -5 lowered alpha to -2 and certified a larger r0 than C = 5; a = -3 passed
+        # the radius check |a r1| < 1 as a r1 = -3/2 and certified a divergent tail
+        with pytest.raises(FuchsError, match="C >= 0 and a >= 0"):
+            scalar_system([0, 1], [0], tail=tail)
+
 
 class TestOdeResidual:
     def test_grading_diagonal_annihilates_character(self):

@@ -507,6 +507,12 @@ class TestGenus0Invariance:
         ok, fails = genus0_invariance_check(bad, self.points, BOSON, 1, 3)
         assert not ok and fails
 
+    def test_inhomogeneous_state_rejected(self):
+        # the working order was computed from the weight before the check: a TypeError
+        block = SewingBlock.pairing(self.m, 8)
+        with pytest.raises(ValueError, match="v must be homogeneous"):
+            genus0_invariance_check(block, self.points, {(1,): Q(1), (2,): Q(1)}, 0, 2)
+
     def test_twisted_coordinates(self):
         r1 = CoordJet.from_poly([1, 1])
         r2 = CoordJet.from_poly([2, 0, 1])
