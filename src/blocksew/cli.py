@@ -381,6 +381,29 @@ def cmd_sew_invariance(args) -> int:
 # -- fuchs -------------------------------------------------------------------
 
 
+def _coefficients(obj, path: str, fits, want: str) -> TruncSeries:
+    """The series at path, its coefficients all of one shape that fits(shape) accepts, else a schema error.
+
+    A shape is () for a rational, (n,) for a vector and (rows, cols) for a matrix.
+    """
+    shapes = set()
+
+    def value(c, cpath):
+        v = jsonio.value_from_json(c, cpath)
+        shape = (v.nrows, v.ncols) if isinstance(v, QMat) else (v.n,) if isinstance(v, QVec) else ()
+        shapes.add(shape)
+        if len(shapes) > 1 or not fits(shape):
+            raise jsonio.SchemaError(cpath, f"expected {want} (one shape for every term)")
+        return v
+
+    return jsonio.series_from_json(obj, path, value)
+
+
+def _psi(doc, dim: int) -> TruncSeries:
+    """The document's psi, a series of vectors of the system's dimension."""
+    return _coefficients(doc["psi"], "psi", lambda s: s == (dim,), f"a vector of the system's dimension {dim}")
+
+
 def cmd_fuchs_solve(args) -> int:
     doc = _read_json(args.input)
     system, seeds = jsonio.fuchs_system_from_json(doc)
@@ -396,7 +419,7 @@ def cmd_fuchs_certify(args) -> int:
     if "psi" in doc:
         if "seeds" in doc:
             raise jsonio.SchemaError("system.seeds", "a supplied psi is certified as given and takes no seeds")
-        psi = jsonio.series_from_json(doc["psi"], "psi")
+        psi = _psi(doc, system.dim)
         # a supplied psi must solve the system before its growth is certified
         res = residual(system, psi)
         if not res.is_zero():
@@ -417,12 +440,17 @@ def cmd_fuchs_certify(args) -> int:
 
 def cmd_fuchs_residual(args) -> int:
     doc = _read_json(args.input)
-    psi = jsonio.series_from_json(jsonio.require(doc, "psi", "input"), "psi")
+    jsonio.require(doc, "psi", "input")
     if "system" in doc:
         system, _ = jsonio.fuchs_system_from_json(doc["system"])
-        res = residual(system, psi)
+        res = residual(system, _psi(doc, system.dim))
     elif "Omega" in doc:
-        omega = jsonio.series_from_json(doc["Omega"], "Omega")
+        # psi is what Omega's coefficients multiply: anything for rationals, d rows for d x d matrices
+        square = lambda s: not s or (len(s) == 2 and s[0] == s[1])
+        omega = _coefficients(doc["Omega"], "Omega", square, "a rational or a square matrix")
+        d = next((c.nrows for c in omega.terms.values() if isinstance(c, QMat)), None)
+        want = "a rational, a vector or a matrix" if d is None else f"a vector of length {d} or a matrix of {d} rows"
+        psi = _coefficients(doc["psi"], "psi", lambda s: d is None or s[:1] == (d,), want)
         res = ode_residual(omega, psi, var=psi.vars[0])
     else:
         raise jsonio.SchemaError("input", "need 'system' or 'Omega'")

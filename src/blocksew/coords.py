@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fock import FockModule, Vector, vacuum_module, vec_is_homogeneous, vec_weight_max, weight
 from .linalg import QMat, _int_product, _int_rows, _of_one_den, as_q
@@ -47,40 +47,39 @@ class ExpCoeffs(NamedTuple):
     cs: List  # cs[n-1] = c_n
 
 
-def _vf_apply(cs: Sequence, poly: List, cap: int) -> List:
-    """Apply the derivation sum c_n z^{n+1} d/dz to a polynomial (degree-indexed)."""
-    zero = ring_zero_like(poly[0]) if poly else Q(0)
-    out = [zero] * (cap + 1)
-    for m, pm in enumerate(poly):
-        if _is_ring_zero(pm) or m == 0:
-            continue
+def _exp(cs: Sequence, act: Callable[[int, Dict], Dict], vec: Dict) -> Dict:
+    """sum_k (sum_n c_n X_n)^k vec / k! on a sparse vector, for act(n, v) = X_n v.
+
+    Ring-zero c_n and terms are skipped.  The sum is finite because each X_n
+    strictly moves a bounded grading, so the terms run out.
+    """
+    acc = dict(vec)
+    term = dict(vec)
+    k = 1
+    while term:
+        nxt: Dict = {}
         for n, cn in enumerate(cs, start=1):
-            if m + n > cap:
-                break
-            if not _is_ring_zero(cn):
-                out[m + n] = out[m + n] + cn * (pm * m)
-    return out
+            if _is_ring_zero(cn):
+                continue
+            for mu, c in act(n, term).items():
+                w = nxt.get(mu)
+                add = cn * c
+                nxt[mu] = add if w is None else w + add
+        invk = Q(1, k)
+        term = {mu: c * invk for mu, c in nxt.items() if not _is_ring_zero(c)}
+        for mu, c in term.items():
+            cur = acc.get(mu)
+            acc[mu] = c if cur is None else cur + c
+        k += 1
+    return acc
 
 
 def exp_vf_on_z(cs: Sequence, cap: int, one=Q(1)):
     """exp(sum c_n z^{n+1} d/dz) z as a degree-indexed list up to degree cap."""
+    # z^{n+1} d/dz sends p_m z^m to m p_m z^{m+n}
+    poly = _exp(cs, lambda n, p: {m + n: pm * m for m, pm in p.items() if m + n <= cap}, {1: one})
     zero = one * 0
-    poly = [zero] * (cap + 1)
-    if cap >= 1:
-        poly[1] = one
-    acc = list(poly)
-    term = list(poly)
-    k = 1
-    while any(not _is_ring_zero(t) for t in term):
-        term = [t * Q(1, k) for t in _vf_apply(cs, term, cap)]
-        # term now holds D^k z / k!, ready for the next application
-        for i, t in enumerate(term):
-            if not _is_ring_zero(t):
-                acc[i] = acc[i] + t
-        k += 1
-        if k > cap + 2:
-            break
-    return acc
+    return [poly.get(m, zero) for m in range(cap + 1)]
 
 
 def extract_c(rho: CoordJet) -> ExpCoeffs:
@@ -168,33 +167,9 @@ def _exp_action(ec: ExpCoeffs, module: FockModule, vec):
     The exponential is a finite sum because positive Virasoro modes strictly
     lower the weight.  Works for ring-valued vectors and coefficients.
     """
-    cs = ec.cs[: vec_weight_max(vec)]  # L_n kills every vector of weight below n
-    acc = dict(vec)
-    term = dict(vec)
-    k = 1
-    while term:
-        nxt: Dict = {}
-        for n, cn in enumerate(cs, start=1):
-            if _is_ring_zero(cn):
-                continue
-            part = module.apply_virasoro(n, term)
-            for mu, c in part.items():
-                w = nxt.get(mu)
-                add = cn * c
-                nxt[mu] = add if w is None else w + add
-        invk = Q(1, k)
-        term = {mu: c * invk for mu, c in nxt.items() if not _is_ring_zero(c)}
-        for mu, c in term.items():
-            cur = acc.get(mu)
-            acc[mu] = c if cur is None else cur + c
-        k += 1
-    c0 = ec.c0
-    out = {}
-    for mu, c in acc.items():
-        if _is_ring_zero(c):
-            continue
-        out[mu] = c0 ** weight(mu) * c
-    return out
+    # L_n kills every vector of weight below n
+    acc = _exp(ec.cs[: vec_weight_max(vec)], module.apply_virasoro, vec)
+    return {mu: ec.c0 ** weight(mu) * c for mu, c in acc.items() if not _is_ring_zero(c)}
 
 
 def u_apply(rho: CoordJet, module: FockModule, vec):
@@ -368,8 +343,6 @@ def huang_conjugation_check(
 
     rhs: Dict[tuple, Dict[int, Fraction]] = {}
     for mu_u, g in gvec.items():
-        if g.is_zero():
-            continue
         du = weight(mu_u)
         for k in range(-z_hi - 1, du + ww):
             target = module.apply_vertex({mu_u: Q(1)}, k, w)

@@ -174,7 +174,8 @@ def _per_variable(x, vars_: List[str], path: str, read) -> dict:
     return out
 
 
-def series_from_json(obj: dict, path: str = "series") -> TruncSeries:
+def series_from_json(obj: dict, path: str = "series", value=value_from_json) -> TruncSeries:
+    """A series document; value(c, path) reads each term's coefficient."""
     _object(obj, path)
     vars_ = require(obj, "vars", path)
     if not isinstance(vars_, list) or not all(isinstance(v, str) for v in vars_) or len(set(vars_)) != len(vars_):
@@ -197,7 +198,7 @@ def series_from_json(obj: dict, path: str = "series") -> TruncSeries:
         tp = f"{path}.terms[{i}]"
         _object(term, tp)
         exps, logs = (indices(require(term, f, tp), bounds, f"{tp}.{f}", what) for f, bounds, what in keys)
-        s._store(exps, logs, value_from_json(require(term, "c", tp), f"{tp}.c"))
+        s._store(exps, logs, value(require(term, "c", tp), f"{tp}.c"))
     return s
 
 

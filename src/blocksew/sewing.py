@@ -384,11 +384,8 @@ def residue_identity_check(
         groups: Dict[Tuple[int, int], Dict[int, Dict[int, Fraction]]] = {}
         for d, comp in parts.items():
             for k in range(d - 1 - order, d + order):
-                shift = d - k - 1
                 for i, row in mode(comp, k, order, order).rows.items():
                     for j, v in row.items():
-                        if weights[i] != weights[j] + shift:
-                            continue
                         r, c = (j, i) if flip else (i, j)
                         acc = groups.setdefault((weights[r], weights[c]), {}).setdefault(r, {})
                         acc[c] = acc[c] + v if c in acc else v

@@ -5,7 +5,9 @@ partition counter uses the pentagonal-number recurrence, series products are
 checked against a direct double loop, and compositional inverses against the
 Lagrange inversion formula.  One reference shares a kernel on purpose:
 ``fuchs_walk_per_step`` replays the Fuchs walk with ``linalg.solve`` at
-every step, the path the integer resolvent steps replaced.  The last four
+every step, the path the integer resolvent steps replaced, and
+``list_exp_vf_on_z`` is the degree-indexed list loop that ``exp_vf_on_z``
+ran before it shared the module exponential.  The last four
 helpers build the diagonal and block matrices and the pointwise Schwarzian
 that tests compare package results with.
 """
@@ -16,7 +18,7 @@ from itertools import product
 import random
 
 from blocksew.linalg import QMat, QVec, solve
-from blocksew.series import NotInvertible, WindowError
+from blocksew.series import LaurentJet, NotInvertible, WindowError
 
 Q = Fraction
 
@@ -192,6 +194,36 @@ def fuchs_walk_per_step(sys_, seeds, order, log_bound=0):
                 if not part.is_zero():
                     out[(exps, logs)] = part
     return out
+
+
+def list_exp_vf_on_z(cs, cap, one=Q(1)):
+    """exp(sum c_n z^{n+1} d/dz) z as a list of the coefficients of z^0..z^cap.
+
+    Every term D^k z / k! is a full zero-padded list; D adds c_n (m p_m) to
+    degree m + n for every nonzero p_m and c_n with m + n <= cap.
+    """
+
+    def is_zero(x):
+        return x.is_zero() if isinstance(x, LaurentJet) else not x
+
+    def derive(poly):
+        out = [LaurentJet.zero(var=poly[0].var) if isinstance(poly[0], LaurentJet) else Q(0)] * (cap + 1)
+        for m, pm in enumerate(poly):
+            for n, cn in enumerate(cs, start=1):
+                if m and m + n <= cap and not is_zero(pm) and not is_zero(cn):
+                    out[m + n] = out[m + n] + cn * (pm * m)
+        return out
+
+    term = [one * 0] * (cap + 1)
+    if cap >= 1:
+        term[1] = one
+    acc = list(term)
+    k = 1
+    while any(not is_zero(t) for t in term):
+        term = [t * Q(1, k) for t in derive(term)]
+        acc = [a + t if not is_zero(t) else a for a, t in zip(acc, term)]
+        k += 1
+    return acc
 
 
 def fraction_projective_term(pairs, marked, c, order):

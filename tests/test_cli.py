@@ -631,6 +631,52 @@ class TestMalformedDocuments:
         for system, path in bad:
             self.rejected(["fuchs", "residual", write(tmp_path, "r.json", {"psi": psi, "system": system})], capsys, path)
 
+    def test_psi_that_does_not_fit_its_system_or_omega(self, tmp_path, capsys):
+        # a TypeError traceback; "residual": "0" with exit 0; "error: dimension mismatch" with no path;
+        # a certificate with exit 0
+        half = {"vars": ["q"], "trunc": {"q": 2}, "offset": {"q": "1/2"}, "terms": [{"n": [0], "l": [0], "c": "1"}]}
+        omega = {"vars": ["q"], "trunc": {"q": 2}, "terms": [{"n": [0], "l": [0], "c": [["1/2"]]}]}
+        pair = {"vars": ["q"], "trunc": {"q": 2}, "terms": [{"n": [0], "l": [0], "c": ["1", "2"]}]}
+        self.rejected(["fuchs", "residual", write(tmp_path, "a.json", {"psi": half, "Omega": omega})], capsys, "psi.terms[0].c")
+        for a in ("0", "1"):
+            doc = {"psi": pair, "system": {"A": [[[a]]], "omega": [["0"]]}}
+            self.rejected(["fuchs", "residual", write(tmp_path, "b.json", doc)], capsys, "psi.terms[0].c")
+        doc = {"A": [[["0"]]], "omega": [["0"]], "psi": pair}
+        self.rejected(["fuchs", "certify", write(tmp_path, "c.json", doc)], capsys, "psi.terms[0].c")
+
+    def test_psi_is_what_omega_multiplies(self, tmp_path, capsys):
+        def series(*cs):
+            return {"vars": ["q"], "trunc": {"q": 2}, "terms": [{"n": [n], "l": [0], "c": c} for n, c in enumerate(cs)]}
+
+        def residual(psi, omega):
+            return ["fuchs", "residual", write(tmp_path, "r.json", {"psi": psi, "Omega": omega})]
+
+        # a d x d Omega takes vectors of length d or matrices with d rows; a rational Omega takes any one kind
+        fits = [
+            (series(["1", "0"]), series([["0", "0"], ["0", "0"]])),
+            (series([["1", "2", "3"], ["4", "5", "6"]]), series([["0", "0"], ["0", "0"]])),
+            (series("0", "1"), series("1")),
+            (series(["0", "0"], ["1", "2"]), series("1")),
+            (series([["0"]], [["1"]]), series("1")),
+        ]
+        for psi, omega in fits:
+            code, out = run(residual(psi, omega), capsys)
+            assert code == 0 and json.loads(out)["residual"] == "0", (psi, omega)
+        wrong = [
+            (series("1"), series([["1"]]), "psi.terms[0].c"),
+            (series(["1", "2"]), series([["1"]]), "psi.terms[0].c"),
+            (series([["1", "2"]], [["1", "2"], ["3", "4"]]), series([["1", "2"], ["3", "4"]]), "psi.terms[0].c"),
+            (series(["1"], [["1"]]), series([["1"]]), "psi.terms[1].c"),
+            (series("1", ["1"]), series("1"), "psi.terms[1].c"),
+            (series(["1", "2"], ["1", "2", "3"]), series("1"), "psi.terms[1].c"),
+            (series(["1"]), series(["1"]), "Omega.terms[0].c"),
+            (series(["1", "2"]), series([["1", "2"]]), "Omega.terms[0].c"),
+            (series(["1"]), series("1", [["1"]]), "Omega.terms[1].c"),
+            (series(["1"]), series([["1"]], [["1", "0"], ["0", "1"]]), "Omega.terms[1].c"),
+        ]
+        for psi, omega, path in wrong:
+            self.rejected(residual(psi, omega), capsys, path)
+
     def test_document_that_is_not_an_object(self, tmp_path, capsys):
         self.rejected(["fuchs", "residual", write(tmp_path, "list.json", [1, 2])], capsys, "input")
 

@@ -21,7 +21,7 @@ from blocksew.coords import (
 from blocksew.fock import BOSON, CONFORMAL, VACUUM, FockModule, partitions_of, vacuum_module, weight
 from blocksew.linalg import QMat
 from blocksew.series import CoordJet, LaurentJet, NotInvertible, WindowError, compose_jets, ring_one_like
-from helpers import fraction_matmul, random_jet_coeffs, random_rational, scalar_pow_weight
+from helpers import fraction_matmul, list_exp_vf_on_z, random_jet_coeffs, random_rational, scalar_pow_weight
 
 Q = Fraction
 SEED = 31337
@@ -120,6 +120,36 @@ class TestExtractC:
     def test_rejects_singular(self):
         with pytest.raises(NotInvertible):
             extract_c(CoordJet([Q(0), Q(1)]))
+
+
+class TestExpVfOnZ:
+    """exp_vf_on_z, on the module exponential's loop, against the list loop it replaced."""
+
+    def test_against_the_list_loop(self):
+        # rational c_n with zero entries; a rational one, and a LaurentJet one on a finite window
+        rnd = random.Random(SEED + 4)
+        for cap in range(13):
+            for _ in range(4):
+                cs = [random_rational(rnd) if rnd.random() < 0.6 else Q(0) for _ in range(rnd.randint(0, cap + 2))]
+                assert exp_vf_on_z(cs, cap) == list_exp_vf_on_z(cs, cap)
+                one = LaurentJet.const(1, var="t").truncated(rnd.randint(0, 6))
+                got, want = exp_vf_on_z(cs, cap, one=one), list_exp_vf_on_z(cs, cap, one=one)
+                assert [with_window(c) for c in got] == [with_window(c) for c in want]
+        assert exp_vf_on_z([Q(0)] * 3, 3) == [Q(0), Q(1), Q(0), Q(0)] and exp_vf_on_z([Q(1)], 0) == [Q(0)]
+
+    def test_against_the_list_loop_over_laurent_coefficients(self):
+        # c_n on finite windows starting at 0, as a family jet's are: the windows match too
+        rnd = random.Random(SEED + 5)
+
+        def jet(hi):
+            return LaurentJet({e: random_rational(rnd) for e in range(hi + 1) if rnd.random() < 0.7}, 0, hi, "t")
+
+        for cap in range(13):
+            for _ in range(2):
+                one = LaurentJet.const(1, var="t").truncated(rnd.randint(2, 6))
+                cs = [jet(rnd.randint(0, 6)) if rnd.random() < 0.6 else LaurentJet.zero("t") for _ in range(cap + 1)]
+                got, want = exp_vf_on_z(cs, cap, one=one), list_exp_vf_on_z(cs, cap, one=one)
+                assert [with_window(c) for c in got] == [with_window(c) for c in want]
 
 
 class TestC2Formula:
