@@ -100,6 +100,13 @@ def _emit_series(series: TruncSeries, args) -> None:
     _emit_chunks(chunks, args)
 
 
+def _emit_matrix(mat, module, n: int, args) -> int:
+    """Print a matrix on the module's basis up to weight n, each row and column labelled by its partition."""
+    labels = [",".join(map(str, mu)) for mu in module.basis(n)]
+    _emit(jsonio.dumps_canonical(jsonio.matrix_to_json(mat, labels)), args)
+    return 0
+
+
 def _report(ok: bool, report: dict, args) -> int:
     """Print a check's report with its verdict "ok"; the exit status is 0 if ok, else 1."""
     _emit(jsonio.dumps_canonical({"ok": ok, **report}), args)
@@ -124,11 +131,7 @@ def cmd_coord_extract_c(args) -> int:
 def cmd_coord_u_op(args) -> int:
     jet = jsonio.jet_from_json(_read_json(args.input))
     module = _fock_module(args)
-    n = args.trunc
-    mat = u_matrix(jet, module, n)
-    labels = [",".join(map(str, mu)) for mu in module.basis(n)]
-    _emit(jsonio.dumps_canonical(jsonio.matrix_to_json(mat, labels)), args)
-    return 0
+    return _emit_matrix(u_matrix(jet, module, args.trunc), module, args.trunc, args)
 
 
 def cmd_coord_check_huang(args) -> int:
@@ -186,9 +189,7 @@ def cmd_voa_dump_mode(args) -> int:
         mat = module.vertex_matrix(_parse_state(args.state), args.index, n)
     else:
         mat = module.contragredient_matrix(_parse_state(args.state), args.index, n)
-    labels = [",".join(map(str, mu)) for mu in module.basis(n)]
-    _emit(jsonio.dumps_canonical(jsonio.matrix_to_json(mat, labels)), args)
-    return 0
+    return _emit_matrix(mat, module, n, args)
 
 
 def cmd_voa_check_relations(args) -> int:
@@ -399,9 +400,17 @@ def _coefficients(obj, path: str, fits, want: str) -> TruncSeries:
     return jsonio.series_from_json(obj, path, value)
 
 
-def _psi(doc, dim: int) -> TruncSeries:
-    """The document's psi, a series of vectors of the system's dimension."""
-    return _coefficients(doc["psi"], "psi", lambda s: s == (dim,), f"a vector of the system's dimension {dim}")
+def _psi(doc, vars, fits, want: str) -> TruncSeries:
+    """The document's psi: a series in vars, the variables of what it must solve, with coefficients as for _coefficients."""
+    psi = _coefficients(doc["psi"], "psi", fits, want)
+    if psi.vars != vars:
+        raise jsonio.SchemaError("psi.vars", f"expected {list(vars)}, the variables of what psi must solve")
+    return psi
+
+
+def _system_psi(doc, system) -> TruncSeries:
+    """The document's psi, a series of vectors of the system's dimension in the system's variables."""
+    return _psi(doc, system.variables, lambda s: s == (system.dim,), f"a vector of the system's dimension {system.dim}")
 
 
 def cmd_fuchs_solve(args) -> int:
@@ -419,7 +428,7 @@ def cmd_fuchs_certify(args) -> int:
     if "psi" in doc:
         if "seeds" in doc:
             raise jsonio.SchemaError("system.seeds", "a supplied psi is certified as given and takes no seeds")
-        psi = _psi(doc, system.dim)
+        psi = _system_psi(doc, system)
         # a supplied psi must solve the system before its growth is certified
         res = residual(system, psi)
         if not res.is_zero():
@@ -443,14 +452,14 @@ def cmd_fuchs_residual(args) -> int:
     jsonio.require(doc, "psi", "input")
     if "system" in doc:
         system, _ = jsonio.fuchs_system_from_json(doc["system"])
-        res = residual(system, _psi(doc, system.dim))
+        res = residual(system, _system_psi(doc, system))
     elif "Omega" in doc:
         # psi is what Omega's coefficients multiply: anything for rationals, d rows for d x d matrices
         square = lambda s: not s or (len(s) == 2 and s[0] == s[1])
         omega = _coefficients(doc["Omega"], "Omega", square, "a rational or a square matrix")
         d = next((c.nrows for c in omega.terms.values() if isinstance(c, QMat)), None)
         want = "a rational, a vector or a matrix" if d is None else f"a vector of length {d} or a matrix of {d} rows"
-        psi = _coefficients(doc["psi"], "psi", lambda s: d is None or s[:1] == (d,), want)
+        psi = _psi(doc, omega.vars, lambda s: d is None or s[:1] == (d,), want)
         res = ode_residual(omega, psi, var=psi.vars[0])
     else:
         raise jsonio.SchemaError("input", "need 'system' or 'Omega'")

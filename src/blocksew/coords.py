@@ -27,6 +27,7 @@ from .series import (
     NotInvertible,
     WindowError,
     _is_ring_zero,
+    _powers,
     compose_jets,
     reverse_jet,
     ring_one_like,
@@ -332,15 +333,8 @@ def huang_conjugation_check(
         shared[gkey] = u_apply(fam, vacuum_module(), {mu: LaurentJet.const(c, var="z") for mu, c in v.items()})
     gvec = shared[gkey]
     if ("powers", work) not in shared:
-        alpha_lt = alpha.to_laurent("z").truncated(work)
-        shared["powers", work] = {0: LaurentJet.const(1, var="z"), 1: alpha_lt, -1: alpha_lt.inv()}
-    apows = shared["powers", work]
-
-    def apow(e: int) -> LaurentJet:
-        if e not in apows:
-            apows[e] = apow(e - 1) * apows[1] if e > 0 else apow(e + 1) * apows[-1]
-        return apows[e]
-
+        shared["powers", work] = _powers(alpha.to_laurent("z").truncated(work))
+    apow = shared["powers", work]
     rhs: Dict[tuple, Dict[int, Fraction]] = {}
     for mu_u, g in gvec.items():
         du = weight(mu_u)

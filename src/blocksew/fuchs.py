@@ -295,8 +295,9 @@ def residual(sys: FuchsSystem, psi: TruncSeries, j: int = 0) -> TruncSeries:
     var = sys.variables[j]
     order = psi.trunc[psi.var_index(var)]
     logmax = max(psi.logmax)
-    a = sys._stream_series(sys.a[j], order, logmax)
-    return ode_residual(a, psi, var) - sys._stream_series(sys.omega[j], order, logmax)
+    res = ode_residual(sys._stream_series(sys.a[j], order, logmax), psi, var)
+    # a zero omega lies in every sector; its series at offset 0 would cut psi's window or clash with its offset
+    return res - sys._stream_series(sys.omega[j], order, logmax) if sys.omega[j] else res
 
 
 def ode_residual(omega: TruncSeries, psi: TruncSeries, var: str = "q") -> TruncSeries:

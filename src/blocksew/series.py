@@ -28,7 +28,7 @@ import math
 import operator
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .linalg import QMat, QVec, _over_one_den, as_q
 
@@ -269,13 +269,7 @@ class LaurentJet:
         return LaurentJet.const(other, var=self.var) / self
 
     def pow(self, k: int) -> "LaurentJet":
-        if k == 0:
-            return LaurentJet.const(1, var=self.var)
-        base = self if k > 0 else self.inv()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        return _powers(self)(k) if k >= 0 else _powers(self.inv())(-k)
 
     __pow__ = pow
 
@@ -503,24 +497,8 @@ def jet_compose(outer: LaurentJet, inner: CoordJet) -> LaurentJet:
     """
     inner.check_invertible()
     var = outer.var
-    lt = inner.to_laurent(var)
-    pows: Dict[int, LaurentJet] = {}
-    inv_cache: Optional[LaurentJet] = None
-
-    def ipow(e: int) -> LaurentJet:
-        nonlocal inv_cache
-        if e not in pows:
-            if e == 0:
-                pows[0] = LaurentJet.const(1, var=var)
-            elif e > 0:
-                pows[e] = ipow(e - 1) * lt
-            else:
-                if inv_cache is None:
-                    inv_cache = _safe_inv(lt)
-                pows[e] = ipow(e + 1) * inv_cache
-        return pows[e]
-
-    terms = [(c, ipow(e)) for e, c in outer.coeffs.items()]
+    power = _powers(inner.to_laurent(var))
+    terms = [(c, power(e)) for e, c in outer.coeffs.items()]
     lo = min((p.lo for _c, p in terms), default=0)
     # unknown outer coefficients above outer.hi pollute exponents > outer.hi
     hi = outer.hi
@@ -542,6 +520,25 @@ def _safe_inv(lt: LaurentJet) -> LaurentJet:
     if lt.hi is None:
         return lt.inv(rel_order=max(max(lt.coeffs) * 4, DEFAULT_EXACT_PRECISION))
     return lt.inv()
+
+
+def _powers(lt: LaurentJet) -> Callable[[int], LaurentJet]:
+    """Memo e -> lt^e, negative e included: lt^(e-1) lt above 1, lt^(e+1) lt^-1 below -1.
+
+    lt^-1 is :func:`_safe_inv` of lt, built when a negative power is first read.
+    """
+    pows = {0: LaurentJet.const(1, var=lt.var), 1: lt}
+
+    def power(e: int) -> LaurentJet:
+        if e < 0 and -1 not in pows:
+            pows[-1] = _safe_inv(lt)
+        step = 1 if e > 0 else -1
+        for n in range(2 * step, e + step, step):
+            if n not in pows:
+                pows[n] = pows[n - step] * pows[step]
+        return pows[e]
+
+    return power
 
 
 def residue(f: LaurentJet):

@@ -12,7 +12,6 @@ invariance check on the two-pointed sphere with arbitrary coordinate jets.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -25,6 +24,7 @@ from .series import (
     LaurentJet,
     TruncSeries,
     WindowError,
+    _powers,
     _vmul,
     diagonal_contract,
     jet_compose,
@@ -431,16 +431,8 @@ def _binomial_jet(z0: Fraction, k: int, work: int, var: str) -> LaurentJet:
     """(z0 + t)^k as a t-series; exact for k >= 0, truncated window otherwise."""
     if z0 == 0:
         return LaurentJet.monomial(1, k, var)
-    if k >= 0:
-        coeffs = {j: as_q(math.comb(k, j)) * z0 ** (k - j) for j in range(k + 1)}
-        return LaurentJet(coeffs, 0, None, var)
-    coeffs = {}
-    c = z0 ** k
-    coeffs[0] = c
-    for j in range(1, work + 1):
-        c = c * Q(k - j + 1, j) / z0
-        coeffs[j] = c
-    return LaurentJet(coeffs, 0, work, var)
+    base = LaurentJet({0: z0, 1: 1}, 0, None, var)
+    return _powers(base)(k) if k >= 0 else _powers(base.truncated(work))(k)
 
 
 def expand_section_at_point(

@@ -7,7 +7,9 @@ Lagrange inversion formula.  One reference shares a kernel on purpose:
 ``fuchs_walk_per_step`` replays the Fuchs walk with ``linalg.solve`` at
 every step, the path the integer resolvent steps replaced, and
 ``list_exp_vf_on_z`` is the degree-indexed list loop that ``exp_vf_on_z``
-ran before it shared the module exponential.  The last four
+ran before it shared the module exponential, and ``closed_form_binomial_jet``
+is the binomial closed form that ``sewing._binomial_jet`` used before it read
+the jet power table.  The last four
 helpers build the diagonal and block matrices and the pointwise Schwarzian
 that tests compare package results with.
 """
@@ -15,6 +17,7 @@ that tests compare package results with.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+import math
 import random
 
 from blocksew.linalg import QMat, QVec, solve
@@ -224,6 +227,17 @@ def list_exp_vf_on_z(cs, cap, one=Q(1)):
         acc = [a + t if not is_zero(t) else a for a, t in zip(acc, term)]
         k += 1
     return acc
+
+
+def closed_form_binomial_jet(z0, k, work, var):
+    """(z0 + t)^k for z0 != 0 from binomial coefficients: exact for k >= 0, on [0, work] for k < 0."""
+    if k >= 0:
+        return LaurentJet({j: math.comb(k, j) * z0 ** (k - j) for j in range(k + 1)}, 0, None, var)
+    coeffs = {0: z0 ** k}
+    for j in range(1, work + 1):
+        # binom(k, j) z0^(k-j) = binom(k, j-1) z0^(k-j+1) (k-j+1)/(j z0)
+        coeffs[j] = coeffs[j - 1] * Q(k - j + 1, j) / z0
+    return LaurentJet(coeffs, 0, work, var)
 
 
 def fraction_projective_term(pairs, marked, c, order):

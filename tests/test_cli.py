@@ -325,6 +325,21 @@ class TestFuchsCommands:
         doc = json.loads(out)
         assert doc["ok"] is False and doc["violation_index"] == 1
 
+    def test_residual_of_a_psi_off_the_integer_powers(self, tmp_path, capsys):
+        # a zero omega lies in every sector: psi = q^(1/2) solves q psi' = psi / 2, not q psi' = psi;
+        # psi = q does not solve q psi' = 0, which once read "0" after its q^1 term was cut at q^0
+        def residual(offset, a):
+            psi = {"vars": ["q"], "trunc": {"q": 2}, "offset": {"q": offset}, "terms": [{"n": [0], "l": [0], "c": ["1"]}]}
+            doc = {"psi": psi, "system": {"A": [[[a]]], "omega": [["0"]]}}
+            code, out = run(["fuchs", "residual", write(tmp_path, "r.json", doc)], capsys)
+            return code, json.loads(out)["residual"]
+
+        assert residual("1/2", "1/2") == (0, "0")
+        code, res = residual("1/2", "1")
+        assert code == 1 and res["offset"] == {"q": "1/2"} and res["terms"] == [{"n": [0], "l": [0], "c": ["-1/2"]}]
+        code, res = residual("1", "0")
+        assert code == 1 and res["offset"] == {"q": "1"} and res["terms"] == [{"n": [0], "l": [0], "c": ["1"]}]
+
     def test_solve_prints_integers_beyond_the_default_digit_limit(self, tmp_path, capsys):
         import sys
 
@@ -643,6 +658,15 @@ class TestMalformedDocuments:
             self.rejected(["fuchs", "residual", write(tmp_path, "b.json", doc)], capsys, "psi.terms[0].c")
         doc = {"A": [[["0"]]], "omega": [["0"]], "psi": pair}
         self.rejected(["fuchs", "certify", write(tmp_path, "c.json", doc)], capsys, "psi.terms[0].c")
+
+    def test_psi_in_another_variable(self, tmp_path, capsys):
+        # "error: no variable q in ('p',)" and "error: ('q',) vs ('p',)", with no JSON path
+        psi = {"vars": ["p"], "trunc": {"p": 2}, "terms": [{"n": [0], "l": [0], "c": ["1"]}]}
+        omega = {"vars": ["q"], "trunc": {"q": 2}, "terms": [{"n": [0], "l": [0], "c": [["1/2"]]}]}
+        system = {"A": [[["1/2"]]], "omega": [["0"]]}
+        for doc in ({"psi": psi, "system": system}, {"psi": psi, "Omega": omega}):
+            self.rejected(["fuchs", "residual", write(tmp_path, "r.json", doc)], capsys, "psi.vars")
+        self.rejected(["fuchs", "certify", write(tmp_path, "c.json", {**system, "psi": psi})], capsys, "psi.vars")
 
     def test_psi_is_what_omega_multiplies(self, tmp_path, capsys):
         def series(*cs):

@@ -515,6 +515,39 @@ class TestLaurentKernels:
         with pytest.raises(WindowError):
             LaurentJet({0: Q(2)}, 0, None, "z").inv()
 
+    def test_pow_against_repeated_fraction_products(self):
+        rnd = random.Random(SEED + 10)
+        checked = 0
+        for lo in (-1, 0):
+            for _ in range(10):
+                hi = lo + rnd.randint(0, 5)
+                coeffs = {e: random_rational(rnd, num=20, den=12) for e in range(lo, hi + 1) if rnd.random() < 0.7}
+                coeffs[lo] = coeffs.get(lo) or Q(rnd.choice([-3, 2, 5]), rnd.randint(1, 4))  # invertible
+                x = LaurentJet(coeffs, lo, hi, "z")
+                for k in range(-3, 4):
+                    # x^k as |k| - 1 Fraction products of x (or of its Fraction inverse), x^0 = 1
+                    want = ({0: Q(1)}, 0, None)
+                    if k:
+                        base = x if k > 0 else LaurentJet(*fraction_inverse(x), "z")
+                        want = (base.coeffs, base.lo, base.hi)
+                        for _ in range(abs(k) - 1):
+                            want = fraction_product(LaurentJet(*want, "z"), base)
+                    got = x.pow(k)
+                    assert (got.coeffs, got.lo, got.hi) == want, (x, k)
+                    checked += 1
+        assert checked == 140
+
+    def test_pow_raises_where_the_inverse_does(self):
+        exact = LaurentJet({0: Q(2), 1: Q(1)}, 0, None, "z")
+        assert exact.pow(3).coeffs == {0: 8, 1: 12, 2: 6, 3: 1}
+        with pytest.raises(WindowError):
+            exact.pow(-1)
+        zero = LaurentJet({}, -1, 3, "z")
+        assert (zero.pow(2).coeffs, zero.pow(2).lo, zero.pow(2).hi) == ({}, -2, 2)
+        for k in (-1, -2):
+            with pytest.raises(NotInvertible):
+                zero.pow(k)
+
 
 class TestResidue:
     def test_simple_pole(self):

@@ -21,6 +21,7 @@ from blocksew.sewing import (
     SewingBlock,
     SpherePoint,
     TruncationShortfall,
+    _binomial_jet,
     _diagonal_of_product,
     expand_section_at_point,
     genus0_invariance_check,
@@ -30,7 +31,7 @@ from blocksew.sewing import (
     sew,
     sew_multi,
 )
-from helpers import euler_partition_count, fraction_sew, random_rational, submatrix
+from helpers import closed_form_binomial_jet, euler_partition_count, fraction_sew, random_rational, submatrix
 
 Q = Fraction
 SEED = 777
@@ -470,6 +471,17 @@ class TestResidueIdentity:
                     f = TruncSeries.monomial(1, ("x", "y"), {"x": 4, "y": 4}, {"x": a, "y": b})
                     ok, _, _ = residue_identity_check(u, f, m, 4)
                     assert ok, (u, a, b)
+
+
+def test_binomial_jet_against_closed_form():
+    for z0 in (Q(1), Q(-2, 3), Q(3)):
+        for k in range(-3, 4):
+            for work in range(1, 7):
+                got = _binomial_jet(z0, k, work, "s")
+                want = closed_form_binomial_jet(z0, k, work, "s")
+                assert (got.coeffs, got.lo, got.hi, got.var) == (want.coeffs, want.lo, want.hi, "s"), (z0, k, work)
+    got = _binomial_jet(Q(0), -2, 3, "s")
+    assert (got.coeffs, got.lo, got.hi) == ({-2: 1}, -2, None)
 
 
 class TestGenus0Invariance:
