@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fock import FockModule, Vector, vacuum_module, vec_is_homogeneous, vec_weight_max, weight
-from .linalg import QMat, _int_product, _int_rows, _of_one_den, as_q
+from .linalg import QMat, _add_scaled, _int_product, _of_one_den, _over_one_den, as_q
 from .series import (
     CoordJet,
     LaurentJet,
@@ -48,39 +48,62 @@ class ExpCoeffs(NamedTuple):
     cs: List  # cs[n-1] = c_n
 
 
-def _exp(cs: Sequence, act: Callable[[int, Dict], Dict], vec: Dict) -> Dict:
-    """sum_k (sum_n c_n X_n)^k vec / k! on a sparse vector, for act(n, v) = X_n v.
+def _exp(cs: Sequence, act: Callable[[int, Dict], Dict], vec: Dict, d: int = 1) -> Tuple[Dict, int]:
+    """exp(X) vec for X = sum_n c_n X_n / d on a sparse vector, act(n, v) = X_n v,
+    as a vector of numerators and their one denominator.
 
-    Ring-zero c_n and terms are skipped.  The sum is finite because each X_n
-    strictly moves a bounded grading, so the terms run out.
+    The powers P_k = (d X)^k vec run out at some K, because each X_n strictly
+    moves a bounded grading; then exp(X) vec = sum_k P_k d^(K-k) K!/k! over
+    d^K K!.  Only products and sums are taken, so integer c_n, vec and act
+    stay in the integers, and ring elements (LaurentJets) work too.
+    Ring-zero c_n and entries are skipped.
     """
-    acc = dict(vec)
-    term = dict(vec)
-    k = 1
-    while term:
+    powers = [vec]
+    while True:
         nxt: Dict = {}
         for n, cn in enumerate(cs, start=1):
             if _is_ring_zero(cn):
                 continue
-            for mu, c in act(n, term).items():
+            for mu, c in act(n, powers[-1]).items():
                 w = nxt.get(mu)
                 add = cn * c
                 nxt[mu] = add if w is None else w + add
-        invk = Q(1, k)
-        term = {mu: c * invk for mu, c in nxt.items() if not _is_ring_zero(c)}
-        for mu, c in term.items():
+        nxt = {mu: c for mu, c in nxt.items() if not _is_ring_zero(c)}
+        if not nxt:
+            break
+        powers.append(nxt)
+    # P_K weighs 1, each step down multiplies by d k, and P_0 weighs d^K K!
+    weights = [1] * len(powers)
+    for k in range(len(powers) - 1, 0, -1):
+        weights[k - 1] = weights[k] * d * k
+    acc: Dict = {}
+    for p, f in zip(powers, weights):
+        for mu, c in p.items():
             cur = acc.get(mu)
-            acc[mu] = c if cur is None else cur + c
-        k += 1
-    return acc
+            acc[mu] = c * f if cur is None else cur + c * f
+    return acc, weights[0]
+
+
+def _is_rational(values) -> bool:
+    """Whether every value is a Fraction, so that the exponential can run on integers."""
+    return all(isinstance(x, Fraction) for x in values)
 
 
 def exp_vf_on_z(cs: Sequence, cap: int, one=Q(1)):
     """exp(sum c_n z^{n+1} d/dz) z as a degree-indexed list up to degree cap."""
+
     # z^{n+1} d/dz sends p_m z^m to m p_m z^{m+n}
-    poly = _exp(cs, lambda n, p: {m + n: pm * m for m, pm in p.items() if m + n <= cap}, {1: one})
-    zero = one * 0
-    return [poly.get(m, zero) for m in range(cap + 1)]
+    def vf(n, p):
+        return {m + n: pm * m for m, pm in p.items() if m + n <= cap}
+
+    if _is_rational([one, *cs]):
+        # on integers: c_n = t_n / d, and the vector field keeps integers integral
+        ts, d = _over_one_den(cs)
+        poly, den = _exp(ts, vf, {1: one.numerator}, d)
+        return [Q(poly.get(m, 0), den * one.denominator) for m in range(cap + 1)]
+    poly, den = _exp(cs, vf, {1: one})
+    zero, inv = one * 0, Q(1, den)
+    return [poly[m] * inv if m in poly else zero for m in range(cap + 1)]
 
 
 def extract_c(rho: CoordJet) -> ExpCoeffs:
@@ -166,11 +189,24 @@ def _exp_action(ec: ExpCoeffs, module: FockModule, vec):
     """Apply c_0^{weight} exp(sum c_n L_n) to a vector, for c_n covering its weights.
 
     The exponential is a finite sum because positive Virasoro modes strictly
-    lower the weight.  Works for ring-valued vectors and coefficients.
+    lower the weight.  Rational coefficients and vectors run on integers,
+    with one Fraction per output entry; ring-valued ones (family jets) run
+    on the module's rational action.
     """
     # L_n kills every vector of weight below n
-    acc = _exp(ec.cs[: vec_weight_max(vec)], module.apply_virasoro, vec)
-    return {mu: ec.c0 ** weight(mu) * c for mu, c in acc.items() if not _is_ring_zero(c)}
+    cs, c0 = ec.cs[: vec_weight_max(vec)], ec.c0
+    if _is_rational([c0, *cs, *vec.values()]):
+        # c_n = t_n / d, vec = nums / dv, and L_n is an integer action over the module's denominator
+        ts, d = _over_one_den(cs)
+        nums, dv = _over_one_den(vec.values())
+        acc, den = _exp(ts, module._virasoro_ints, dict(zip(vec, nums)), d * module._virasoro_den)
+        den *= dv
+        return {
+            mu: Q(x * c0.numerator ** weight(mu), den * c0.denominator ** weight(mu)) for mu, x in acc.items() if x
+        }
+    acc, den = _exp(cs, module.apply_virasoro, vec)
+    inv = Q(1, den)
+    return {mu: c0 ** weight(mu) * (c * inv) for mu, c in acc.items() if not _is_ring_zero(c)}
 
 
 def u_apply(rho: CoordJet, module: FockModule, vec):
@@ -194,19 +230,12 @@ def u_matrix(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
     """
     ec = _exp_coeffs(rho, n_max)
     dim = module.dim(n_max)
-
-    def add_scaled(into: Dict[int, Dict[int, int]], rows: Dict[int, Dict[int, int]], f: int) -> None:
-        for i, r in rows.items():
-            row = into.setdefault(i, {})
-            for j, x in r.items():
-                row[j] = row.get(j, 0) + f * x
-
     # T from the integer rows of each L_n, over D = lcm of the denominators of c_n L_n
-    terms = [(cn, *_int_rows(module.virasoro_matrix(n, n_max, n_max))) for n, cn in enumerate(ec.cs, start=1) if cn]
+    terms = [(cn, *module._mode_ints("L", n, n_max, n_max)) for n, cn in enumerate(ec.cs, start=1) if cn]
     d = math.lcm(*(cn.denominator * dn for cn, _, dn in terms))
     tint: Dict[int, Dict[int, int]] = {}
     for cn, lrows, dn in terms:
-        add_scaled(tint, lrows, cn.numerator * (d // (cn.denominator * dn)))
+        _add_scaled(tint, lrows, cn.numerator * (d // (cn.denominator * dn)))
     powers = [{i: {i: 1} for i in range(dim)}]
     for _ in range(n_max + 1):
         power = _int_product(tint, powers[-1])
@@ -218,7 +247,7 @@ def u_matrix(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
     acc: Dict[int, Dict[int, int]] = {}
     f = 1
     for k in range(top, -1, -1):
-        add_scaled(acc, powers[k], f)
+        _add_scaled(acc, powers[k], f)
         f *= d * k
     den = d**top * math.factorial(top)
     c0 = as_q(ec.c0)

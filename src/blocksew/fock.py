@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import QMat, as_q
+from .linalg import QMat, _int_rows, _over_one_den, as_q
 
 Q = Fraction
 
@@ -112,8 +112,13 @@ class FockModule:
         self.momentum = as_q(momentum)
         self.offset = self.momentum * self.momentum / 2
         self._matrix_cache: Dict[tuple, QMat] = {}
-        # exact images of basis monomials: L_n mu keyed (n, mu), Y(nu)_m mu keyed (nu, m, mu)
-        self._virasoro_images: Dict[Tuple[int, Partition], Vector] = {}
+        # the integer rows and denominator of a snapshot, under the snapshot's key
+        self._int_cache: Dict[tuple, Tuple[Dict[int, Dict[int, int]], int]] = {}
+        # every entry of an L_n image is an integer over 2 q^2, q the momentum's denominator
+        self._virasoro_den = 2 * self.momentum.denominator ** 2
+        # exact images of basis monomials: L_n mu keyed (n, mu), as (rationals, integers over
+        # _virasoro_den); Y(nu)_m mu keyed (nu, m, mu)
+        self._virasoro_images: Dict[Tuple[int, Partition], Tuple[Vector, Dict[Partition, int]]] = {}
         self._vertex_images: Dict[Tuple[Partition, int, Partition], Vector] = {}
 
     # -- basis bookkeeping ---------------------------------------------------
@@ -163,19 +168,37 @@ class FockModule:
         return out
 
     def _virasoro_monomial(self, n: int, mu: Partition) -> Vector:
+        return self._virasoro_image(n, mu)[0]
+
+    def _virasoro_ints(self, n: int, vec: Dict[Partition, int]) -> Dict[Partition, int]:
+        """_virasoro_den L_n on a vector of integers, an integer vector; entries may be zero."""
+        out: Dict[Partition, int] = {}
+        for mu, c in vec.items():
+            for tau, x in self._virasoro_image(n, mu)[1].items():
+                out[tau] = out.get(tau, 0) + c * x
+        return out
+
+    def _virasoro_image(self, n: int, mu: Partition) -> Tuple[Vector, Dict[Partition, int]]:
+        """L_n mu, as rationals and as integers over _virasoro_den, built once.
+
+        Twice the image, the sum over j <= n - j of :a_j a_{n-j}: mu weighted
+        2 (1 when j = n - j), is made on integer weights, so only a_0 = lambda
+        brings a denominator (q per factor, q^2 at most); each entry is halved
+        once at the end.
+        """
         img = self._virasoro_images.get((n, mu))
         if img is None:
-            img = {}
+            twice: Vector = {}
             wmax = weight(mu)
             for j in range(n - wmax, n // 2 + 1):
                 k = n - j
                 if k > wmax and k > 0 and j >= 0:
                     continue  # pure annihilation beyond support
-                half = Q(1, 2) if j == k else Q(1)
                 # :a_j a_k: with j <= k means the annihilation-most factor acts first
-                for tau, c in self.apply_heisenberg(j, self.apply_heisenberg(k, {mu: Q(1)})).items():
-                    _acc(img, tau, half * c)
-            self._virasoro_images[(n, mu)] = img
+                for tau, c in self.apply_heisenberg(j, self.apply_heisenberg(k, {mu: 1 if j == k else 2})).items():
+                    _acc(twice, tau, c)
+            nums, _ = _over_one_den(twice.values(), self._virasoro_den // 2)
+            img = self._virasoro_images[(n, mu)] = ({tau: Q(c, 2) for tau, c in twice.items()}, dict(zip(twice, nums)))
         return img
 
     def apply_vertex(self, v: Vector, m: int, vec: Vector) -> Vector:
@@ -251,6 +274,16 @@ class FockModule:
             self._matrix_cache[key] = build(src_n, tgt_n)
         return self._matrix_cache[key]
 
+    def _mode_ints(self, kind: str, index: int, src_n: int, tgt_n: int) -> Tuple[Dict[int, Dict[int, int]], int]:
+        """The integer rows and denominator (linalg._int_rows) of the snapshot of
+        a_index (kind "a") or L_index (kind "L") from weights up to src_n to
+        weights up to tgt_n, made once per snapshot key."""
+        key = (kind, index, src_n, tgt_n)
+        if key not in self._int_cache:
+            mat = (self.heisenberg_matrix if kind == "a" else self.virasoro_matrix)(index, src_n, tgt_n)
+            self._int_cache[key] = _int_rows(mat)
+        return self._int_cache[key]
+
     def heisenberg_matrix(self, k: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
         build = partial(self._snapshot, lambda mu: self.apply_heisenberg(k, {mu: Q(1)}), -k)
         return self._mode_matrix(("a", k), -k, src_n, tgt_n, build)
@@ -325,7 +358,7 @@ def _check_vertex_weight(d: int) -> None:
 
 
 def _acc(out: Vector, mu: Partition, c: Fraction) -> None:
-    w = out.get(mu, Q(0)) + c
+    w = out.get(mu, 0) + c
     if w:
         out[mu] = w
     else:
@@ -337,13 +370,13 @@ def _vec_key(v: Vector):
 
 
 @lru_cache(maxsize=None)
-def _current_coeff(n: int, j: int) -> Fraction:
+def _current_coeff(n: int, j: int) -> int:
     """Mode coefficient binom(-j-1, n-1) of a_j in the current d^{n-1}a/(n-1)!."""
     r = n - 1
     num = 1
     for t in range(r):
         num *= (-j - 1 - t)
-    return Q(num, math.factorial(r))
+    return num // math.factorial(r)
 
 
 @lru_cache(maxsize=None)

@@ -230,8 +230,8 @@ def matrix_to_json(m: QMat, labels: Optional[List[str]] = None) -> dict:
 def matrix_from_json(obj: dict, path: str = "matrix") -> QMat:
     shape = require(obj, "shape", path)
     m = QMat(int(shape[0]), int(shape[1]))
-    for e in obj.get("entries", []):
-        m.set_(int(e["i"]), int(e["j"]), parse_rational(e["c"]))
+    for n, e in enumerate(obj.get("entries", [])):
+        m.set_(int(e["i"]), int(e["j"]), rational_from_json(e["c"], f"{path}.entries[{n}].c"))
     return m
 
 

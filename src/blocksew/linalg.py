@@ -6,10 +6,11 @@ fraction-free (Bareiss) Gauss-Jordan elimination over integers with a fixed
 pivot order, so repeated runs produce identical output.
 
 The O(n^3) kernels (the QMat product here, and in other modules the
-coordinate-change exponential, slot contraction and the recursions over
-series) run on integer numerators over one denominator: ``_over_one_den``
-and ``_int_rows`` take rationals there, ``_of_one_den`` brings the sums back,
-one Fraction (one gcd) per output entry instead of one per product.
+coordinate-change exponential, the bracket check, slot contraction and the
+recursions over series) run on integer numerators over one denominator:
+``_over_one_den`` and ``_int_rows`` take rationals there, ``_int_product``
+and ``_add_scaled`` combine integer rows, ``_of_one_den`` brings the sums
+back, one Fraction (one gcd) per output entry instead of one per product.
 """
 
 from __future__ import annotations
@@ -33,14 +34,18 @@ def as_q(x) -> Fraction:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse a decimal-free rational string like '3/4' or '-2'."""
+    """Parse a decimal-free rational string like '3/4' or '-2'; a zero
+    denominator is a ValueError like any other malformed string."""
     if not isinstance(s, str):
         raise ValueError(f"not a rational string: {s!r}")
     t = s.strip()
     body = t[1:] if t[:1] in "+-" else t
     if not body or not all(part.isdigit() for part in body.split("/", 1)) or body.count("/") > 1:
         raise ValueError(f"not a rational string: {s!r}")
-    return Fraction(t)
+    try:
+        return Fraction(t)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {s!r}") from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -331,6 +336,14 @@ def _int_rows(mat: QMat) -> Tuple[Dict[int, Dict[int, int]], int]:
     """The rows of a matrix as integer numerators over one denominator."""
     den = math.lcm(*(v.denominator for r in mat.rows.values() for v in r.values()))
     return {i: dict(zip(r, _over_one_den(r.values(), den)[0])) for i, r in mat.rows.items()}, den
+
+
+def _add_scaled(into: Dict[int, Dict[int, int]], rows: Dict[int, Dict[int, int]], f: int) -> None:
+    """into += f rows, on integer rows; entries that cancel stay as zeros."""
+    for i, r in rows.items():
+        row = into.setdefault(i, {})
+        for j, x in r.items():
+            row[j] = row.get(j, 0) + f * x
 
 
 def _int_product(a: Dict[int, Dict[int, int]], b: Dict[int, Dict[int, int]]) -> Dict[int, Dict[int, int]]:

@@ -9,7 +9,10 @@ every step, the path the integer resolvent steps replaced, and
 ``list_exp_vf_on_z`` is the degree-indexed list loop that ``exp_vf_on_z``
 ran before it shared the module exponential, and ``closed_form_binomial_jet``
 is the binomial closed form that ``sewing._binomial_jet`` used before it read
-the jet power table.  The last four
+the jet power table.  ``fraction_exp_action`` and ``vector_bracket_failures``
+are the Fraction loops that the coordinate-change exponential and
+``voa check-relations`` ran before they ran on integer numerators.  The
+last four
 helpers build the diagonal and block matrices and the pointwise Schwarzian
 that tests compare package results with.
 """
@@ -227,6 +230,50 @@ def list_exp_vf_on_z(cs, cap, one=Q(1)):
         acc = [a + t if not is_zero(t) else a for a, t in zip(acc, term)]
         k += 1
     return acc
+
+
+def fraction_exp_action(ec, module, vec):
+    """c_0^weight exp(sum c_n L_n) vec in Fractions: term_k = (sum c_n L_n term_(k-1)) / k,
+    the terms summed until one is zero."""
+    cs = ec.cs[: max((sum(mu) for mu in vec), default=0)]
+    acc, term, k = dict(vec), dict(vec), 1
+    while term:
+        nxt = {}
+        for n, cn in enumerate(cs, start=1):
+            if cn:
+                for mu, c in module.apply_virasoro(n, term).items():
+                    nxt[mu] = nxt.get(mu, 0) + cn * c
+        term = {mu: c / k for mu, c in nxt.items() if c}
+        for mu, c in term.items():
+            acc[mu] = acc.get(mu, 0) + c
+        k += 1
+    return {mu: ec.c0 ** sum(mu) * c for mu, c in acc.items() if c}
+
+
+def vector_bracket_failures(module, n, rng):
+    """The failure list of ``voa check-relations``, one basis vector at a time:
+    [X_m, X_k] v against s X_{m+k} v + delta_{m+k,0} z v for every partition
+    v of weight <= n, then L_2 of the conformal vector against 1/2 |0>."""
+    from blocksew.fock import CONFORMAL, vec_add, vec_scale
+
+    failures = []
+    families = (
+        ("heisenberg", module.apply_heisenberg, rng, lambda m, k: 0, lambda m: Q(m)),
+        ("virasoro", module.apply_virasoro, min(rng, 3), lambda m, k: m - k, lambda m: Q(m**3 - m, 12)),
+    )
+    for name, act, r, s, z in families:
+        for m in range(-r, r + 1):
+            for k in range(-r, r + 1):
+                for vec in [{mu: Q(1)} for mu in module.basis(n)]:
+                    got = vec_add(act(m, act(k, vec)), vec_scale(-1, act(k, act(m, vec))))
+                    want = vec_scale(Q(s(m, k)), act(m + k, vec)) if s(m, k) else {}
+                    if m + k == 0:
+                        want = vec_add(want, vec_scale(z(m), vec))
+                    if got != want:
+                        failures.append([name, m, k])
+    if module.apply_virasoro(2, CONFORMAL) != {(): Q(1, 2)}:
+        failures.append(["central-charge"])
+    return failures
 
 
 def closed_form_binomial_jet(z0, k, work, var):

@@ -14,7 +14,7 @@ from blocksew import jsonio
 from blocksew.cli import build_parser, main
 from blocksew.linalg import QMat, QVec, parse_rational
 from blocksew.series import CoordJet, TruncSeries
-from helpers import euler_partition_count, random_rational
+from helpers import euler_partition_count, random_rational, vector_bracket_failures
 
 Q = Fraction
 
@@ -172,6 +172,46 @@ class TestVoaCommands:
             + [["virasoro", 1, -1]] * 3
             + [["virasoro", 1, 0], ["central-charge"]]
         )
+
+    def test_check_relations_matches_the_vector_loop(self, monkeypatch, capsys):
+        from blocksew.fock import FockModule
+
+        def failures(trunc, rng, momentum):
+            code, out = run(["voa", "check-relations", "--trunc", str(trunc), "--range", str(rng), f"--momentum={momentum}"], capsys)
+            doc = json.loads(out)
+            assert code == (1 if doc["failures"] else 0)
+            return doc["failures"]
+
+        for momentum in ("0", "1/2", "-5/3"):
+            for trunc in range(6):
+                for rng in range(1, 4):
+                    want = vector_bracket_failures(FockModule(Q(momentum)), trunc, rng)
+                    assert want == [] and failures(trunc, rng, momentum) == want
+        # corrupted images, kept linear and graded so that both checks see one operator:
+        # a_1 scaled by 4/3 on two-part partitions (and so every L_n image built from it),
+        # then L_-1 doubled on the boson
+        apply_heisenberg = FockModule.apply_heisenberg
+        virasoro_monomial = FockModule._virasoro_monomial
+
+        def heisenberg(self, k, vec):
+            out = {}
+            for mu, c in vec.items():
+                scale = Q(4, 3) if k == 1 and len(mu) == 2 else 1
+                for tau, x in apply_heisenberg(self, k, {mu: c}).items():
+                    out[tau] = out.get(tau, 0) + scale * x
+            return {tau: x for tau, x in out.items() if x}
+
+        def virasoro(self, n, mu):
+            img = virasoro_monomial(self, n, mu)
+            return {tau: 2 * c for tau, c in img.items()} if (n, mu) == (-1, (1,)) else img
+
+        for patch in ((FockModule, "apply_heisenberg", heisenberg), (FockModule, "_virasoro_monomial", virasoro)):
+            with monkeypatch.context() as m:
+                m.setattr(*patch)
+                for momentum in ("0", "-5/3"):
+                    for trunc, rng in ((2, 1), (3, 2), (4, 3)):
+                        want = vector_bracket_failures(FockModule(Q(momentum)), trunc, rng)
+                        assert want and failures(trunc, rng, momentum) == want, (patch[1], momentum, trunc, rng)
 
 
 class TestSchwarzCommands:
@@ -546,6 +586,70 @@ class TestMalformedDocuments:
         doc = write(tmp_path, "term.json", {"S_xi": zero_xi, "S_pi": zero, "a": half, "b": half, "h": [half], "S_eta": [{"vars": "eta"}], "order": 3})
         self.rejected(["schwarz", "term", doc], capsys, "S_eta[0].vars")
 
+    def test_schwarz_term_lists_and_coefficient_kinds(self, tmp_path, capsys):
+        # each of these was a TypeError traceback, but the matrix in S_xi, which gave a result
+        zero_xi = {"vars": ["xi"], "trunc": {"xi": 4}, "terms": []}
+        zero = {"vars": ["pi"], "trunc": {"pi": 4}, "terms": []}
+        half = {"vars": ["xi", "pi"], "trunc": {"xi": 4, "pi": 4}, "terms": [{"n": [0, 0], "l": [0, 0], "c": "1/2"}]}
+        vector_half = {**half, "terms": [{"n": [0, 0], "l": [0, 0], "c": ["1/2", "1/2"]}]}
+        seta = {"vars": ["eta"], "trunc": {"eta": 4}, "terms": [{"n": [0], "l": [0], "c": ["1/2", "1/2"]}]}
+        h = {"vars": ["q", "eta"], "trunc": {"q": 4, "eta": 4}, "offset": {"eta": "-1"}, "terms": [{"n": [0, 0], "l": [0, 0], "c": "1"}]}
+        base = {"S_xi": zero_xi, "S_pi": zero, "a": half, "b": half, "order": 3}
+        bad = [
+            ({"h": -1}, "h"),
+            ({"S_eta": 0}, "S_eta"),
+            ({"S_eta": [seta], "h": [h]}, "S_eta[0].terms[0].c"),
+            ({"a": vector_half, "b": vector_half}, "a.terms[0].c"),
+            ({"S_xi": {**zero_xi, "terms": [{"n": [0], "l": [0], "c": [["1"]]}]}}, "S_xi.terms[0].c"),
+        ]
+        for fields, path in bad:
+            self.rejected(["schwarz", "term", write(tmp_path, "term.json", {**base, **fields})], capsys, path)
+
+    @pytest.mark.parametrize(
+        "argv, doc, path",
+        [
+            (["coord", "extract-c"], {"taylor": ["1", "1/0"], "exact": True}, "jet.taylor[1]"),
+            (["coord", "u-op"], {"taylor": ["1", "1/0"], "exact": True}, "jet.taylor[1]"),
+            (["schwarz", "sd"], {"taylor": ["1", "-2/0"]}, "jet.taylor[1]"),
+            (
+                ["schwarz", "term"],
+                {
+                    "S_xi": {"vars": ["xi"], "trunc": {"xi": 4}, "terms": []},
+                    "S_pi": {"vars": ["pi"], "trunc": {"pi": 4}, "terms": []},
+                    "a": {"vars": ["xi", "pi"], "trunc": {"xi": 4, "pi": 4}, "terms": [{"n": [0, 0], "l": [0, 0], "c": "1/0"}]},
+                    "b": {"vars": ["xi", "pi"], "trunc": {"xi": 4, "pi": 4}, "terms": []},
+                },
+                "a.terms[0].c",
+            ),
+            (["sew", "run"], {"block": {"slots": [[1], [1]], "pair": [0, 1], "entries": [{"idx": [0, 0], "c": "1/0"}]}}, "input.block.entries[0].c"),
+            (
+                ["sew", "run"],
+                {
+                    "module": {"type": "toy", "dims": [1], "nilpotents": [[["1/00"]]]},
+                    "block": {"slots": [[1], [1]], "pair": [0, 1], "entries": [{"idx": [0, 0], "c": "1"}]},
+                },
+                "input.module.nilpotents[0][0][0]",
+            ),
+            (["fuchs", "solve"], {"A": [[["1/0"]]], "omega": [["0"]]}, "system.A[0][0][0]"),
+            (["fuchs", "certify"], {"A": [[["0"]], [["1"]]], "omega": [["0/0"]], "seeds": {"0,0": ["1"]}}, "system.omega[0][0]"),
+            (
+                ["fuchs", "residual"],
+                {"psi": {"vars": ["q"], "trunc": {"q": 2}, "terms": [{"n": [0], "l": [0], "c": ["1/0"]}]}, "system": {"A": [[["1/2"]]], "omega": [["0"]]}},
+                "psi.terms[0].c[0]",
+            ),
+        ],
+        ids=["extract-c", "u-op", "sd", "term", "run", "run-toy", "solve", "certify", "residual"],
+    )
+    def test_zero_denominator_on_stdin(self, argv, doc, path, monkeypatch, capsys):
+        # "1/0" was a ZeroDivisionError traceback in every command that reads a document
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        self.rejected(argv + ["-"], capsys, path)
+
+    def test_zero_denominator_in_a_matrix_document(self):
+        doc = {"shape": [1, 1], "entries": [{"i": 0, "j": 0, "c": "1/0"}]}
+        with pytest.raises(jsonio.SchemaError, match=r"^matrix\.entries\[0\]\.c: "):
+            jsonio.matrix_from_json(doc)
+
     def test_fuchs_non_integer_log_bound_and_seed_key(self, tmp_path, capsys):
         system = {"A": [[["0"]]], "omega": [["1"]]}
         for bound in (1.5, "1"):
@@ -726,6 +830,10 @@ class TestFlags:
             (["sew", "character", "--momentum", "x"], "--momentum"),
             (["sew", "character", "--module", "lattice"], "--module"),
             (["coord", "check-huang", "--lam", "x"], "--lam"),
+            # a zero denominator was a ZeroDivisionError traceback
+            (["voa", "check-relations", "--momentum=1/0"], "--momentum"),
+            (["sew", "character", "--momentum=1/0"], "--momentum"),
+            (["coord", "check-huang", "--lam=1/0"], "--lam"),
             (["voa", "dump-mode", "--kind", "vertex", "--index", "0", "--state", "0,1"], "--state"),
             (["voa", "dump-mode", "--kind", "vertex", "--index", "0", "--state", "2,x"], "--state"),
             (["voa", "dump-mode", "--kind", "contragredient", "--index", "0", "--state", "-1"], "--state"),
@@ -740,6 +848,8 @@ class TestFlags:
         for argv, flag in [
             (["coord", "u-op", jet, "--momentum", "y"], "--momentum"),
             (["fuchs", "certify", write(tmp_path, "a.json", self.SYSTEM), "--r1", "x"], "--r1"),
+            (["coord", "u-op", jet, "--momentum=1/0"], "--momentum"),
+            (["fuchs", "certify", write(tmp_path, "a.json", self.SYSTEM), "--r1", "1/0"], "--r1"),
         ]:
             assert main(argv) == 2
             assert capsys.readouterr().err.startswith(f"schema error: {flag}: "), argv
@@ -771,6 +881,11 @@ class TestJsonRoundTrip:
             parse_rational("0.5")
         with pytest.raises(ValueError):
             parse_rational("1e3")
+
+    @pytest.mark.parametrize("text", ["1/0", "-3/00", "0/0"])
+    def test_zero_denominator_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(text)
 
 
 def test_readme_examples(monkeypatch, capsys):

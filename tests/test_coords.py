@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 from blocksew.coords import (
+    ExpCoeffs,
     InsufficientJetOrder,
+    _exp_action,
+    _exp_coeffs,
     c2_formula,
     extract_c,
     exp_vf_on_z,
@@ -21,7 +24,7 @@ from blocksew.coords import (
 from blocksew.fock import BOSON, CONFORMAL, VACUUM, FockModule, partitions_of, vacuum_module, weight
 from blocksew.linalg import QMat
 from blocksew.series import CoordJet, LaurentJet, NotInvertible, WindowError, compose_jets, ring_one_like
-from helpers import fraction_matmul, list_exp_vf_on_z, random_jet_coeffs, random_rational, scalar_pow_weight
+from helpers import fraction_exp_action, fraction_matmul, list_exp_vf_on_z, random_jet_coeffs, random_rational, scalar_pow_weight
 
 Q = Fraction
 SEED = 31337
@@ -252,6 +255,25 @@ class TestUOperator:
                             n,
                             rho,
                         )
+
+    def test_exp_action_on_integers_matches_the_fraction_loop(self):
+        # rational c_n and vectors run on integer numerators; the same data as
+        # constant LaurentJets take the ring path; both must give the Fraction loop's vector
+        rnd = random.Random(SEED + 11)
+        const = lambda c: LaurentJet.const(c, var="t")
+        for momentum in (Q(0), Q(1, 3), Q(-5, 3)):
+            module = FockModule(momentum)
+            for lead in (Q(1), Q(-3), Q(5, 7)):
+                rho = CoordJet([lead] + [Q(rnd.randint(-996, 996), 997) for _ in range(6)])
+                ec = _exp_coeffs(rho, 5)
+                ring_ec = ExpCoeffs(const(ec.c0), [const(c) for c in ec.cs])
+                for weights in ((0,), (3,), (1, 4), (0, 2, 5)):
+                    basis = [mu for mu in module.basis(5) if weight(mu) in weights]
+                    vec = {mu: random_rational(rnd, 9, 997) or Q(1) for mu in rnd.sample(basis, min(6, len(basis)))}
+                    want = fraction_exp_action(ec, module, vec)
+                    assert _exp_action(ec, module, vec) == want, (momentum, lead, vec)
+                    ring = _exp_action(ring_ec, module, {mu: const(c) for mu, c in vec.items()})
+                    assert {mu: c.coeff(0) for mu, c in ring.items()} == want, (momentum, lead, vec)
 
     def test_identity_matrix(self):
         module = vacuum_module()
