@@ -79,8 +79,9 @@ def _exp(cs: Sequence, act: Callable[[int, Dict], Dict], vec: Dict, d: int = 1) 
     acc: Dict = {}
     for p, f in zip(powers, weights):
         for mu, c in p.items():
+            c = c if f == 1 else c * f
             cur = acc.get(mu)
-            acc[mu] = c * f if cur is None else cur + c * f
+            acc[mu] = c if cur is None else cur + c
     return acc, weights[0]
 
 
@@ -205,8 +206,9 @@ def _exp_action(ec: ExpCoeffs, module: FockModule, vec):
             mu: Q(x * c0.numerator ** weight(mu), den * c0.denominator ** weight(mu)) for mu, x in acc.items() if x
         }
     acc, den = _exp(cs, module.apply_virasoro, vec)
-    inv = Q(1, den)
-    return {mu: c0 ** weight(mu) * (c * inv) for mu, c in acc.items() if not _is_ring_zero(c)}
+    # c_0^weight / den, one scalar per weight
+    scales = {w: c0**w * Q(1, den) for w in {weight(mu) for mu in acc}}
+    return {mu: scales[weight(mu)] * c for mu, c in acc.items() if not _is_ring_zero(c)}
 
 
 def u_apply(rho: CoordJet, module: FockModule, vec):

@@ -112,7 +112,8 @@ class FockModule:
         self.momentum = as_q(momentum)
         self.offset = self.momentum * self.momentum / 2
         self._matrix_cache: Dict[tuple, QMat] = {}
-        # the integer rows and denominator of a snapshot, under the snapshot's key
+        # the integer rows and denominator of an a_k or L_n snapshot, under the
+        # snapshot's key; a snapshot first read as integers is kept only here
         self._int_cache: Dict[tuple, Tuple[Dict[int, Dict[int, int]], int]] = {}
         # every entry of an L_n image is an integer over 2 q^2, q the momentum's denominator
         self._virasoro_den = 2 * self.momentum.denominator ** 2
@@ -277,11 +278,15 @@ class FockModule:
     def _mode_ints(self, kind: str, index: int, src_n: int, tgt_n: int) -> Tuple[Dict[int, Dict[int, int]], int]:
         """The integer rows and denominator (linalg._int_rows) of the snapshot of
         a_index (kind "a") or L_index (kind "L") from weights up to src_n to
-        weights up to tgt_n, made once per snapshot key."""
+        weights up to tgt_n, made once per snapshot key: from the cached
+        snapshot if there is one, else from the images, keeping no snapshot."""
         key = (kind, index, src_n, tgt_n)
         if key not in self._int_cache:
+            cached = key in self._matrix_cache
             mat = (self.heisenberg_matrix if kind == "a" else self.virasoro_matrix)(index, src_n, tgt_n)
             self._int_cache[key] = _int_rows(mat)
+            if not cached:
+                del self._matrix_cache[key]
         return self._int_cache[key]
 
     def heisenberg_matrix(self, k: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:

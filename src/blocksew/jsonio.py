@@ -228,10 +228,18 @@ def matrix_to_json(m: QMat, labels: Optional[List[str]] = None) -> dict:
 
 
 def matrix_from_json(obj: dict, path: str = "matrix") -> QMat:
-    shape = require(obj, "shape", path)
-    m = QMat(int(shape[0]), int(shape[1]))
-    for n, e in enumerate(obj.get("entries", [])):
-        m.set_(int(e["i"]), int(e["j"]), rational_from_json(e["c"], f"{path}.entries[{n}].c"))
+    shape = require(_object(obj, path), "shape", path)
+    if not (isinstance(shape, list) and len(shape) == 2 and all(type(x) is int and x >= 0 for x in shape)):
+        raise SchemaError(f"{path}.shape", "expected two non-negative integers")
+    entries = obj.get("entries", [])
+    if not isinstance(entries, list):
+        raise SchemaError(f"{path}.entries", "expected a list of entries")
+    m = QMat(*shape)
+    for n, e in enumerate(entries):
+        ep = f"{path}.entries[{n}]"
+        _object(e, ep)
+        i, j = indices([e.get("i"), e.get("j")], shape, ep, f"integers 0 <= i < {shape[0]} and 0 <= j < {shape[1]}")
+        m.set_(i, j, rational_from_json(require(e, "c", ep), f"{ep}.c"))
     return m
 
 

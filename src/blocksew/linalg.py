@@ -9,8 +9,9 @@ The O(n^3) kernels (the QMat product here, and in other modules the
 coordinate-change exponential, the bracket check, slot contraction and the
 recursions over series) run on integer numerators over one denominator:
 ``_over_one_den`` and ``_int_rows`` take rationals there, ``_int_product``
-and ``_add_scaled`` combine integer rows, ``_of_one_den`` brings the sums
-back, one Fraction (one gcd) per output entry instead of one per product.
+and ``_add_scaled`` combine integer rows, ``_sum_over_lcm`` adds parts over
+different denominators, ``_of_one_den`` brings the sums back, one Fraction
+(one gcd) per output entry instead of one per product.
 """
 
 from __future__ import annotations
@@ -336,6 +337,20 @@ def _int_rows(mat: QMat) -> Tuple[Dict[int, Dict[int, int]], int]:
     """The rows of a matrix as integer numerators over one denominator."""
     den = math.lcm(*(v.denominator for r in mat.rows.values() for v in r.values()))
     return {i: dict(zip(r, _over_one_den(r.values(), den)[0])) for i, r in mat.rows.items()}, den
+
+
+def _sum_over_lcm(parts: Iterable[Tuple[Dict[K, int], int]]) -> Tuple[Dict[K, int], int]:
+    """The sum of integer numerators given each over its own denominator, as
+    numerators over the lcm of those denominators; entries that cancel stay
+    as zeros."""
+    parts = list(parts)
+    den = math.lcm(*(d for _, d in parts))
+    out: Dict[K, int] = {}
+    for nums, d in parts:
+        f = den // d
+        for k, x in nums.items():
+            out[k] = out.get(k, 0) + x * f
+    return out, den
 
 
 def _add_scaled(into: Dict[int, Dict[int, int]], rows: Dict[int, Dict[int, int]], f: int) -> None:

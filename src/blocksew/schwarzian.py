@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .linalg import as_q
+from .linalg import _over_one_den, _sum_over_lcm, as_q
 from .series import (
     CoordJet,
     LaurentJet,
@@ -153,14 +153,20 @@ def mobius_from_quadratic(qcoeffs: Sequence, order: int) -> CoordJet:
 # projective term
 
 
-def _abs_coeff(s: TruncSeries, k: int) -> Fraction:
-    """Coefficient of the absolute exponent k in a checked Schwarzian datum."""
+def _ints(s: TruncSeries) -> Tuple[Dict[tuple, int], int]:
+    """The terms of a scalar series as integer numerators over one denominator."""
+    nums, den = _over_one_den(s.terms.values())
+    return dict(zip(s.terms, nums)), den
+
+
+def _abs_coeff(s: TruncSeries, nums: Dict[tuple, int], k: int) -> int:
+    """Numerator, in ``nums = _ints(s)``, of the absolute exponent k in a checked Schwarzian datum."""
     rel = k - s.offset[0]
     if rel.denominator != 1 or rel < 0:
-        return Q(0)
+        return 0
     if rel > s.trunc[0]:
         raise WindowError(f"Schwarzian datum truncated below exponent {k}")
-    return s.terms.get(((int(rel),), (0,)), Q(0))
+    return nums.get(((int(rel),), (0,)), 0)
 
 
 def _check_datum(where: str, sdat: TruncSeries) -> None:
@@ -172,8 +178,11 @@ def _check_datum(where: str, sdat: TruncSeries) -> None:
 
 def _check_pair(
     j: int, s_xi: TruncSeries, s_pi: TruncSeries, a: TruncSeries, b: TruncSeries, width: int, delta: int, order: int
-) -> None:
-    """Reject pair j unless every coefficient the term reads from it is exact."""
+) -> Tuple[Tuple[Dict[tuple, int], int], Tuple[Dict[tuple, int], int]]:
+    """Reject pair j unless every coefficient the term reads from it is exact.
+
+    Returns ``_ints`` of a and of b, on which the lift is checked.
+    """
     if a.vars != b.vars:
         raise VariableMismatch(f"pair {j}: a in {a.vars} but b in {b.vars}")
     if len(a.vars) not in (2, width):
@@ -189,14 +198,18 @@ def _check_pair(
         _check_datum(f"pair {j}", sdat)
         if order >= 2 and sdat.offset[0] + sdat.trunc[0] < order - 2:
             raise WindowError(f"pair {j}: Schwarzian datum truncated below the requested order")
-    # the lift a + b = delta, key by key on the common window; with equal
-    # truncations every stored key lies in it
+    # the lift a + b = delta, key by key on the common window, as
+    # a_num db + b_num da = delta da db; with equal truncations every stored
+    # key lies in it
+    (an, da), (bn, db) = ints = _ints(a), _ints(b)
     unit = ((0,) * len(a.vars),) * 2
     top = None if a.trunc == b.trunc else [min(ta, tb) for ta, tb in zip(a.trunc, b.trunc)]
-    for key in a.terms.keys() | b.terms.keys() | {unit}:
-        want = delta - b.terms.get(key, 0) if key == unit else -b.terms.get(key, 0)
-        if (top is None or all(n <= t for n, t in zip(key[0], top))) and a.terms.get(key, 0) != want:
+    for key in an.keys() | bn.keys() | {unit}:
+        if top is not None and any(n > t for n, t in zip(key[0], top)):
+            continue
+        if an.get(key, 0) * db + bn.get(key, 0) * da != (delta * da * db if key == unit else 0):
             raise SeriesError(f"pair {j}: a_j + b_j must equal delta_(j,k)")
+    return ints
 
 
 def projective_term(
@@ -237,7 +250,8 @@ def projective_term_multi(
     b_j[n, m, s] likewise with S_pi_j.  Each h_i is a series in
     (q_1, .., q_M, eta_i) and adds Res_eta S_eta_i h_i d eta.  Result: a
     series in all q variables.  Truncation shortfalls are errors, not silent
-    zeros.
+    zeros.  Each (series, datum) pair is summed on integer numerators over
+    the product of their two denominators, and the parts meet over their lcm.
     """
     c = as_q(c)
     width = len(pairs) + 1
@@ -246,14 +260,17 @@ def projective_term_multi(
         raise VariableMismatch(f"{len(names)} q variables for {width - 1} pairs")
     if len(s_eta) != len(h):
         raise ValueError("one h per marked-point Schwarzian datum")
-    acc: Dict[Tuple[int, ...], Fraction] = {}
+    # (numerators, denominator) of each (series, datum) pair's contribution
+    parts: List[Tuple[Dict[Tuple[int, ...], int], int]] = []
     for j, (s_xi, s_pi, a, b) in enumerate(pairs):
-        _check_pair(j, s_xi, s_pi, a, b, width, int(j == k_index), order)
+        ints = _check_pair(j, s_xi, s_pi, a, b, width, int(j == k_index), order)
         pad = (0,) * (width - len(a.vars))
         # a is keyed (m, n, spectators), b (n, m, spectators); n - m - 2 lies in [0, order - 2]
-        for series, sdat, mi, ni in ((a, s_xi, 0, 1), (b, s_pi, 1, 0)):
-            datum = [_abs_coeff(sdat, k) for k in range(order - 1)]
-            for (exps, logs), val in series.terms.items():
+        for (vnums, dv), sdat, mi, ni in zip(ints, (s_xi, s_pi), (0, 1), (1, 0)):
+            snums, ds = _ints(sdat)
+            datum = [_abs_coeff(sdat, snums, k) for k in range(order - 1)]
+            acc: Dict[Tuple[int, ...], int] = {}
+            for (exps, logs), val in vnums.items():
                 if any(logs):
                     raise SeriesError(f"pair {j}: a and b cannot carry log terms")
                 m, n, rest = exps[mi], exps[ni], exps[2:] + pad
@@ -263,6 +280,7 @@ def projective_term_multi(
                 if sv:
                     key = rest[:j] + (n,) + rest[j:]
                     acc[key] = acc.get(key, 0) + val * sv
+            parts.append((acc, dv * ds))
     for i, (sdat, hi) in enumerate(zip(s_eta, h)):
         _check_datum(f"marked point {i}", sdat)
         if len(hi.vars) != width:
@@ -271,16 +289,21 @@ def projective_term_multi(
             raise OffsetError(f"marked point {i}: h cannot carry a q-offset")
         if any(t < order for t in hi.trunc[:-1]):
             raise WindowError(f"marked point {i}: h truncated below requested q-order {order}")
-        for (exps, logs), val in hi.terms.items():
+        (vnums, dv), (snums, ds) = _ints(hi), _ints(sdat)
+        acc = {}
+        for (exps, logs), val in vnums.items():
             if any(logs):
                 raise SeriesError(f"marked point {i}: h cannot carry log terms")
             key = exps[:-1]
             k = -(hi.offset[-1] + exps[-1]) - 1  # pairs against the eta^k coefficient of the datum
             if max(key, default=0) > order or k < 0 or k.denominator != 1:
                 continue
-            sv = _abs_coeff(sdat, int(k))
+            sv = _abs_coeff(sdat, snums, int(k))
             if sv:
                 acc[key] = acc.get(key, 0) + val * sv
-    scale, logs = c / 12, (0,) * len(names)
-    terms = {(key, logs): val * scale for key, val in acc.items()}
+        parts.append((acc, dv * ds))
+    total, den = _sum_over_lcm(parts)
+    # times c/12, one Fraction per key; _store leaves out the zero ones
+    num, den, logs = c.numerator, 12 * c.denominator * den, (0,) * len(names)
+    terms = {(key, logs): Q(x * num, den) for key, x in total.items()}
     return TruncSeries(names, dict.fromkeys(names, order), terms=terms)

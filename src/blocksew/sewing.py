@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from operator import lt
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .coords import family_jet, gamma_xi, u_apply
 from .fock import FockModule, Vector, vacuum_module, vec_is_homogeneous, weight
-from .linalg import QMat, QVec, _int_rows, _of_one_den, _over_one_den, as_q
+from .linalg import QMat, QVec, _int_rows, _of_one_den, _over_one_den, _sum_over_lcm, as_q
 from .series import (
     CoordJet,
     LaurentJet,
@@ -63,12 +65,12 @@ def q_l0_resolvent(module, order: int) -> TruncSeries:
         start = sum(dims[:n])
         for b in range(start, start + d):
             for a in range(start, start + d) if logbound else (b,):
-                identity[b, a, b, a] = Q(1)
+                identity[b, a, b, a] = 1
     out = TruncSeries(("q",), {"q": order}, offset={"q": module.offset}, logmax={"q": logbound})
-    for (n, l), part in _contract_pair(identity, dims, module, logbound).items():
+    for (n, l), (part, den) in _contract_pair(identity, 1, dims, module, logbound).items():
         rows: Dict[int, Dict[int, Fraction]] = {}
         for (b, a), v in part.items():
-            rows.setdefault(b, {})[a] = v
+            rows.setdefault(b, {})[a] = Q(v, den)
         out._store((n,), (l,), QMat._of_clean(total, total, rows))
     return out
 
@@ -97,6 +99,9 @@ class SewingBlock:
 
     ``slot_dims[s]`` lists the weight-space dimensions of slot s up to its
     truncation; table keys are tuples of global graded indices, one per slot.
+    The table is kept as nonzero integer numerators ``nums`` over one
+    denominator ``den``, and every kernel hands integers to the next one;
+    ``table`` is its rational view.
     """
 
     def __init__(
@@ -107,15 +112,22 @@ class SewingBlock:
     ):
         self.slot_dims = [list(d) for d in slot_dims]
         self.arity = len(self.slot_dims)
-        self.table = {tuple(k): q for k, v in table.items() if (q := as_q(v))}
+        clean = {tuple(k): q for k, v in table.items() if (q := as_q(v))}
+        nums, self.den = _over_one_den(clean.values())
+        self.nums: Dict[Tuple[int, ...], int] = dict(zip(clean, nums))
         self.pair_slots = pair_slots
 
     @classmethod
-    def _of_clean(cls, slot_dims, table: Dict[Tuple[int, ...], Fraction], pair_slots=None) -> "SewingBlock":
-        """Wrap a table that is already clean: tuple keys, nonzero Fractions."""
+    def _of_clean(cls, slot_dims, nums: Dict[Tuple[int, ...], int], den: int, pair_slots=None) -> "SewingBlock":
+        """Wrap integers that are already clean: tuple keys, nonzero numerators over ``den``."""
         block = cls(slot_dims, {}, pair_slots)
-        block.table = table
+        block.nums, block.den = nums, den
         return block
+
+    @property
+    def table(self) -> Mapping[Tuple[int, ...], Fraction]:
+        """The coefficients as rationals, built on each read; a write into it raises TypeError."""
+        return MappingProxyType(_of_one_den(self.nums, self.den))
 
     def slot_trunc(self, s: int) -> int:
         return len(self.slot_dims[s]) - 1
@@ -132,23 +144,19 @@ class SewingBlock:
         """
         dims = module.weight_dims(n_max)
         indices = range(sum(dims)) if weight is None else range(sum(dims[:weight]), sum(dims[: weight + 1]))
-        table = dict.fromkeys(((i, i) for i in indices), Q(1))
-        return cls._of_clean([dims, dims], table, pair_slots=(0, 1))
+        return cls._of_clean([dims, dims], dict.fromkeys(((i, i) for i in indices), 1), 1, pair_slots=(0, 1))
 
     def tensor(self, other: "SewingBlock") -> "SewingBlock":
         """The block of both functionals' product, slots of ``self`` first."""
-        nums1, d1 = _over_one_den(self.table.values())
-        nums2, d2 = _over_one_den(other.table.values())
-        right = list(zip(other.table, nums2))
-        table = _of_one_den({k1 + k2: n1 * n2 for k1, n1 in zip(self.table, nums1) for k2, n2 in right}, d1 * d2)
-        return SewingBlock._of_clean(self.slot_dims + other.slot_dims, table, None)
+        right = list(other.nums.items())
+        nums = {k1 + k2: n1 * n2 for k1, n1 in self.nums.items() for k2, n2 in right}
+        return SewingBlock._of_clean(self.slot_dims + other.slot_dims, nums, self.den * other.den, None)
 
     def contract_slot(self, s: int, mat: QMat) -> "SewingBlock":
         """Precompose slot s with a linear map: new[.., j, ..] = sum_i old[.., i, ..] mat[i, j]."""
-        nums, dt = _over_one_den(self.table.values())
         rows, dm = _int_rows(mat)
         acc: Dict[Tuple[int, ...], int] = {}
-        for key, c in zip(self.table, nums):
+        for key, c in self.nums.items():
             row = rows.get(key[s])
             if not row:
                 continue
@@ -156,15 +164,19 @@ class SewingBlock:
             for j, v in row.items():
                 nk = head + (j,) + tail
                 acc[nk] = acc.get(nk, 0) + c * v
-        return SewingBlock._of_clean(self.slot_dims, _of_one_den(acc, dt * dm), self.pair_slots)
+        nums = {k: x for k, x in acc.items() if x}
+        return SewingBlock._of_clean(self.slot_dims, nums, self.den * dm, self.pair_slots)
 
-    def reduce_retained(self, inputs: Dict[int, QVec], keep: Sequence[int]) -> Dict[Tuple[int, ...], Fraction]:
+    def reduce_retained(
+        self, inputs: Dict[int, QVec], keep: Sequence[int]
+    ) -> Tuple[Dict[Tuple[int, ...], int], int]:
         """Contract every slot outside ``keep`` with its input; keys become the kept indices.
 
         Each other slot goes through :meth:`contract_slot` with its input as a
-        one-column matrix.  With no other slot this only reorders keys, and
-        returns the block's own table when ``keep`` lists every slot in order:
-        callers only read it.
+        one-column matrix.  Returns the numerators and their denominator.
+        With no other slot this only reorders keys, and returns the block's
+        own numerators when ``keep`` lists every slot in order: callers only
+        read them.
         """
         keep = tuple(keep)
         retained = [s for s in range(self.arity) if s not in keep]
@@ -180,8 +192,8 @@ class SewingBlock:
             column = QMat._of_clean(self.slot_dim(s), 1, {i: {0: x} for i, x in inputs[s].data.items()})
             block = block.contract_slot(s, column)
         if keep == tuple(range(self.arity)):
-            return block.table
-        return {tuple(key[s] for s in keep): c for key, c in block.table.items()}
+            return block.nums, block.den
+        return {tuple(key[s] for s in keep): c for key, c in block.nums.items()}, block.den
 
 
 def _pair_dims(block: SewingBlock, pm: int, pd: int, module, order: int) -> List[int]:
@@ -199,27 +211,27 @@ def _pair_dims(block: SewingBlock, pm: int, pd: int, module, order: int) -> List
 
 
 def _contract_pair(
-    table: Dict[Tuple[int, ...], Fraction], dims: List[int], module, log_bound: int
-) -> Dict[Tuple[int, int], Dict[Tuple[int, ...], Fraction]]:
-    """Contract the first two key positions (i_M, i_dual) against q^{L_0}.
+    nums: Dict[Tuple[int, ...], int], den: int, dims: List[int], module, log_bound: int
+) -> Dict[Tuple[int, int], Tuple[Dict[Tuple[int, ...], int], int]]:
+    """Contract the first two key positions (i_M, i_dual) of a table of
+    numerators over ``den`` against q^{L_0}.
 
-    Returns {(n, l): {rest of key: sum of c * (N_n^l / l!)[b][a]}} over the
-    entries whose pair indices b, a both lie in one weight-n block of
-    ``dims``; the other entries never contribute and are dropped in the one
-    pass over the table; an index's block is found by bisecting the block
-    starts, so no per-index map is built.  At l = 0 the matrix is the
-    identity, so only b == a is read.  Each coefficient is summed as integer
-    numerators over one denominator per (n, l) and becomes one Fraction;
-    zero sums are left out.
+    Returns {(n, l): ({rest of key: sum of c * (N_n^l / l!)[b][a]}, its
+    denominator)} over the entries whose pair indices b, a both lie in one
+    weight-n block of ``dims``; the other entries never contribute and are
+    dropped in the one pass over the table; an index's block is found by
+    bisecting the block starts, so no per-index map is built.  At l = 0 the
+    matrix is the identity, so only b == a is read.  Each (n, l) sums
+    integers over den times the one denominator of N_n^l / l!; zero sums,
+    and (n, l) with none left, are left out.
     """
     starts = [sum(dims[:n]) for n in range(len(dims))]
-    nums, den = _over_one_den(table.values())
     # (n, l) -> rest of key -> numerator over den * dens[n, l]
     sums: Dict[Tuple[int, int], Dict[tuple, int]] = {}
     # (n, l) -> the one denominator of N_n^l / l!; 1 for the identity at l = 0
     dens: Dict[Tuple[int, int], int] = {}
     by_block: Dict[int, list] = {}
-    for key, c in zip(table, nums):
+    for key, c in nums.items():
         b, a = key[0], key[1]
         # b's block is the last one starting at or below it (n = -1 for a
         # negative b, which the bound test then rejects)
@@ -249,9 +261,9 @@ def _contract_pair(
             power = nil @ power
     out = {}
     for nl in sorted(sums):
-        part = _of_one_den(sums[nl], den * dens.get(nl, 1))
+        part = {rest: x for rest, x in sums[nl].items() if x}
         if part:
-            out[nl] = part
+            out[nl] = part, den * dens.get(nl, 1)
     return out
 
 
@@ -308,15 +320,15 @@ def sew_multi(
         logmax=dict(zip(names, bounds)),
     )
 
-    # keys hold the pair indices of pairs j.. in pair order
-    def rec(j: int, exps: Tuple[int, ...], logs: Tuple[int, ...], partial: Dict[Tuple[int, ...], Fraction]):
+    # keys hold the pair indices of pairs j.. in pair order, numerators over den
+    def rec(j: int, exps: Tuple[int, ...], logs: Tuple[int, ...], partial: Dict[Tuple[int, ...], int], den: int):
         if j == m:
-            out._store(exps, logs, partial.get((), Q(0)))
+            out._store(exps, logs, Q(partial.get((), 0), den))
             return
-        for (n, l), part in _contract_pair(partial, dims[j], modules[j], bounds[j]).items():
-            rec(j + 1, exps + (n,), logs + (l,), part)
+        for (n, l), (part, pden) in _contract_pair(partial, den, dims[j], modules[j], bounds[j]).items():
+            rec(j + 1, exps + (n,), logs + (l,), part, pden)
 
-    rec(0, (), (), block.reduce_retained(inputs, [s for (pm, pd, _) in pairs for s in (pm, pd)]))
+    rec(0, (), (), *block.reduce_retained(inputs, [s for (pm, pd, _) in pairs for s in (pm, pd)]))
     return out
 
 
@@ -539,24 +551,12 @@ def genus0_invariance_check(
                     mode = pt.module.vertex_matrix({mu_u: Q(1)}, e, src_n, n_slot)
                 act = act + mode.scale(c)
         # only checked keys are computed: other slots and the new index of
-        # slot s stay within the weight cap
-        checked = SewingBlock(
-            block.slot_dims,
-            {
-                key: c
-                for key, c in block.table.items()
-                if all(idx < limits[t] for t, idx in enumerate(key) if t != s)
-            },
-            block.pair_slots,
-        )
+        # slot s stay within the weight cap; slot s itself is read whole
+        bounds = limits[:s] + [block.slot_dim(s)] + limits[s + 1 :]
+        nums = {key: c for key, c in block.nums.items() if all(map(lt, key, bounds))}
+        checked = SewingBlock._of_clean(block.slot_dims, nums, block.den, block.pair_slots)
         acted_tables.append(checked.contract_slot(s, act))
 
-    failures = []
-    keys = set()
-    for t in acted_tables:
-        keys.update(t.table)
-    for key in sorted(keys):
-        total = sum((t.table.get(key, Q(0)) for t in acted_tables), Q(0))
-        if total:
-            failures.append((key, total))
+    sums, den = _sum_over_lcm((t.nums, t.den) for t in acted_tables)
+    failures = [(key, Q(x, den)) for key, x in sorted(sums.items()) if x]
     return (not failures), failures

@@ -314,7 +314,7 @@ def fraction_projective_term(pairs, marked, c, order):
     for s_eta, h in marked:
         for (*n, e), v in h.items():
             add(tuple(n), v * s_eta.get(-e - 1, 0))
-    return {key: v * Q(c) / 12 for key, v in out.items() if v}
+    return {key: w for key, v in out.items() if (w := v * Q(c) / 12)}
 
 
 def fraction_sew(table, pairs, inputs, orders, log_bounds):

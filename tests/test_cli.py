@@ -650,6 +650,25 @@ class TestMalformedDocuments:
         with pytest.raises(jsonio.SchemaError, match=r"^matrix\.entries\[0\]\.c: "):
             jsonio.matrix_from_json(doc)
 
+    def test_matrix_entry_without_j(self):
+        # was KeyError: 'j'
+        doc = {"shape": [1, 1], "entries": [{"i": 0, "c": "1"}]}
+        with pytest.raises(jsonio.SchemaError, match=r"^matrix\.entries\[0\]: "):
+            jsonio.matrix_from_json(doc)
+
+    def test_matrix_shape_not_two_integers(self):
+        # "ab" was a ValueError from int
+        for shape in ("ab", [1], [1, -1], [1, True], [1, "1"]):
+            with pytest.raises(jsonio.SchemaError, match=r"^matrix\.shape: "):
+                jsonio.matrix_from_json({"shape": shape, "entries": []})
+
+    def test_matrix_entry_outside_shape(self):
+        # "i": 3 in a 1 x 1 shape was an IndexError
+        for entry in ({"i": 3, "j": 0, "c": "1"}, {"i": 0, "j": -1, "c": "1"}, {"i": "0", "j": 0, "c": "1"}):
+            doc = {"shape": [1, 1], "entries": [{"i": 0, "j": 0, "c": "2"}, entry]}
+            with pytest.raises(jsonio.SchemaError, match=r"^matrix\.entries\[1\]: "):
+                jsonio.matrix_from_json(doc)
+
     def test_fuchs_non_integer_log_bound_and_seed_key(self, tmp_path, capsys):
         system = {"A": [[["0"]]], "omega": [["1"]]}
         for bound in (1.5, "1"):

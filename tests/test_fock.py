@@ -396,6 +396,20 @@ class TestWeightAwareSnapshots:
                         assert m.vertex_matrix(v, k, src, tgt) == full, (v, k, src, tgt)
                         assert m.contragredient_matrix(v, k, src, tgt) == self.dual_reference(m, v, k, src, tgt)
 
+    def test_integer_rows_are_the_one_stored_form(self):
+        # a snapshot first read as integer rows is kept only as them; a later
+        # matrix read is built again and equals a cold build, row order too
+        for momentum in (Q(0), Q(-5, 3)):
+            m, cold = FockModule(momentum), FockModule(momentum)
+            for kind, read in (("a", "heisenberg_matrix"), ("L", "virasoro_matrix")):
+                for k, src, tgt in ((-2, 3, 5), (0, 4, 4), (2, 5, 3)):
+                    rows, den = ints = m._mode_ints(kind, k, src, tgt)
+                    assert (kind, k, src, tgt) not in m._matrix_cache
+                    got, want = getattr(m, read)(k, src, tgt), getattr(cold, read)(k, src, tgt)
+                    assert got == want and list(got.rows.items()) == list(want.rows.items())
+                    assert m._mode_ints(kind, k, src, tgt) is ints
+                    assert cold._mode_ints(kind, k, src, tgt) == (rows, den)
+
     def test_weight_bound_enforced_on_skipped_columns(self):
         # every column of a weight-5 mode at index 9 is skipped; the bound still holds
         with pytest.raises(UnsupportedVertexWeight):

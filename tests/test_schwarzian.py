@@ -437,6 +437,43 @@ class TestProjectiveTermEngine:
         for k_index in (0, 2):
             self.assert_matches_reference(rnd, 3, k_index, 1, order=4)
 
+    def test_zero_and_cancelling_contributions_leave_no_key(self):
+        # c = 0 gives no term; a pair whose A and B cancel (a symmetric in
+        # (xi, pi), S_xi = S_pi) and a marked point met by its negative add
+        # nothing, and their keys are absent too; data over 997
+        rnd = random.Random(SEED + 24)
+        order, t = 6, 8
+        (raw_pairs, raw_marked), (pairs, s_eta, h) = random_engine_case(rnd, 2, 0, 1, order)
+        assert projective_term_multi(pairs, s_eta, h, 0, k_index=0, order=order).terms == {}
+        assert fraction_projective_term(raw_pairs, raw_marked, 0, order) == {}
+
+        def over_997():
+            return Q(rnd.choice([-1, 1]) * rnd.randint(1, 996), 997)
+
+        names = ("xi1", "pi1", "s1_0")
+        sym = {}
+        for _ in range(12):
+            m, n, sp = (rnd.randint(0, t) for _ in names)
+            sym[m, n, sp] = sym[n, m, sp] = over_997()
+        minus = {k: -v for k, v in sym.items()}
+        sdat = {k: over_997() for k in range(t + 1)}
+        cancelling = (
+            series_of(("xi1",), t, {(k,): v for k, v in sdat.items()}),
+            series_of(("pi1",), t, {(k,): v for k, v in sdat.items()}),
+            series_of(names, t, sym),
+            series_of(names, t, minus),
+        )
+        zero_pair = (plain(("xi1",), t), plain(("pi1",), t), plain(names, t), plain(names, t))
+        se, hr = raw_marked[0]
+        c = Q(12, 997)
+        out = projective_term_multi([pairs[0], cancelling], [s_eta[0]] * 2, [h[0], -h[0]], c, k_index=0, order=order)
+        want = fraction_projective_term([raw_pairs[0], (sdat, sdat, sym, minus)], [(se, hr), (se, {k: -v for k, v in hr.items()})], c, order)
+        assert want and out.terms == {(k, (0, 0)): v for k, v in want.items()}
+        assert out == projective_term_multi([pairs[0], zero_pair], [], [], c, k_index=0, order=order)
+        # each cancelling half alone adds terms
+        assert fraction_projective_term([({}, {}, {}, {}), (sdat, sdat, sym, {})], [], c, order)
+        assert fraction_projective_term([], [(se, hr)], c, order)
+
     def test_pair_data_without_spectators_is_constant_in_them(self):
         _raw, (((s_xi, s_pi, a, b),), _s_eta, _h) = random_engine_case(random.Random(SEED + 23), 1, 0, 0, 5)
         a3, b3 = (series_of(("xi", "pi", "s"), 7, {e + (0,): v for (e, _l), v in x.terms.items()}) for x in (a, b))

@@ -22,6 +22,7 @@ from blocksew.sewing import (
     SpherePoint,
     TruncationShortfall,
     _binomial_jet,
+    _contract_pair,
     _diagonal_of_product,
     expand_section_at_point,
     genus0_invariance_check,
@@ -333,8 +334,9 @@ class TestSewAgainstReference:
     def test_log_terms_reach_second_power(self):
         toy = log_toy_module()
         assert toy.log_bound == 2
-        block = SewingBlock.pairing(toy, 3)
-        block.table[(3, 5)] = Q(1)  # corner of the weight-2 block, under N^2
+        pairing = SewingBlock.pairing(toy, 3)
+        # corner of the weight-2 block, under N^2
+        block = SewingBlock(pairing.slot_dims, {**pairing.table, (3, 5): Q(1)}, pairing.pair_slots)
         s = sew(block, {}, toy, 3)
         assert s.coefficient({"q": 2}, {"q": 2}) == Q(2, 3) * Q(-5, 4) / 2
 
@@ -395,6 +397,7 @@ class TestBlockKernels:
             want = self.fraction_contract_slot(block.table, s, mat)
             assert got.table == want and got.slot_dims == block.slot_dims
             assert all(type(v) is Fraction for v in got.table.values())
+            assert all(type(x) is int and x for x in got.nums.values())
             cancelled += len(got.table) < len({k[:s] + (j,) + k[s + 1 :] for k in block.table for j in mat.rows.get(k[s], {})})
         assert cancelled >= 5
 
@@ -406,6 +409,7 @@ class TestBlockKernels:
             assert got.table == {k1 + k2: v1 * v2 for k1, v1 in b1.table.items() for k2, v2 in b2.table.items()}
             assert got.slot_dims == b1.slot_dims + b2.slot_dims and got.pair_slots is None
             assert all(type(v) is Fraction for v in got.table.values())
+            assert all(type(x) is int and x for x in got.nums.values())
 
     def test_diagonal_of_product_matches_full_product(self):
         rnd = random.Random(SEED + 22)
@@ -423,6 +427,72 @@ class TestBlockKernels:
             assert diag.trunc == full.trunc
             assert diag.terms == {k: v for k, v in full.terms.items() if k[0][0] == k[0][1]}
             assert diagonal_contract(diag) == diagonal_contract(full)
+
+
+def over_997(rnd):
+    return Q(rnd.choice([-1, 1]) * rnd.randint(1, 996), 997)
+
+
+def block_997(rnd, module, top, side_dims=None):
+    """A pairing-shaped block of ``module`` to weight ``top`` with entries over
+    997 inside its weight blocks, and a retained slot of ``side_dims`` if given."""
+    dims = module.weight_dims(top)
+    table = {}
+    for n, d in enumerate(dims):
+        start = sum(dims[:n])
+        for _ in range(2 * d):
+            key = (start + rnd.randrange(d), start + rnd.randrange(d))
+            table[key + ((rnd.randrange(sum(side_dims)),) if side_dims else ())] = over_997(rnd)
+    return SewingBlock([dims, dims] + ([side_dims] if side_dims else []), table, (0, 1))
+
+
+class TestIntegerEngine:
+    """Integer tables handed from tensor to contract_slot to sew_multi, against
+    the Fraction loops on data over 997, so that a dropped denominator shows."""
+
+    def test_chain_matches_fraction_reference(self):
+        rnd = random.Random(SEED + 30)
+        toy, fock = log_toy_module(), FockModule(Q(-5, 3))
+        top = 3
+        for _ in range(3):
+            b1, b2 = block_997(rnd, toy, top), block_997(rnd, fock, top, [1, 2])
+            # slots: the toy pair 0, 1; the Fock pair 2, 3; one retained slot 4
+            both = b1.tensor(b2)
+            want = {k1 + k2: v1 * v2 for k1, v1 in b1.table.items() for k2, v2 in b2.table.items()}
+            assert both.table == want
+            dim = both.slot_dim(3)
+            mat = QMat(dim, dim, {i: {j: over_997(rnd) for j in range(dim) if rnd.random() < 0.3} for i in range(dim)})
+            chained = both.contract_slot(3, mat)
+            want = TestBlockKernels.fraction_contract_slot(want, 3, mat)
+            assert chained.table == want
+            side = [over_997(rnd) for _ in range(3)]
+            refs = [reference_pair(0, 1, toy, top), reference_pair(2, 3, fock, top)]
+            dens = []
+            for orders in ((top, top), (1, 2), (2, 1)):
+                out = sew_multi(chained, {4: QVec.from_list(side)}, [(0, 1, toy), (2, 3, fock)], list(orders))
+                assert out.terms == fraction_sew(want, refs, {4: side}, orders, [toy.log_bound, fock.log_bound])
+                dens += [v.denominator for v in out.terms.values()]
+            assert any(d % 997 == 0 for d in dens)
+            for part, den in _contract_pair(chained.nums, chained.den, toy.weight_dims(top), toy, toy.log_bound).values():
+                assert part and all(type(x) is int and x for x in part.values()) and den % chained.den == 0
+
+    def test_contract_pair_leaves_out_cancelled_sums(self):
+        # diagonal entries of one weight block with opposite values cancel at l = 0:
+        # rest (5,) in the weight-0 block, and all of (n, l) = (2, 0); no entry
+        # sits where N_0 or N_2 reads, so no l >= 1 term is made
+        toy = log_toy_module()
+        nums = {(0, 0, 5): 3, (1, 1, 5): -3, (0, 0, 6): 2, (3, 3, 1): 1, (4, 4, 1): -1}
+        assert _contract_pair(nums, 7, toy.weight_dims(2), toy, toy.log_bound) == {(0, 0): ({(6,): 2}, 7)}
+
+    def test_table_view_refuses_writes(self):
+        # the rational view is read-only: a write raises instead of being lost
+        block = SewingBlock([[1, 1]], {(0,): Q(1, 3), (1,): Q(2, 3)})
+        with pytest.raises(TypeError):
+            block.table[(0,)] = Q(5)
+        with pytest.raises(TypeError):
+            del block.table[(1,)]
+        assert block.table == {(0,): Q(1, 3), (1,): Q(2, 3)}
+        assert (block.nums, block.den) == ({(0,): 1, (1,): 2}, 3)
 
 
 class TestResidueIdentity:
@@ -512,10 +582,9 @@ class TestGenus0Invariance:
     def test_broken_block_detected(self):
         bad = SewingBlock(
             [list(d) for d in self.block.slot_dims],
-            dict(self.block.table),
+            {**self.block.table, (0, 1): Q(1)},
             self.block.pair_slots,
         )
-        bad.table[(0, 1)] = Q(1)
         ok, fails = genus0_invariance_check(bad, self.points, BOSON, 1, 3)
         assert not ok and fails
 
@@ -557,7 +626,7 @@ class TestGenus0Invariance:
                 for e in range(jet.valuation(), weight(mu_u) + weight_cap):
                     if jet.coeff(e):
                         act = act + mode({mu_u: Q(1)}, e, n_slot, n_slot).scale(jet.coeff(e))
-            tables.append(block.contract_slot(s, act).table)
+            tables.append(TestBlockKernels.fraction_contract_slot(block.table, s, act))
         weights = [[w for w, d in enumerate(dims) for _ in range(d)] for dims in block.slot_dims]
         failures = []
         for key in sorted(set().union(*tables)):
@@ -571,13 +640,13 @@ class TestGenus0Invariance:
     def test_restricted_check_matches_full_contraction(self):
         n, cap = 8, 3
         block = SewingBlock.pairing(self.m, n)
-        broken = SewingBlock(block.slot_dims, dict(block.table), block.pair_slots)
-        broken.table[(0, 1)] = Q(1)
+        broken = SewingBlock(block.slot_dims, {**block.table, (0, 1): Q(1)}, block.pair_slots)
         rnd = random.Random(SEED + 1)
-        noisy = SewingBlock(block.slot_dims, dict(block.table), block.pair_slots)
+        noisy_table = dict(block.table)
         for _ in range(40):
             # entries on both sides of the cap, in both slots
-            noisy.table[(rnd.randrange(block.slot_dim(0)), rnd.randrange(block.slot_dim(1)))] = random_rational(rnd)
+            noisy_table[(rnd.randrange(block.slot_dim(0)), rnd.randrange(block.slot_dim(1)))] = random_rational(rnd)
+        noisy = SewingBlock(block.slot_dims, noisy_table, block.pair_slots)
         r1, r2 = CoordJet.from_poly([1, 1]), CoordJet.from_poly([2, 0, 1])
         twisted = [
             SpherePoint(Q(0), r1, self.m, dual=False),
@@ -595,6 +664,21 @@ class TestGenus0Invariance:
             assert got == self.full_then_filter(blk, pts, v, k, cap), (v, k)
             failing += not got[0]
         assert failing >= 2
+
+    def test_failures_match_fraction_sum_over_997(self):
+        rnd = random.Random(SEED + 32)
+        n, cap = 6, 3
+        block = SewingBlock.pairing(self.m, n)
+        table, low = dict(block.table), sum(self.m.weight_dims(cap))
+        for _ in range(30):
+            # inputs of weight <= cap, in both slots, so that the check reads them
+            table[(rnd.randrange(low), rnd.randrange(low))] = over_997(rnd)
+        noisy = SewingBlock(block.slot_dims, table, block.pair_slots)
+        for v, k in ((BOSON, 1), (CONFORMAL, 1), (CONFORMAL, -1)):
+            got = genus0_invariance_check(noisy, self.points, v, k, cap)
+            assert got == self.full_then_filter(noisy, self.points, v, k, cap) and not got[0]
+            assert all(type(total) is Fraction and total for _key, total in got[1])
+            assert any(total.denominator % 997 == 0 for _key, total in got[1])
 
     def test_restricted_action_matches_full_then_submatrix(self):
         # the check asks for each mode with source truncation min(cap, n_slot)
