@@ -350,6 +350,9 @@ def cmd_sew_run(args) -> int:
         path = f"input.block.entries[{n}]"
         idx = jsonio.require(jsonio._object(e, path), "idx", path)
         idx = jsonio.indices(idx, sizes, f"{path}.idx", f"{len(sizes)} indices, each in [0, its slot dimension)")
+        if idx in entries:
+            first = list(entries).index(idx)
+            raise jsonio.SchemaError(f"{path}.idx", f"repeats the idx of input.block.entries[{first}]")
         entries[idx] = jsonio.rational_from_json(jsonio.require(e, "c", path), f"{path}.c")
     block = SewingBlock(slots, entries, pair_slots=pair)
     inputs = {}
@@ -437,8 +440,12 @@ def _psi(doc, vars, fits, want: str) -> TruncSeries:
 
 
 def _system_psi(doc, system) -> TruncSeries:
-    """The document's psi, a series of vectors of the system's dimension in the system's variables."""
-    return _psi(doc, system.variables, lambda s: s == (system.dim,), f"a vector of the system's dimension {system.dim}")
+    """The document's psi, a series of vectors of the system's dimension in the system's variables,
+    at integer offsets if the system's omega is nonzero: omega lies at offset 0."""
+    psi = _psi(doc, system.variables, lambda s: s == (system.dim,), f"a vector of the system's dimension {system.dim}")
+    if any(system.omega) and any(o.denominator != 1 for o in psi.offset):
+        raise jsonio.SchemaError("psi.offset", "a nonzero omega lies at offset 0, so psi's offsets must be integers")
+    return psi
 
 
 def cmd_fuchs_solve(args) -> int:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fock import FockModule, Vector, vacuum_module, vec_is_homogeneous, vec_weight_max, weight
-from .linalg import QMat, _add_scaled, _int_product, _of_one_den, _over_one_den, as_q
+from .linalg import QMat, _add_scaled, _int_product, _ints, _of_one_den, _over_one_den, as_q
 from .series import (
     CoordJet,
     LaurentJet,
@@ -199,8 +199,8 @@ def _exp_action(ec: ExpCoeffs, module: FockModule, vec):
     if _is_rational([c0, *cs, *vec.values()]):
         # c_n = t_n / d, vec = nums / dv, and L_n is an integer action over the module's denominator
         ts, d = _over_one_den(cs)
-        nums, dv = _over_one_den(vec.values())
-        acc, den = _exp(ts, module._virasoro_ints, dict(zip(vec, nums)), d * module._virasoro_den)
+        nums, dv = _ints(vec)
+        acc, den = _exp(ts, module._virasoro_ints, nums, d * module._virasoro_den)
         den *= dv
         return {
             mu: Q(x * c0.numerator ** weight(mu), den * c0.denominator ** weight(mu)) for mu, x in acc.items() if x
@@ -234,10 +234,10 @@ def u_matrix(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
     dim = module.dim(n_max)
     # T from the integer rows of each L_n, over D = lcm of the denominators of c_n L_n
     terms = [(cn, *module._mode_ints("L", n, n_max, n_max)) for n, cn in enumerate(ec.cs, start=1) if cn]
-    d = math.lcm(*(cn.denominator * dn for cn, _, dn in terms))
+    fs, d = _over_one_den(cn / dn for cn, _, dn in terms)
     tint: Dict[int, Dict[int, int]] = {}
-    for cn, lrows, dn in terms:
-        _add_scaled(tint, lrows, cn.numerator * (d // (cn.denominator * dn)))
+    for (_, lrows, _), f in zip(terms, fs):
+        _add_scaled(tint, lrows, f)
     powers = [{i: {i: 1} for i in range(dim)}]
     for _ in range(n_max + 1):
         power = _int_product(tint, powers[-1])

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import QMat, _int_rows, _over_one_den, as_q
+from .linalg import QMat, _int_rows, _ints, _of_one_den, as_q
 
 Q = Fraction
 
@@ -117,9 +117,9 @@ class FockModule:
         self._int_cache: Dict[tuple, Tuple[Dict[int, Dict[int, int]], int]] = {}
         # every entry of an L_n image is an integer over 2 q^2, q the momentum's denominator
         self._virasoro_den = 2 * self.momentum.denominator ** 2
-        # exact images of basis monomials: L_n mu keyed (n, mu), as (rationals, integers over
-        # _virasoro_den); Y(nu)_m mu keyed (nu, m, mu)
-        self._virasoro_images: Dict[Tuple[int, Partition], Tuple[Vector, Dict[Partition, int]]] = {}
+        # exact images of basis monomials: L_n mu keyed (n, mu), as integers over
+        # _virasoro_den; Y(nu)_m mu keyed (nu, m, mu)
+        self._virasoro_images: Dict[Tuple[int, Partition], Dict[Partition, int]] = {}
         self._vertex_images: Dict[Tuple[Partition, int, Partition], Vector] = {}
 
     # -- basis bookkeeping ---------------------------------------------------
@@ -169,23 +169,23 @@ class FockModule:
         return out
 
     def _virasoro_monomial(self, n: int, mu: Partition) -> Vector:
-        return self._virasoro_image(n, mu)[0]
+        return _of_one_den(self._virasoro_image(n, mu), self._virasoro_den)
 
     def _virasoro_ints(self, n: int, vec: Dict[Partition, int]) -> Dict[Partition, int]:
         """_virasoro_den L_n on a vector of integers, an integer vector; entries may be zero."""
         out: Dict[Partition, int] = {}
         for mu, c in vec.items():
-            for tau, x in self._virasoro_image(n, mu)[1].items():
+            for tau, x in self._virasoro_image(n, mu).items():
                 out[tau] = out.get(tau, 0) + c * x
         return out
 
-    def _virasoro_image(self, n: int, mu: Partition) -> Tuple[Vector, Dict[Partition, int]]:
-        """L_n mu, as rationals and as integers over _virasoro_den, built once.
+    def _virasoro_image(self, n: int, mu: Partition) -> Dict[Partition, int]:
+        """L_n mu, as integers over _virasoro_den, built once.
 
         Twice the image, the sum over j <= n - j of :a_j a_{n-j}: mu weighted
         2 (1 when j = n - j), is made on integer weights, so only a_0 = lambda
-        brings a denominator (q per factor, q^2 at most); each entry is halved
-        once at the end.
+        brings a denominator (q per factor, q^2 at most); the image goes over
+        _virasoro_den = 2 q^2 once at the end.
         """
         img = self._virasoro_images.get((n, mu))
         if img is None:
@@ -198,8 +198,7 @@ class FockModule:
                 # :a_j a_k: with j <= k means the annihilation-most factor acts first
                 for tau, c in self.apply_heisenberg(j, self.apply_heisenberg(k, {mu: 1 if j == k else 2})).items():
                     _acc(twice, tau, c)
-            nums, _ = _over_one_den(twice.values(), self._virasoro_den // 2)
-            img = self._virasoro_images[(n, mu)] = ({tau: Q(c, 2) for tau, c in twice.items()}, dict(zip(twice, nums)))
+            img = self._virasoro_images[(n, mu)] = _ints(twice, self._virasoro_den // 2)[0]
         return img
 
     def apply_vertex(self, v: Vector, m: int, vec: Vector) -> Vector:

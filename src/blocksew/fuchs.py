@@ -18,12 +18,11 @@ a certified radius r_0 < r_1/gamma.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .linalg import QMat, QVec, _int_rows, _over_one_den, as_q, solve
+from .linalg import QMat, QVec, _combine, _int_rows, _ints, as_q, solve
 from .series import SeriesError, TruncSeries
 
 Q = Fraction
@@ -206,31 +205,28 @@ def solve_formal(
         if order > t and tail is not None and tail[0]:
             raise FuchsError(f"order {order} exceeds the declared truncation {t} of variable {j}")
     out = sys._stream_series({}, order, log_bound)  # empty, in the solution's shape
-    psi: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[List[int], int]] = {}
+    psi: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[Dict[int, int], int]] = {}
 
     # A^j_k and omega^j_k as integers over one denominator each, and every
     # psi coefficient likewise, so each step's rhs is summed with int products
     a_int = [{k: _int_rows(mat) for k, mat in sys.a[j].items() if any(k)} for j in range(m)]
-    w_int = [{k: _over_one_den(vec.to_list()) for k, vec in sys.omega[j].items()} for j in range(m)]
+    w_int = [{k: _ints(vec.data) for k, vec in sys.omega[j].items()} for j in range(m)]
 
-    def step_rhs(j: int, exps: Tuple[int, ...], logs: Tuple[int, ...]) -> Tuple[List[int], int]:
-        terms = []  # (numerators, denominator)
+    def step_rhs(j: int, exps: Tuple[int, ...], logs: Tuple[int, ...]) -> Tuple[Dict[int, int], int]:
+        parts = []  # (numerators, factor)
         if not any(logs) and exps in w_int[j]:
-            terms.append(w_int[j][exps])
+            nums, den = w_int[j][exps]
+            parts.append((nums, Q(1, den)))
         for key, (mat, den) in a_int[j].items():
             pv = psi.get((tuple(e - k for e, k in zip(exps, key)), logs))
             if pv is not None:
-                x = pv[0]
-                terms.append(([sum(a * x[c] for c, a in mat.get(i, {}).items()) for i in range(sys.dim)], den * pv[1]))
+                x, dx = pv
+                nums = {i: sum(a * x[c] for c, a in r.items() if c in x) for i, r in mat.items()}
+                parts.append((nums, Q(1, den * dx)))
         higher = psi.get((exps, logs[:j] + (logs[j] + 1,) + logs[j + 1 :]))
         if higher is not None:
-            terms.append(([-(logs[j] + 1) * x for x in higher[0]], higher[1]))
-        den = math.lcm(*(d for _, d in terms))
-        total = [0] * sys.dim
-        for nums, d in terms:
-            f = den // d
-            total = [t + f * x for t, x in zip(total, nums)]
-        return total, den
+            parts.append((higher[0], Q(-(logs[j] + 1), higher[1])))
+        return _combine(parts)
 
     a0s = [sys.a0(j) for j in range(m)]
     resolvents = [_resolvent(a0) for a0 in a0s]
@@ -248,9 +244,9 @@ def solve_formal(
                     raise SeedError(key, f"the step leaves 0 coefficient(s) free, got {len(coeffs)}")
                 nums, den = rhs(j)
                 den *= det
-                return [Q(sum(u * x for u, x in zip(r, nums)), den) for r in adj]
+                return [Q(sum(r[i] * x for i, x in nums.items()), den) for r in adj]
         nums, den = rhs(0)
-        sol = solve(_step(a0s[0], key[0][0]), QVec(sys.dim, {i: Q(x, den) for i, x in enumerate(nums) if x}))
+        sol = solve(_step(a0s[0], key[0][0]), QVec(sys.dim, {i: Q(x, den) for i, x in nums.items() if x}))
         if sol is None:
             raise InconsistentResonance(key)
         part, kernel = sol
@@ -270,13 +266,14 @@ def solve_formal(
                 exps = (n1,) + outer
                 part = coefficient((exps, logs), lambda j: step_rhs(j, exps, logs))
                 if any(part):
-                    psi[(exps, logs)] = _over_one_den(part)
-                    out._store(exps, logs, QVec(sys.dim, dict(enumerate(part))))
+                    vec = QVec(sys.dim, dict(enumerate(part)))
+                    psi[(exps, logs)] = _ints(vec.data)
+                    out._store(exps, logs, vec)
     # a seed left over must be one the walk reads above the order
     for exps, logs in list(seeds):
         if len(exps) != m or len(logs) != m or min(exps) < 0 or not all(0 <= l <= log_bound for l in logs):
             raise SeedError((exps, logs), f"names no step (natural exponents, log degrees in [0, {log_bound}])")
-        coefficient((exps, logs), lambda j: ([0] * sys.dim, 1))
+        coefficient((exps, logs), lambda j: ({}, 1))
     return out
 
 

@@ -194,10 +194,13 @@ def series_from_json(obj: dict, path: str = "series", value=value_from_json) -> 
         (f, [b + 1 for b in bounds], f"{len(bounds)} integers, each between 0 and its bound in {list(bounds)}")
         for f, bounds in (("n", s.trunc), ("l", s.logmax))
     ]
+    first: Dict[tuple, int] = {}
     for i, term in enumerate(terms):
         tp = f"{path}.terms[{i}]"
         _object(term, tp)
         exps, logs = (indices(require(term, f, tp), bounds, f"{tp}.{f}", what) for f, bounds, what in keys)
+        if first.setdefault((exps, logs), i) != i:
+            raise SchemaError(f"{tp}.n", f"repeats the n and l of {path}.terms[{first[exps, logs]}]")
         s._store(exps, logs, value(require(term, "c", tp), f"{tp}.c"))
     return s
 

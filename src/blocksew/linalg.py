@@ -7,11 +7,12 @@ pivot order, so repeated runs produce identical output.
 
 The O(n^3) kernels (the QMat product here, and in other modules the
 coordinate-change exponential, the bracket check, slot contraction and the
-recursions over series) run on integer numerators over one denominator:
-``_over_one_den`` and ``_int_rows`` take rationals there, ``_int_product``
-and ``_add_scaled`` combine integer rows, ``_sum_over_lcm`` adds parts over
-different denominators, ``_of_one_den`` brings the sums back, one Fraction
-(one gcd) per output entry instead of one per product.
+recursions over series) run on integer numerators over one denominator, and
+this module is that format's one home: ``_over_one_den``, ``_ints`` and
+``_int_rows`` take rationals there, ``_int_product`` and ``_add_scaled``
+combine integer rows, ``_combine`` sums parts under rational factors,
+``_of_one_den`` brings the sums back, one Fraction (one gcd) per output entry
+instead of one per product.
 """
 
 from __future__ import annotations
@@ -219,8 +220,7 @@ class QMat:
         if vec.n != self.ncols:
             raise ValueError("dimension mismatch")
         rows, da = _int_rows(self)
-        nums, dx = _over_one_den(vec.data.values())
-        x = dict(zip(vec.data, nums))
+        x, dx = _ints(vec.data)
         out = {i: sum(a * x[j] for j, a in r.items() if j in x) for i, r in rows.items()}
         return QVec(self.nrows, _of_one_den(out, da * dx))
 
@@ -270,14 +270,13 @@ def solve(mat: QMat, rhs: QVec) -> Optional[Tuple[QVec, List[QVec]]]:
     if rhs.n != mat.nrows:
         raise ValueError("dimension mismatch")
     ncols = mat.ncols
-    rhs_nums, den = _over_one_den(rhs.data.values())
-    bnums = dict(zip(rhs.data, rhs_nums))
+    bnums, den = _ints(rhs.data)
     rows = []
     for i in range(mat.nrows):
         r = mat.rows.get(i, {})
-        nums, scale = _over_one_den(r.values())
+        nums, scale = _ints(r)
         row = [0] * (ncols + 1)
-        for j, n in zip(r, nums):
+        for j, n in nums.items():
             row[j] = n
         row[ncols] = scale * bnums.get(i, 0)
         rows.append(row)
@@ -326,6 +325,12 @@ def _over_one_den(values: Iterable[Fraction], den: Optional[int] = None) -> Tupl
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _ints(mapping: Dict[K, Fraction], den: Optional[int] = None) -> Tuple[Dict[K, int], int]:
+    """``_over_one_den`` of a mapping's values, keyed as the mapping."""
+    nums, den = _over_one_den(mapping.values(), den)
+    return dict(zip(mapping, nums)), den
+
+
 def _of_one_den(nums: Dict[K, int], den: int) -> Dict[K, Fraction]:
     """Integer numerators over ``den`` back to rationals; zeros are left out."""
     if den == 1:
@@ -336,20 +341,20 @@ def _of_one_den(nums: Dict[K, int], den: int) -> Dict[K, Fraction]:
 def _int_rows(mat: QMat) -> Tuple[Dict[int, Dict[int, int]], int]:
     """The rows of a matrix as integer numerators over one denominator."""
     den = math.lcm(*(v.denominator for r in mat.rows.values() for v in r.values()))
-    return {i: dict(zip(r, _over_one_den(r.values(), den)[0])) for i, r in mat.rows.items()}, den
+    return {i: _ints(r, den)[0] for i, r in mat.rows.items()}, den
 
 
-def _sum_over_lcm(parts: Iterable[Tuple[Dict[K, int], int]]) -> Tuple[Dict[K, int], int]:
-    """The sum of integer numerators given each over its own denominator, as
-    numerators over the lcm of those denominators; entries that cancel stay
-    as zeros."""
+def _combine(parts: Iterable[Tuple[Dict[K, int], Fraction]]) -> Tuple[Dict[K, int], int]:
+    """sum_k f_k nums_k for integer numerators nums_k and rational factors
+    f_k, as numerators over the lcm of the factors' denominators; entries
+    that cancel stay as zeros."""
     parts = list(parts)
-    den = math.lcm(*(d for _, d in parts))
+    den = math.lcm(*(f.denominator for _, f in parts))
     out: Dict[K, int] = {}
-    for nums, d in parts:
-        f = den // d
+    for nums, f in parts:
+        s = f.numerator * (den // f.denominator)
         for k, x in nums.items():
-            out[k] = out.get(k, 0) + x * f
+            out[k] = out.get(k, 0) + x * s
     return out, den
 
 

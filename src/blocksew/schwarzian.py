@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .linalg import _over_one_den, _sum_over_lcm, as_q
+from .linalg import _combine, _ints, _of_one_den, as_q
 from .series import (
     CoordJet,
     LaurentJet,
@@ -153,14 +153,8 @@ def mobius_from_quadratic(qcoeffs: Sequence, order: int) -> CoordJet:
 # projective term
 
 
-def _ints(s: TruncSeries) -> Tuple[Dict[tuple, int], int]:
-    """The terms of a scalar series as integer numerators over one denominator."""
-    nums, den = _over_one_den(s.terms.values())
-    return dict(zip(s.terms, nums)), den
-
-
 def _abs_coeff(s: TruncSeries, nums: Dict[tuple, int], k: int) -> int:
-    """Numerator, in ``nums = _ints(s)``, of the absolute exponent k in a checked Schwarzian datum."""
+    """Numerator, in ``nums = _ints(s.terms)``, of the absolute exponent k in a checked Schwarzian datum."""
     rel = k - s.offset[0]
     if rel.denominator != 1 or rel < 0:
         return 0
@@ -181,7 +175,7 @@ def _check_pair(
 ) -> Tuple[Tuple[Dict[tuple, int], int], Tuple[Dict[tuple, int], int]]:
     """Reject pair j unless every coefficient the term reads from it is exact.
 
-    Returns ``_ints`` of a and of b, on which the lift is checked.
+    Returns ``_ints`` of the terms of a and of b, on which the lift is checked.
     """
     if a.vars != b.vars:
         raise VariableMismatch(f"pair {j}: a in {a.vars} but b in {b.vars}")
@@ -201,7 +195,7 @@ def _check_pair(
     # the lift a + b = delta, key by key on the common window, as
     # a_num db + b_num da = delta da db; with equal truncations every stored
     # key lies in it
-    (an, da), (bn, db) = ints = _ints(a), _ints(b)
+    (an, da), (bn, db) = ints = _ints(a.terms), _ints(b.terms)
     unit = ((0,) * len(a.vars),) * 2
     top = None if a.trunc == b.trunc else [min(ta, tb) for ta, tb in zip(a.trunc, b.trunc)]
     for key in an.keys() | bn.keys() | {unit}:
@@ -251,7 +245,8 @@ def projective_term_multi(
     (q_1, .., q_M, eta_i) and adds Res_eta S_eta_i h_i d eta.  Result: a
     series in all q variables.  Truncation shortfalls are errors, not silent
     zeros.  Each (series, datum) pair is summed on integer numerators over
-    the product of their two denominators, and the parts meet over their lcm.
+    the product of their two denominators, and the parts, each times c/12
+    over that product, meet over the lcm.
     """
     c = as_q(c)
     width = len(pairs) + 1
@@ -260,14 +255,14 @@ def projective_term_multi(
         raise VariableMismatch(f"{len(names)} q variables for {width - 1} pairs")
     if len(s_eta) != len(h):
         raise ValueError("one h per marked-point Schwarzian datum")
-    # (numerators, denominator) of each (series, datum) pair's contribution
-    parts: List[Tuple[Dict[Tuple[int, ...], int], int]] = []
+    # (numerators, factor) of each (series, datum) pair's contribution
+    parts: List[Tuple[Dict[Tuple[int, ...], int], Fraction]] = []
     for j, (s_xi, s_pi, a, b) in enumerate(pairs):
         ints = _check_pair(j, s_xi, s_pi, a, b, width, int(j == k_index), order)
         pad = (0,) * (width - len(a.vars))
         # a is keyed (m, n, spectators), b (n, m, spectators); n - m - 2 lies in [0, order - 2]
         for (vnums, dv), sdat, mi, ni in zip(ints, (s_xi, s_pi), (0, 1), (1, 0)):
-            snums, ds = _ints(sdat)
+            snums, ds = _ints(sdat.terms)
             datum = [_abs_coeff(sdat, snums, k) for k in range(order - 1)]
             acc: Dict[Tuple[int, ...], int] = {}
             for (exps, logs), val in vnums.items():
@@ -280,7 +275,7 @@ def projective_term_multi(
                 if sv:
                     key = rest[:j] + (n,) + rest[j:]
                     acc[key] = acc.get(key, 0) + val * sv
-            parts.append((acc, dv * ds))
+            parts.append((acc, c / (12 * dv * ds)))
     for i, (sdat, hi) in enumerate(zip(s_eta, h)):
         _check_datum(f"marked point {i}", sdat)
         if len(hi.vars) != width:
@@ -289,7 +284,7 @@ def projective_term_multi(
             raise OffsetError(f"marked point {i}: h cannot carry a q-offset")
         if any(t < order for t in hi.trunc[:-1]):
             raise WindowError(f"marked point {i}: h truncated below requested q-order {order}")
-        (vnums, dv), (snums, ds) = _ints(hi), _ints(sdat)
+        (vnums, dv), (snums, ds) = _ints(hi.terms), _ints(sdat.terms)
         acc = {}
         for (exps, logs), val in vnums.items():
             if any(logs):
@@ -301,9 +296,7 @@ def projective_term_multi(
             sv = _abs_coeff(sdat, snums, int(k))
             if sv:
                 acc[key] = acc.get(key, 0) + val * sv
-        parts.append((acc, dv * ds))
-    total, den = _sum_over_lcm(parts)
-    # times c/12, one Fraction per key; _store leaves out the zero ones
-    num, den, logs = c.numerator, 12 * c.denominator * den, (0,) * len(names)
-    terms = {(key, logs): Q(x * num, den) for key, x in total.items()}
+        parts.append((acc, c / (12 * dv * ds)))
+    logs = (0,) * len(names)
+    terms = {(key, logs): x for key, x in _of_one_den(*_combine(parts)).items()}
     return TruncSeries(names, dict.fromkeys(names, order), terms=terms)

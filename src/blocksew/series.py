@@ -24,13 +24,12 @@ The zero series has an empty coefficient map in all three.
 
 from __future__ import annotations
 
-import math
 import operator
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .linalg import QMat, QVec, _over_one_den, as_q
+from .linalg import QMat, QVec, _combine, _ints, _of_one_den, as_q
 
 Q = Fraction
 
@@ -73,13 +72,6 @@ def _is_ring_zero(x) -> bool:
     if isinstance(x, (QVec, QMat)):
         return x.is_zero()
     return not x
-
-
-def _numerators(coeffs: Dict[int, Fraction]) -> Tuple[List[int], List[int], int]:
-    """Sorted exponents, integer numerators and their one common denominator."""
-    es = sorted(coeffs)
-    nums, den = _over_one_den(coeffs[e] for e in es)
-    return es, nums, den
 
 
 def ring_one_like(x):
@@ -208,17 +200,16 @@ class LaurentJet:
         )
         if self.is_zero() or other.is_zero():
             return LaurentJet._of_clean({}, lo, hi, self.var)
-        es1, ns1, d1 = _numerators(self.coeffs)
-        es2, ns2, d2 = _numerators(other.coeffs)
+        ns1, d1 = _ints(self.coeffs)
+        ns2, d2 = _ints(other.coeffs)
+        es2 = sorted(ns2)
         acc: Dict[int, int] = {}
-        for e1, n1 in zip(es1, ns1):
+        for e1, n1 in ns1.items():
             # es2 is sorted, so the terms of e1 inside the window are a prefix
-            stop = len(es2) if hi is None else bisect_right(es2, hi - e1)
-            for e2, n2 in zip(es2[:stop], ns2[:stop]):
+            for e2 in es2 if hi is None else es2[: bisect_right(es2, hi - e1)]:
                 e = e1 + e2
-                acc[e] = acc.get(e, 0) + n1 * n2
-        den = d1 * d2
-        return LaurentJet._of_clean({e: Q(n, den) for e, n in acc.items() if n}, lo, hi, self.var)
+                acc[e] = acc.get(e, 0) + n1 * ns2[e2]
+        return LaurentJet._of_clean(_of_one_den(acc, d1 * d2), lo, hi, self.var)
 
     __rmul__ = __mul__
 
@@ -243,10 +234,10 @@ class LaurentJet:
         # self = z^v S / den with integer S = s_0 + s_1 z + ..., and
         # 1/S = sum_n t_n z^n / s_0^(n+1) with t_0 = 1 and integer
         # t_n = -sum_{k=1..n} s_k s_0^(k-1) t_(n-k)
-        es, ns, den = _numerators({e: c for e, c in self.coeffs.items() if e - v <= rel})
-        s0 = ns[0]
+        ns, den = _ints({e: c for e, c in self.coeffs.items() if e - v <= rel})
+        s0 = ns.pop(v)
         scaled = [0] * (rel + 1)
-        for e, n in zip(es[1:], ns[1:]):
+        for e, n in ns.items():
             scaled[e - v] = n * s0 ** (e - v - 1)
         t = [1]
         for n in range(1, rel + 1):
@@ -505,14 +496,9 @@ def jet_compose(outer: LaurentJet, inner: CoordJet) -> LaurentJet:
     for _c, p in terms:
         hi = _min_hi(hi, p.hi)
     # sum_e c_e inner^e as one int per exponent over one common denominator
-    parts = [(c, _numerators({e: v for e, v in p.coeffs.items() if hi is None or e <= hi})) for c, p in terms]
-    den = math.lcm(*(c.denominator * d for c, (_es, _ns, d) in parts))
-    acc: Dict[int, int] = {}
-    for c, (es, ns, d) in parts:
-        scale = c.numerator * (den // (c.denominator * d))
-        for e, n in zip(es, ns):
-            acc[e] = acc.get(e, 0) + scale * n
-    return LaurentJet._of_clean({e: Q(n, den) for e, n in acc.items() if n}, lo, hi, var)
+    ints = [(c, _ints({e: v for e, v in p.coeffs.items() if hi is None or e <= hi})) for c, p in terms]
+    acc, den = _combine((nums, c / d) for c, (nums, d) in ints)
+    return LaurentJet._of_clean(_of_one_den(acc, den), lo, hi, var)
 
 
 def _safe_inv(lt: LaurentJet) -> LaurentJet:

@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, U
 
 from .coords import family_jet, gamma_xi, u_apply
 from .fock import FockModule, Vector, vacuum_module, vec_is_homogeneous, weight
-from .linalg import QMat, QVec, _int_rows, _of_one_den, _over_one_den, _sum_over_lcm, as_q
+from .linalg import QMat, QVec, _combine, _int_rows, _ints, _of_one_den, as_q
 from .series import (
     CoordJet,
     LaurentJet,
@@ -113,8 +113,7 @@ class SewingBlock:
         self.slot_dims = [list(d) for d in slot_dims]
         self.arity = len(self.slot_dims)
         clean = {tuple(k): q for k, v in table.items() if (q := as_q(v))}
-        nums, self.den = _over_one_den(clean.values())
-        self.nums: Dict[Tuple[int, ...], int] = dict(zip(clean, nums))
+        self.nums, self.den = _ints(clean)
         self.pair_slots = pair_slots
 
     @classmethod
@@ -557,6 +556,6 @@ def genus0_invariance_check(
         checked = SewingBlock._of_clean(block.slot_dims, nums, block.den, block.pair_slots)
         acted_tables.append(checked.contract_slot(s, act))
 
-    sums, den = _sum_over_lcm((t.nums, t.den) for t in acted_tables)
+    sums, den = _combine((t.nums, Q(1, t.den)) for t in acted_tables)
     failures = [(key, Q(x, den)) for key, x in sorted(sums.items()) if x]
     return (not failures), failures

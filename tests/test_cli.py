@@ -782,6 +782,41 @@ class TestMalformedDocuments:
         doc = {"A": [[["0"]]], "omega": [["0"]], "psi": pair}
         self.rejected(["fuchs", "certify", write(tmp_path, "c.json", doc)], capsys, "psi.terms[0].c")
 
+    def test_fuchs_residual_psi_off_the_integers_against_a_nonzero_omega(self, tmp_path, capsys):
+        # "error: offsets 1/2 and 0 differ by a non-integer", with no JSON path; at offset 1 psi is read
+        psi = {"vars": ["q"], "trunc": {"q": 2}, "offset": {"q": "1/2"}, "terms": [{"n": [0], "l": [0], "c": ["1"]}]}
+        system = {"A": [[["1/2"]]], "omega": [["1"]]}
+        doc = {"psi": psi, "system": system}
+        self.rejected(["fuchs", "residual", write(tmp_path, "r.json", doc)], capsys, "psi.offset")
+        whole = {**psi, "offset": {"q": "1"}}
+        code, out = run(["fuchs", "residual", write(tmp_path, "r.json", {"psi": whole, "system": system})], capsys)
+        assert code == 1 and json.loads(out)["residual"]["terms"][0]["c"] == ["-1"]
+
+    def test_fuchs_certify_psi_off_the_integers_against_a_nonzero_omega(self, tmp_path, capsys):
+        # "error: offsets 1/2 and 0 differ by a non-integer", with no JSON path
+        psi = {"vars": ["q"], "trunc": {"q": 2}, "offset": {"q": "1/2"}, "terms": [{"n": [0], "l": [0], "c": ["1"]}]}
+        doc = {"A": [[["1/2"]]], "omega": [["1"]], "psi": psi}
+        self.rejected(["fuchs", "certify", write(tmp_path, "c.json", doc)], capsys, "psi.offset")
+
+    def test_series_that_repeats_a_term(self, tmp_path, capsys):
+        # the two terms at one (n, l) were read as their sum, with exit 0
+        terms = [{"n": [0], "l": [0], "c": ["1"]}, {"n": [1], "l": [0], "c": ["0"]}, {"n": [0], "l": [0], "c": ["2"]}]
+        psi = {"vars": ["q"], "trunc": {"q": 2}, "terms": terms}
+        doc = {"psi": psi, "system": {"A": [[["0"]]], "omega": [["0"]]}}
+        self.rejected(["fuchs", "residual", write(tmp_path, "r.json", doc)], capsys, "psi.terms[2].n")
+        # a repeat at a zero coefficient is a repeat too
+        psi["terms"] = terms[:2] + [{"n": [1], "l": [0], "c": ["3"]}]
+        self.rejected(["fuchs", "residual", write(tmp_path, "r.json", doc)], capsys, "psi.terms[2].n")
+
+    def test_sew_run_block_that_repeats_an_idx(self, tmp_path, capsys):
+        # the last of two entries at one idx was kept, with exit 0: "0,0,5"
+        entries = [{"idx": [0, 0], "c": "1"}, {"idx": [0, 0], "c": "5"}]
+        doc = {"order": 0, "block": {"slots": [[1], [1]], "pair": [0, 1], "entries": entries}}
+        self.rejected(["sew", "run", write(tmp_path, "run.json", doc)], capsys, "input.block.entries[1].idx")
+        doc["block"]["entries"] = entries[1:]
+        code, out = run(["sew", "run", write(tmp_path, "run.json", doc)], capsys)
+        assert code == 0 and json.loads(out)["terms"] == [{"n": [0], "l": [0], "c": "5"}]
+
     def test_psi_in_another_variable(self, tmp_path, capsys):
         # "error: no variable q in ('p',)" and "error: ('q',) vs ('p',)", with no JSON path
         psi = {"vars": ["p"], "trunc": {"p": 2}, "terms": [{"n": [0], "l": [0], "c": ["1"]}]}

@@ -334,14 +334,14 @@ class TestMonomialImageCache:
                         assert same_vectors(m.apply_virasoro(n, vec), sugawara_reference(m, n, vec)), (n, vec)
 
     def test_integer_images_are_the_sugawara_sum(self):
-        # each L_n image is kept as rationals and as integers over 2 q^2, q the momentum's denominator
+        # each L_n image is kept as integers over 2 q^2, q the momentum's denominator, and read as rationals
         for momentum in (Q(0), Q(1, 3), Q(-5, 3)):
             m = FockModule(momentum)
             assert m._virasoro_den == 2 * momentum.denominator**2
             for mu in FockModule.basis(5):
                 for n in range(-3, 4):
                     want = {tau: c for tau, c in sugawara_reference(m, n, {mu: Q(1)}).items() if c}
-                    img, ints = m._virasoro_image(n, mu)
+                    img, ints = m._virasoro_monomial(n, mu), m._virasoro_image(n, mu)
                     assert all(type(x) is int for x in ints.values())
                     assert img == want == {tau: Q(x, m._virasoro_den) for tau, x in ints.items()}, (momentum, n, mu)
 

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blocksew.linalg import QMat, QVec, _int_rows, _of_one_den, _over_one_den, solve
+from blocksew.linalg import QMat, QVec, _combine, _int_rows, _ints, _of_one_den, _over_one_den, solve
 from helpers import fraction_matmul, fraction_solve
 
 Q = Fraction
@@ -178,3 +179,41 @@ class TestIntegerKernel:
         assert _of_one_den(dict(enumerate(nums)), den) == {0: Q(1, 6), 1: Q(-3, 4), 3: Q(5)}
         rows, den = _int_rows(QMat.from_rows([[Q(1, 2), 0], [0, Q(2, 3)]]))
         assert (rows, den) == ({0: {0: 3}, 1: {1: 4}}, 6)
+
+
+# signed rationals: zero, denominator 1, and numerators and denominators over 997
+RATIONALS = st.one_of(
+    st.sampled_from([Q(0), Q(1), Q(-1), Q(-5, 997), Q(1000, 1009)]),
+    st.builds(Q, st.integers(-2000, 2000), st.integers(1, 2000)),
+)
+NUMERATORS = st.dictionaries(st.integers(0, 5), st.integers(-2000, 2000), max_size=5)
+
+
+class TestOneDenominatorVocabulary:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(mapping=st.dictionaries(st.integers(0, 9), RATIONALS, max_size=8), extra=st.integers(1, 5))
+    def test_ints_is_the_mapping_over_one_denominator(self, mapping, extra):
+        nums, den = _ints(mapping)
+        assert list(nums) == list(mapping) and all(type(x) is int for x in nums.values())
+        assert den == math.lcm(*(v.denominator for v in mapping.values()))
+        assert {k: Q(x, den) for k, x in nums.items()} == mapping
+        assert _ints(mapping, den * extra) == ({k: x * extra for k, x in nums.items()}, den * extra)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(parts=st.lists(st.tuples(NUMERATORS, RATIONALS), max_size=5))
+    def test_combine_is_the_fraction_sum(self, parts):
+        total, den = _combine(parts)
+        want = {}
+        for nums, f in parts:
+            for k, x in nums.items():
+                want[k] = want.get(k, Q(0)) + f * x
+        assert den == math.lcm(*(f.denominator for _, f in parts))
+        # every key of a part is kept, a cancelled one as a zero
+        assert total.keys() == want.keys() and all(type(x) is int for x in total.values())
+        assert {k: Q(x, den) for k, x in total.items()} == want
+
+    def test_combine_of_cancelling_and_empty_parts(self):
+        assert _combine([]) == ({}, 1)
+        assert _combine([({}, Q(1, 3))]) == ({}, 3)
+        assert _combine([({0: 3, 1: 1}, Q(1, 2)), ({0: 3}, Q(-1, 2)), ({1: 5}, Q(0))]) == ({0: 0, 1: 1}, 2)
+        assert _combine([({0: 1}, Q(5, 997)), ({0: 1}, Q(-5, 997))]) == ({0: 0}, 997)
