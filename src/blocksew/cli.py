@@ -210,9 +210,9 @@ def cmd_voa_dump_mode(args) -> int:
     return _emit_matrix(mat, module, n, args)
 
 
-def _bracket_failures(module: FockModule, kind: str, m: int, k: int, n: int, s: int, z: Fraction) -> int:
+def _bracket_failures(module: FockModule, mode, m: int, k: int, n: int, s: int, z: Fraction) -> int:
     """How many basis vectors of weight <= n break [X_m, X_k] = s X_{m+k} + z I,
-    for X the mode kind "a" or "L" of the module.
+    for X the modes whose snapshots ``mode(index, src_n, tgt_n)`` gives.
 
     X_k raises weights by at most up(k) = max(0, -k), so with X_k snapshot
     from weights <= n to n + up(k) and X_m from there to top = n + up(m) +
@@ -224,11 +224,11 @@ def _bracket_failures(module: FockModule, kind: str, m: int, k: int, n: int, s: 
     # (integer rows, factor): X_m X_k - X_k X_m - s X_{m+k} - z I
     parts = []
     for a, b, sign in ((m, k, 1), (k, m, -1)):
-        (xa, da), (xb, db) = module._mode_ints(kind, a, n + up(b), top), module._mode_ints(kind, b, n, n + up(b))
-        parts.append((_int_product(xa, xb), Q(sign, da * db)))
+        xa, xb = mode(a, n + up(b), top), mode(b, n, n + up(b))
+        parts.append((_int_product(xa.nums, xb.nums), Q(sign, xa.den * xb.den)))
     if s:
-        rows, den = module._mode_ints(kind, m + k, n, top)
-        parts.append((rows, Q(-s, den)))
+        x = mode(m + k, n, top)
+        parts.append((x.nums, Q(-s, x.den)))
     if z:
         parts.append(({i: {i: 1} for i in range(module.dim(n))}, -z))
     defect = {}
@@ -242,15 +242,15 @@ def cmd_voa_check_relations(args) -> int:
     failures = []
     n = args.trunc
     rng = args.range
-    # [X_m, X_k] = s(m, k) X_{m+k} + delta_{m+k,0} z(m): name, mode kind, mode range, s, z
+    # [X_m, X_k] = s(m, k) X_{m+k} + delta_{m+k,0} z(m): name, snapshot accessor, mode range, s, z
     families = (
-        ("heisenberg", "a", rng, lambda m, k: 0, lambda m: Q(m)),
-        ("virasoro", "L", min(rng, 3), lambda m, k: m - k, lambda m: Q(m ** 3 - m, 12)),
+        ("heisenberg", module.heisenberg_matrix, rng, lambda m, k: 0, lambda m: Q(m)),
+        ("virasoro", module.virasoro_matrix, min(rng, 3), lambda m, k: m - k, lambda m: Q(m ** 3 - m, 12)),
     )
-    for name, kind, r, s, z in families:
+    for name, mode, r, s, z in families:
         for m in range(-r, r + 1):
             for k in range(-r, r + 1):
-                count = _bracket_failures(module, kind, m, k, n, s(m, k), z(m) if m + k == 0 else Q(0))
+                count = _bracket_failures(module, mode, m, k, n, s(m, k), z(m) if m + k == 0 else Q(0))
                 failures += [[name, m, k]] * count
     if module.apply_virasoro(2, CONFORMAL) != {(): Q(1, 2)}:
         failures.append(["central-charge"])

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fock import FockModule, Vector, vacuum_module, vec_is_homogeneous, vec_weight_max, weight
-from .linalg import QMat, _add_scaled, _int_product, _ints, _of_one_den, _over_one_den, as_q
+from .linalg import QMat, _add_scaled, _int_product, _ints, _over_one_den, as_q
 from .series import (
     CoordJet,
     LaurentJet,
@@ -233,11 +233,11 @@ def u_matrix(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
     ec = _exp_coeffs(rho, n_max)
     dim = module.dim(n_max)
     # T from the integer rows of each L_n, over D = lcm of the denominators of c_n L_n
-    terms = [(cn, *module._mode_ints("L", n, n_max, n_max)) for n, cn in enumerate(ec.cs, start=1) if cn]
-    fs, d = _over_one_den(cn / dn for cn, _, dn in terms)
+    terms = [(cn, module.virasoro_matrix(n, n_max, n_max)) for n, cn in enumerate(ec.cs, start=1) if cn]
+    fs, d = _over_one_den(cn / ln.den for cn, ln in terms)
     tint: Dict[int, Dict[int, int]] = {}
-    for (_, lrows, _), f in zip(terms, fs):
-        _add_scaled(tint, lrows, f)
+    for (_, ln), f in zip(terms, fs):
+        _add_scaled(tint, ln.nums, f)
     powers = [{i: {i: 1} for i in range(dim)}]
     for _ in range(n_max + 1):
         power = _int_product(tint, powers[-1])
@@ -251,16 +251,14 @@ def u_matrix(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
     for k in range(top, -1, -1):
         _add_scaled(acc, powers[k], f)
         f *= d * k
-    den = d**top * math.factorial(top)
+    # row i gains c_0^w = p^w q^(n_max - w) / q^n_max, w its weight
     c0 = as_q(ec.c0)
-    rows = {}
+    p, q = c0.numerator, c0.denominator
     for i, mu in enumerate(module.basis(n_max)):
         w = weight(mu)
-        num = c0.numerator**w
-        row = _of_one_den({j: x * num for j, x in acc[i].items()}, den * c0.denominator**w)
-        if row:
-            rows[i] = row
-    return QMat._of_clean(dim, dim, rows)
+        scale = p**w * q ** (n_max - w)
+        acc[i] = {j: x * scale for j, x in acc[i].items()}
+    return QMat._of_ints(dim, dim, acc, d**top * math.factorial(top) * q**n_max)
 
 
 def u_matrix_inverse(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
@@ -279,8 +277,11 @@ def u_matrix_dual(rho: CoordJet, module: FockModule, n_max: int) -> QMat:
     # <mu, mu> = prod_k k^{m_k} m_k! for a partition mu with m_k parts equal to k
     norms = [math.prod(k ** mu.count(k) * math.factorial(mu.count(k)) for k in set(mu)) for mu in module.basis(n_max)]
     mat = u_matrix(rho, module, n_max)
-    rows = {i: {j: v * Q(norms[i], norms[j]) for j, v in row.items()} for i, row in mat.rows.items()}
-    return QMat._of_clean(mat.nrows, mat.ncols, rows)
+    # z_i / z_j = z_i (L / z_j) / L, L the lcm of the norms
+    lcm = math.lcm(*norms)
+    cofactors = [lcm // z for z in norms]
+    rows = {i: {j: x * norms[i] * cofactors[j] for j, x in row.items()} for i, row in mat.nums.items()}
+    return QMat._of_ints(mat.nrows, mat.ncols, rows, mat.den * lcm)
 
 
 # ---------------------------------------------------------------------------

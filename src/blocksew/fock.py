@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import QMat, _int_rows, _ints, _of_one_den, as_q
+from .linalg import QMat, _ints, _of_one_den, as_q
 
 Q = Fraction
 
@@ -73,18 +73,6 @@ def weight(mu: Partition) -> int:
     return sum(mu)
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    out = dict(a)
-    for mu, c in b.items():
-        _acc(out, mu, c)
-    return out
-
-
-def vec_scale(c: Fraction, a: Vector) -> Vector:
-    c = as_q(c)
-    return {k: c * v for k, v in a.items()} if c else {}
-
-
 def vec_weight_max(a: Vector) -> int:
     return max((weight(mu) for mu in a), default=0)
 
@@ -112,9 +100,6 @@ class FockModule:
         self.momentum = as_q(momentum)
         self.offset = self.momentum * self.momentum / 2
         self._matrix_cache: Dict[tuple, QMat] = {}
-        # the integer rows and denominator of an a_k or L_n snapshot, under the
-        # snapshot's key; a snapshot first read as integers is kept only here
-        self._int_cache: Dict[tuple, Tuple[Dict[int, Dict[int, int]], int]] = {}
         # every entry of an L_n image is an integer over 2 q^2, q the momentum's denominator
         self._virasoro_den = 2 * self.momentum.denominator ** 2
         # exact images of basis monomials: L_n mu keyed (n, mu), as integers over
@@ -274,26 +259,12 @@ class FockModule:
             self._matrix_cache[key] = build(src_n, tgt_n)
         return self._matrix_cache[key]
 
-    def _mode_ints(self, kind: str, index: int, src_n: int, tgt_n: int) -> Tuple[Dict[int, Dict[int, int]], int]:
-        """The integer rows and denominator (linalg._int_rows) of the snapshot of
-        a_index (kind "a") or L_index (kind "L") from weights up to src_n to
-        weights up to tgt_n, made once per snapshot key: from the cached
-        snapshot if there is one, else from the images, keeping no snapshot."""
-        key = (kind, index, src_n, tgt_n)
-        if key not in self._int_cache:
-            cached = key in self._matrix_cache
-            mat = (self.heisenberg_matrix if kind == "a" else self.virasoro_matrix)(index, src_n, tgt_n)
-            self._int_cache[key] = _int_rows(mat)
-            if not cached:
-                del self._matrix_cache[key]
-        return self._int_cache[key]
-
     def heisenberg_matrix(self, k: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
         build = partial(self._snapshot, lambda mu: self.apply_heisenberg(k, {mu: Q(1)}), -k)
         return self._mode_matrix(("a", k), -k, src_n, tgt_n, build)
 
     def virasoro_matrix(self, n: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
-        build = partial(self._snapshot, lambda mu: self._virasoro_monomial(n, mu), -n)
+        build = partial(self._snapshot, lambda mu: self._virasoro_image(n, mu), -n, den=self._virasoro_den)
         return self._mode_matrix(("L", n), -n, src_n, tgt_n, build)
 
     def vertex_matrix(self, v: Vector, m: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
@@ -331,17 +302,18 @@ class FockModule:
 
         return self._mode_matrix(("Yd", _vec_key(v), m), d - m - 1, src_n, tgt_n, build)
 
-    def _snapshot(self, image, shift: int, src_n: int, tgt_n: int) -> QMat:
+    def _snapshot(self, image, shift: int, src_n: int, tgt_n: int, den: Optional[int] = None) -> QMat:
         """Matrix of a mode raising the weight by ``shift``, from the images of
-        the basis monomials; columns whose image lies outside [0, tgt_n] are
-        never computed."""
+        the basis monomials: rationals, or integers over ``den`` when given;
+        columns whose image lies outside [0, tgt_n] are never computed."""
         table = self._index_table(tgt_n)
         rows: Dict[int, Dict[int, Fraction]] = {}
         for cidx, mu in enumerate(self.basis(src_n)):
             if 0 <= weight(mu) + shift <= tgt_n:
                 for tau, c in image(mu).items():
                     rows.setdefault(table[tau], {})[cidx] = c
-        return QMat._of_clean(self.dim(tgt_n), self.dim(src_n), rows)
+        shape = self.dim(tgt_n), self.dim(src_n)
+        return QMat(*shape, rows) if den is None else QMat._of_ints(*shape, rows, den)
 
     # -- sewing interface ----------------------------------------------------
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .linalg import QMat, QVec, _combine, _int_rows, _ints, as_q, solve
+from .linalg import QMat, QVec, _combine, as_q, solve
 from .series import SeriesError, TruncSeries
 
 Q = Fraction
@@ -148,8 +148,7 @@ def _resolvent(a0: QMat) -> Callable[[int], Tuple[List[List[int]], int]]:
     in integers (each division by k is exact); each n is then one Horner
     evaluation, memoized so that log levels and outer exponents share it.
     """
-    dim = a0.nrows
-    rows, den = _int_rows(a0)
+    dim, rows, den = a0.nrows, a0.nums, a0.den
     # M_0 = I, c_0 = 1; c_k = -tr(A M_{k-1}) / k and M_k = A M_{k-1} + c_k I
     ms = [[[int(i == j) for j in range(dim)] for i in range(dim)]]
     cs = [1]
@@ -209,8 +208,8 @@ def solve_formal(
 
     # A^j_k and omega^j_k as integers over one denominator each, and every
     # psi coefficient likewise, so each step's rhs is summed with int products
-    a_int = [{k: _int_rows(mat) for k, mat in sys.a[j].items() if any(k)} for j in range(m)]
-    w_int = [{k: _ints(vec.data) for k, vec in sys.omega[j].items()} for j in range(m)]
+    a_int = [{k: (mat.nums, mat.den) for k, mat in sys.a[j].items() if any(k)} for j in range(m)]
+    w_int = [{k: (vec.nums, vec.den) for k, vec in sys.omega[j].items()} for j in range(m)]
 
     def step_rhs(j: int, exps: Tuple[int, ...], logs: Tuple[int, ...]) -> Tuple[Dict[int, int], int]:
         parts = []  # (numerators, factor)
@@ -231,10 +230,10 @@ def solve_formal(
     a0s = [sys.a0(j) for j in range(m)]
     resolvents = [_resolvent(a0) for a0 in a0s]
 
-    def coefficient(key, rhs) -> List[Fraction]:
+    def coefficient(key, rhs) -> QVec:
         # the first variable whose leading step is regular gives the
-        # coefficient through its resolvent, in integers up to one Fraction
-        # per entry; else the first variable's kernel and the seed at key;
+        # coefficient through its resolvent, in integers over one
+        # denominator; else the first variable's kernel and the seed at key;
         # cross-equation consistency is checked a posteriori
         coeffs = seeds.pop(key, ())
         for j, n in enumerate(key[0]):
@@ -243,10 +242,9 @@ def solve_formal(
                 if coeffs:
                     raise SeedError(key, f"the step leaves 0 coefficient(s) free, got {len(coeffs)}")
                 nums, den = rhs(j)
-                den *= det
-                return [Q(sum(r[i] * x for i, x in nums.items()), den) for r in adj]
+                return QVec._of_ints(sys.dim, {i: sum(r[c] * x for c, x in nums.items()) for i, r in enumerate(adj)}, den * det)
         nums, den = rhs(0)
-        sol = solve(_step(a0s[0], key[0][0]), QVec(sys.dim, {i: Q(x, den) for i, x in nums.items() if x}))
+        sol = solve(_step(a0s[0], key[0][0]), QVec._of_ints(sys.dim, nums, den))
         if sol is None:
             raise InconsistentResonance(key)
         part, kernel = sol
@@ -256,7 +254,7 @@ def solve_formal(
             raise SeedError(key, f"the step leaves {len(kernel)} coefficient(s) free, got {len(coeffs)}")
         for cf, basis_vec in zip(coeffs, kernel):
             part = part + basis_vec.scale(as_q(cf))
-        return part.to_list()
+        return part
 
     # highest log degree first, then exponents by total degree; each step
     # reads only coefficients of higher log degree or lower exponents
@@ -264,10 +262,9 @@ def solve_formal(
         for outer in sorted(product(range(order + 1), repeat=m - 1), key=lambda t: (sum(t), t)):
             for n1 in range(order + 1):
                 exps = (n1,) + outer
-                part = coefficient((exps, logs), lambda j: step_rhs(j, exps, logs))
-                if any(part):
-                    vec = QVec(sys.dim, dict(enumerate(part)))
-                    psi[(exps, logs)] = _ints(vec.data)
+                vec = coefficient((exps, logs), lambda j: step_rhs(j, exps, logs))
+                if not vec.is_zero():
+                    psi[(exps, logs)] = vec.nums, vec.den
                     out._store(exps, logs, vec)
     # a seed left over must be one the walk reads above the order
     for exps, logs in list(seeds):

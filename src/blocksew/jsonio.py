@@ -237,13 +237,16 @@ def matrix_from_json(obj: dict, path: str = "matrix") -> QMat:
     entries = obj.get("entries", [])
     if not isinstance(entries, list):
         raise SchemaError(f"{path}.entries", "expected a list of entries")
-    m = QMat(*shape)
+    rows: Dict[int, Dict[int, Fraction]] = {}
+    first: Dict[Tuple[int, int], int] = {}
     for n, e in enumerate(entries):
         ep = f"{path}.entries[{n}]"
         _object(e, ep)
         i, j = indices([e.get("i"), e.get("j")], shape, ep, f"integers 0 <= i < {shape[0]} and 0 <= j < {shape[1]}")
-        m.set_(i, j, rational_from_json(require(e, "c", ep), f"{ep}.c"))
-    return m
+        if first.setdefault((i, j), n) != n:
+            raise SchemaError(ep, f"repeats the i and j of {path}.entries[{first[i, j]}]")
+        rows.setdefault(i, {})[j] = rational_from_json(require(e, "c", ep), f"{ep}.c")
+    return QMat(*shape, rows)
 
 
 def fuchs_system_from_json(obj: dict, path: str = "system") -> Tuple[FuchsSystem, Dict]:

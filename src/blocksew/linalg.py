@@ -1,25 +1,30 @@
 """Sparse linear algebra over exact rationals.
 
-Everything in this package that looks like a matrix is a QMat: a sparse
-row-dict matrix with Fraction entries.  Solving and kernels go through a
-fraction-free (Bareiss) Gauss-Jordan elimination over integers with a fixed
-pivot order, so repeated runs produce identical output.
+Everything in this package that looks like a matrix is a QMat, and every
+vector of one is a QVec.  Both store integer numerators over one
+denominator, in one canonical form: the denominator is positive and shares
+no factor with every numerator, and no entry (no row) is zero, so equality
+is equality of the stored integers.  ``rows``, ``data``, ``get`` and
+``to_rows`` build Fractions for outside readers on each read.  Solving and
+kernels go through a fraction-free (Bareiss) Gauss-Jordan elimination over
+integers with a fixed pivot order, so repeated runs produce identical output.
 
 The O(n^3) kernels (the QMat product here, and in other modules the
 coordinate-change exponential, the bracket check, slot contraction and the
-recursions over series) run on integer numerators over one denominator, and
-this module is that format's one home: ``_over_one_den``, ``_ints`` and
-``_int_rows`` take rationals there, ``_int_product`` and ``_add_scaled``
-combine integer rows, ``_combine`` sums parts under rational factors,
-``_of_one_den`` brings the sums back, one Fraction (one gcd) per output entry
-instead of one per product.
+recursions over series) run on that format, and this module is its one
+home: ``_over_one_den`` and ``_ints`` take rationals there, ``_of_ints``
+takes integers over any nonzero denominator to the stored form,
+``_int_product`` and ``_add_scaled`` combine integer rows, ``_combine`` sums
+parts under rational factors, and ``_of_one_den`` brings sums back, one
+Fraction (one gcd) per output entry instead of one per product.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple, TypeVar
+from types import MappingProxyType
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, TypeVar
 
 Q = Fraction
 K = TypeVar("K", bound=Hashable)
@@ -55,141 +60,157 @@ def format_rational(x: Fraction) -> str:
 
 
 class QVec:
-    """Sparse rational vector of fixed dimension."""
+    """Sparse rational vector of fixed dimension.
 
-    __slots__ = ("n", "data")
+    Stored as nonzero integer numerators ``nums`` over one denominator
+    ``den``, in lowest terms with ``den > 0``; ``data`` is its rational view.
+    """
+
+    __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, data: Optional[Dict[int, Fraction]] = None):
+        clean = {}
+        for i, v in (data or {}).items():
+            v = as_q(v)
+            if v:
+                if not 0 <= i < n:
+                    raise IndexError(f"index {i} out of range for dim {n}")
+                clean[i] = v
         self.n = n
-        self.data: Dict[int, Fraction] = {}
-        if data:
-            for i, v in data.items():
-                v = as_q(v)
-                if v:
-                    if not 0 <= i < n:
-                        raise IndexError(f"index {i} out of range for dim {n}")
-                    self.data[i] = v
+        self.nums, self.den = _ints(clean)
+
+    @classmethod
+    def _of_ints(cls, n: int, nums: Dict[int, int], den: int) -> "QVec":
+        """The vector nums / den in the stored form: zeros dropped, lowest terms,
+        den > 0.  ``nums`` is kept, not copied, when it has no zero."""
+        if 0 in nums.values():
+            nums = {i: x for i, x in nums.items() if x}
+        g = math.gcd(den, *nums.values())
+        g = g if den > 0 else -g
+        vec = cls.__new__(cls)
+        vec.n, vec.den = n, den // g
+        vec.nums = nums if g == 1 else {i: x // g for i, x in nums.items()}
+        return vec
+
+    @property
+    def data(self) -> Mapping[int, Fraction]:
+        """The entries as rationals, built on each read; a write into it raises TypeError."""
+        return MappingProxyType(_of_one_den(self.nums, self.den))
 
     @classmethod
     def from_list(cls, values) -> "QVec":
-        return cls(len(values), {i: as_q(v) for i, v in enumerate(values)})
+        return cls(len(values), dict(enumerate(values)))
 
     def to_list(self) -> List[Fraction]:
-        return [self.data.get(i, Q(0)) for i in range(self.n)]
+        return [self[i] for i in range(self.n)]
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.data.get(i, Q(0))
+        return Q(self.nums.get(i, 0), self.den)
 
     def __add__(self, other: "QVec") -> "QVec":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        out = dict(self.data)
-        for i, v in other.data.items():
-            w = out.get(i, Q(0)) + v
-            if w:
-                out[i] = w
-            else:
-                out.pop(i, None)
-        return QVec(self.n, out)
+        return QVec._of_ints(self.n, *_combine([(self.nums, Q(1, self.den)), (other.nums, Q(1, other.den))]))
 
     def __sub__(self, other: "QVec") -> "QVec":
         return self + (-other)
 
     def __neg__(self) -> "QVec":
-        return QVec(self.n, {i: -v for i, v in self.data.items()})
+        return self.scale(-1)
 
     def scale(self, c) -> "QVec":
         c = as_q(c)
-        if not c:
-            return QVec(self.n)
-        return QVec(self.n, {i: c * v for i, v in self.data.items()})
+        return QVec._of_ints(self.n, {i: c.numerator * x for i, x in self.nums.items()}, self.den * c.denominator)
 
     __rmul__ = scale
     __mul__ = scale
 
     def norm_inf(self) -> Fraction:
-        return max((abs(v) for v in self.data.values()), default=Q(0))
+        return Q(max(map(abs, self.nums.values()), default=0), self.den)
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.nums
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QVec) and self.n == other.n and self.data == other.data
+        return isinstance(other, QVec) and (self.n, self.den, self.nums) == (other.n, other.den, other.nums)
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self.data.items()))))
+        return hash((self.n, self.den, tuple(sorted(self.nums.items()))))
 
     def __repr__(self):
         return f"QVec({self.n}, {{{', '.join(f'{i}: {v}' for i, v in sorted(self.data.items()))}}})"
 
 
 class QMat:
-    """Sparse rational matrix, rows as dicts."""
+    """Sparse rational matrix.
 
-    __slots__ = ("nrows", "ncols", "rows")
+    Stored as rows of nonzero integer numerators ``nums``, ``{i: {j: int}}``
+    with no empty row, over one denominator ``den``, in lowest terms with
+    ``den > 0``; ``rows`` is its rational view.
+    """
+
+    __slots__ = ("nrows", "ncols", "nums", "den")
 
     def __init__(self, nrows: int, ncols: int, rows: Optional[Dict[int, Dict[int, Fraction]]] = None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows: Dict[int, Dict[int, Fraction]] = {}
-        if rows:
-            for i, r in rows.items():
-                clean = {j: as_q(v) for j, v in r.items() if v}
-                if clean:
-                    if not 0 <= i < nrows or not all(0 <= j < ncols for j in clean):
-                        raise IndexError(f"entry in row {i} out of range for shape {nrows}x{ncols}")
-                    self.rows[i] = clean
+        clean = {}
+        for i, r in (rows or {}).items():
+            r = {j: q for j, v in r.items() if (q := as_q(v))}
+            if r:
+                if not 0 <= i < nrows or not all(0 <= j < ncols for j in r):
+                    raise IndexError(f"entry in row {i} out of range for shape {nrows}x{ncols}")
+                clean[i] = r
+        self.nrows, self.ncols = nrows, ncols
+        self.den = math.lcm(*(v.denominator for r in clean.values() for v in r.values()))
+        self.nums = {i: _ints(r, self.den)[0] for i, r in clean.items()}
 
     @classmethod
-    def _of_clean(cls, nrows: int, ncols: int, rows: Dict[int, Dict[int, Fraction]]) -> "QMat":
-        """Wrap rows that are already clean: non-empty dicts of nonzero Fractions."""
+    def _of_ints(cls, nrows: int, ncols: int, rows: Dict[int, Dict[int, int]], den: int) -> "QMat":
+        """The matrix rows / den in the stored form: zeros and empty rows dropped,
+        lowest terms, den > 0.  A row with no zero is kept, not copied."""
+        clean = {}
+        g = abs(den)
+        for i, r in rows.items():
+            if 0 in r.values():
+                r = {j: x for j, x in r.items() if x}
+            if r:
+                clean[i] = r
+                if g != 1:
+                    g = math.gcd(g, *r.values())
+        g = g if den > 0 else -g
         mat = cls.__new__(cls)
-        mat.nrows, mat.ncols, mat.rows = nrows, ncols, rows
+        mat.nrows, mat.ncols, mat.den = nrows, ncols, den // g
+        mat.nums = clean if g == 1 else {i: {j: x // g for j, x in r.items()} for i, r in clean.items()}
         return mat
+
+    @property
+    def rows(self) -> Mapping[int, Dict[int, Fraction]]:
+        """The rows as rationals, built on each read; a write into it raises TypeError."""
+        return MappingProxyType({i: _of_one_den(r, self.den) for i, r in self.nums.items()})
 
     @classmethod
     def identity(cls, n: int) -> "QMat":
-        return cls._of_clean(n, n, {i: {i: Q(1)} for i in range(n)})
+        return cls._of_ints(n, n, {i: {i: 1} for i in range(n)}, 1)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "QMat":
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, {i: {j: as_q(v) for j, v in enumerate(r) if as_q(v)} for i, r in enumerate(rows)})
+        return cls(len(rows), ncols, {i: dict(enumerate(r)) for i, r in enumerate(rows)})
 
     def to_rows(self) -> List[List[Fraction]]:
         return [[self.get(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
 
     def get(self, i: int, j: int) -> Fraction:
-        return self.rows.get(i, {}).get(j, Q(0))
-
-    def set_(self, i: int, j: int, v) -> None:
-        v = as_q(v)
-        if not 0 <= i < self.nrows or not 0 <= j < self.ncols:
-            raise IndexError((i, j))
-        row = self.rows.setdefault(i, {})
-        if v:
-            row[j] = v
-        else:
-            row.pop(j, None)
-            if not row:
-                self.rows.pop(i, None)
+        return Q(self.nums.get(i, {}).get(j, 0), self.den)
 
     def __add__(self, other: "QMat") -> "QMat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        rows = {i: dict(r) for i, r in self.rows.items()}
-        for i, r in other.rows.items():
-            row = rows.setdefault(i, {})
-            for j, v in r.items():
-                w = row[j] + v if j in row else v
-                if w:
-                    row[j] = w
-                else:
-                    del row[j]
-            if not row:
-                del rows[i]
-        return QMat._of_clean(self.nrows, self.ncols, rows)
+        den = math.lcm(self.den, other.den)
+        rows: Dict[int, Dict[int, int]] = {}
+        _add_scaled(rows, self.nums, den // self.den)
+        _add_scaled(rows, other.nums, den // other.den)
+        return QMat._of_ints(self.nrows, self.ncols, rows, den)
 
     def __sub__(self, other: "QMat") -> "QMat":
         return self + other.scale(-1)
@@ -199,10 +220,9 @@ class QMat:
 
     def scale(self, c) -> "QMat":
         c = as_q(c)
-        if not c:
-            return QMat(self.nrows, self.ncols)
-        rows = {i: {j: c * v for j, v in r.items()} for i, r in self.rows.items()}
-        return QMat._of_clean(self.nrows, self.ncols, rows)
+        p = c.numerator
+        rows = {i: {j: p * x for j, x in r.items()} for i, r in self.nums.items()}
+        return QMat._of_ints(self.nrows, self.ncols, rows, self.den * c.denominator)
 
     __rmul__ = scale
     __mul__ = scale
@@ -210,46 +230,41 @@ class QMat:
     def __matmul__(self, other: "QMat") -> "QMat":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        a, da = _int_rows(self)
-        b, db = _int_rows(other)
-        den = da * db
-        rows = {i: _of_one_den(r, den) for i, r in _int_product(a, b).items()}
-        return QMat._of_clean(self.nrows, other.ncols, rows)
+        return QMat._of_ints(self.nrows, other.ncols, _int_product(self.nums, other.nums), self.den * other.den)
 
     def apply(self, vec: QVec) -> QVec:
         if vec.n != self.ncols:
             raise ValueError("dimension mismatch")
-        rows, da = _int_rows(self)
-        x, dx = _ints(vec.data)
-        out = {i: sum(a * x[j] for j, a in r.items() if j in x) for i, r in rows.items()}
-        return QVec(self.nrows, _of_one_den(out, da * dx))
+        x = vec.nums
+        out = {i: sum(a * x[j] for j, a in r.items() if j in x) for i, r in self.nums.items()}
+        return QVec._of_ints(self.nrows, out, self.den * vec.den)
 
     def transpose(self) -> "QMat":
-        out: Dict[int, Dict[int, Fraction]] = {}
-        for i, r in self.rows.items():
-            for j, v in r.items():
-                out.setdefault(j, {})[i] = v
-        return QMat._of_clean(self.ncols, self.nrows, out)
+        out: Dict[int, Dict[int, int]] = {}
+        for i, r in self.nums.items():
+            for j, x in r.items():
+                out.setdefault(j, {})[i] = x
+        return QMat._of_ints(self.ncols, self.nrows, out, self.den)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.nums
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QMat)
-            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-            and self.rows == other.rows
+            and (self.nrows, self.ncols, self.den) == (other.nrows, other.ncols, other.den)
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(sorted((i, tuple(sorted(r.items()))) for i, r in self.rows.items()))))
+        return hash((self.nrows, self.ncols, self.den, tuple(sorted((i, tuple(sorted(r.items()))) for i, r in self.nums.items()))))
 
     def norm_rowsum(self) -> Fraction:
         """Max absolute row sum; submultiplicative operator norm for inf-norm vectors."""
-        return max((sum(abs(v) for v in r.values()) for r in self.rows.values()), default=Q(0))
+        return Q(max((sum(map(abs, r.values())) for r in self.nums.values()), default=0), self.den)
 
     def __repr__(self):
-        return f"QMat({self.nrows}x{self.ncols}, nnz={sum(len(r) for r in self.rows.values())})"
+        return f"QMat({self.nrows}x{self.ncols}, nnz={sum(len(r) for r in self.nums.values())})"
 
 
 def solve(mat: QMat, rhs: QVec) -> Optional[Tuple[QVec, List[QVec]]]:
@@ -261,24 +276,21 @@ def solve(mat: QMat, rhs: QVec) -> Optional[Tuple[QVec, List[QVec]]]:
     column, entry 1 there.
 
     The elimination is a fraction-free (Bareiss) Gauss-Jordan over integers:
-    each row of ``mat`` is scaled by the lcm of its denominators and the rhs by
-    one common denominator D, solving for y = D x.  The pivot is the first
-    nonzero entry at or below the current rank in the leftmost column, and
-    every row becomes (p row - c pivot_row) / p_prev, an exact division; at
-    the end every pivot entry equals the last pivot.
+    with mat = M / d and rhs = b / D in their stored integers, it solves
+    M y = d b for y = D x.  The pivot is the first nonzero entry at or below
+    the current rank in the leftmost column, and every row becomes
+    (p row - c pivot_row) / p_prev, an exact division; at the end every
+    pivot entry equals the last pivot.
     """
     if rhs.n != mat.nrows:
         raise ValueError("dimension mismatch")
     ncols = mat.ncols
-    bnums, den = _ints(rhs.data)
     rows = []
     for i in range(mat.nrows):
-        r = mat.rows.get(i, {})
-        nums, scale = _ints(r)
         row = [0] * (ncols + 1)
-        for j, n in nums.items():
-            row[j] = n
-        row[ncols] = scale * bnums.get(i, 0)
+        for j, x in mat.nums.get(i, {}).items():
+            row[j] = x
+        row[ncols] = mat.den * rhs.nums.get(i, 0)
         rows.append(row)
     pivots: List[int] = []
     p_prev = 1
@@ -300,9 +312,9 @@ def solve(mat: QMat, rhs: QVec) -> Optional[Tuple[QVec, List[QVec]]]:
             break
     if any(row[ncols] for row in rows[len(pivots):]):
         return None
-    part = QVec(ncols, {col: Q(rows[k][ncols], p_prev * den) for k, col in enumerate(pivots)})
+    part = QVec._of_ints(ncols, {col: rows[k][ncols] for k, col in enumerate(pivots)}, p_prev * rhs.den)
     kernel = [
-        QVec(ncols, {free: Q(1), **{col: Q(-rows[k][free], p_prev) for k, col in enumerate(pivots)}})
+        QVec._of_ints(ncols, {free: p_prev, **{col: -rows[k][free] for k, col in enumerate(pivots)}}, p_prev)
         for free in range(ncols)
         if free not in pivots
     ]
@@ -336,12 +348,6 @@ def _of_one_den(nums: Dict[K, int], den: int) -> Dict[K, Fraction]:
     if den == 1:
         return {k: Q(n) for k, n in nums.items() if n}
     return {k: Q(n, den) for k, n in nums.items() if n}
-
-
-def _int_rows(mat: QMat) -> Tuple[Dict[int, Dict[int, int]], int]:
-    """The rows of a matrix as integer numerators over one denominator."""
-    den = math.lcm(*(v.denominator for r in mat.rows.values() for v in r.values()))
-    return {i: _ints(r, den)[0] for i, r in mat.rows.items()}, den
 
 
 def _combine(parts: Iterable[Tuple[Dict[K, int], Fraction]]) -> Tuple[Dict[K, int], int]:

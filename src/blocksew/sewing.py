@@ -12,6 +12,7 @@ invariance check on the two-pointed sphere with arbitrary coordinate jets.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from operator import lt
@@ -20,7 +21,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, U
 
 from .coords import family_jet, gamma_xi, u_apply
 from .fock import FockModule, Vector, vacuum_module, vec_is_homogeneous, weight
-from .linalg import QMat, QVec, _combine, _int_rows, _ints, _of_one_den, as_q
+from .linalg import QMat, QVec, _combine, _ints, _of_one_den, as_q
 from .series import (
     CoordJet,
     LaurentJet,
@@ -68,10 +69,10 @@ def q_l0_resolvent(module, order: int) -> TruncSeries:
                 identity[b, a, b, a] = 1
     out = TruncSeries(("q",), {"q": order}, offset={"q": module.offset}, logmax={"q": logbound})
     for (n, l), (part, den) in _contract_pair(identity, 1, dims, module, logbound).items():
-        rows: Dict[int, Dict[int, Fraction]] = {}
-        for (b, a), v in part.items():
-            rows.setdefault(b, {})[a] = Q(v, den)
-        out._store((n,), (l,), QMat._of_clean(total, total, rows))
+        rows: Dict[int, Dict[int, int]] = {}
+        for (b, a), x in part.items():
+            rows.setdefault(b, {})[a] = x
+        out._store((n,), (l,), QMat._of_ints(total, total, rows, den))
     return out
 
 
@@ -85,8 +86,9 @@ def l0_times(module, series: TruncSeries) -> TruncSeries:
     for (exps, logs), mat in series.terms.items():
         n = exps[0]
         start = sum(dims[:n])
-        rows = {start + i: {start + j: v for j, v in row.items()} for i, row in module.nilpotent_block(n).rows.items()}
-        out._store(exps, logs, mat.scale(lam + n) + QMat._of_clean(total, total, rows) @ mat)
+        nil = module.nilpotent_block(n)
+        rows = {start + i: {start + j: x for j, x in row.items()} for i, row in nil.nums.items()}
+        out._store(exps, logs, mat.scale(lam + n) + QMat._of_ints(total, total, rows, nil.den) @ mat)
     return out
 
 
@@ -153,7 +155,7 @@ class SewingBlock:
 
     def contract_slot(self, s: int, mat: QMat) -> "SewingBlock":
         """Precompose slot s with a linear map: new[.., j, ..] = sum_i old[.., i, ..] mat[i, j]."""
-        rows, dm = _int_rows(mat)
+        rows, dm = mat.nums, mat.den
         acc: Dict[Tuple[int, ...], int] = {}
         for key, c in self.nums.items():
             row = rows.get(key[s])
@@ -188,7 +190,8 @@ class SewingBlock:
                 raise ValueError(f"input for slot {s}: expected a list of {self.slot_dim(s)} rationals")
         block = self
         for s in retained:
-            column = QMat._of_clean(self.slot_dim(s), 1, {i: {0: x} for i, x in inputs[s].data.items()})
+            vec = inputs[s]
+            column = QMat._of_ints(self.slot_dim(s), 1, {i: {0: x} for i, x in vec.nums.items()}, vec.den)
             block = block.contract_slot(s, column)
         if keep == tuple(range(self.arity)):
             return block.nums, block.den
@@ -250,8 +253,8 @@ def _contract_pair(
             if power.is_zero():
                 break
             fact *= l
-            rows, dn = _int_rows(power)
-            dens[n, l] = dn * fact
+            rows = power.nums
+            dens[n, l] = power.den * fact
             acc = sums.setdefault((n, l), {})
             for b, a, rest, c in entries:
                 v = rows.get(b, {}).get(a)
@@ -392,22 +395,20 @@ def residue_identity_check(
         (module.vertex_matrix, {du: u}, False),
         (module.contragredient_matrix, by_weight, True),
     ):
-        groups: Dict[Tuple[int, int], Dict[int, Dict[int, Fraction]]] = {}
-        for d, comp in parts.items():
-            for k in range(d - 1 - order, d + order):
-                for i, row in mode(comp, k, order, order).rows.items():
-                    for j, v in row.items():
-                        r, c = (j, i) if flip else (i, j)
-                        acc = groups.setdefault((weights[r], weights[c]), {}).setdefault(r, {})
-                        acc[c] = acc[c] + v if c in acc else v
+        mats = [mode(comp, k, order, order) for d, comp in parts.items() for k in range(d - 1 - order, d + order)]
+        # every group sums integers over the lcm of the modes' denominators
+        den = math.lcm(*(mat.den for mat in mats))
+        groups: Dict[Tuple[int, int], Dict[int, Dict[int, int]]] = {}
+        for mat in mats:
+            mult = den // mat.den
+            for i, row in mat.nums.items():
+                for j, x in row.items():
+                    r, c = (j, i) if flip else (i, j)
+                    acc = groups.setdefault((weights[r], weights[c]), {}).setdefault(r, {})
+                    acc[c] = acc.get(c, 0) + mult * x
         side = TruncSeries(("xi", "pi"), {"xi": order, "pi": order})
         for key, rows in groups.items():
-            clean = {}
-            for r, cols in rows.items():
-                cols = {c: v for c, v in cols.items() if v}
-                if cols:
-                    clean[r] = cols
-            side._store(key, (0, 0), QMat._of_clean(total, total, clean))
+            side._store(key, (0, 0), QMat._of_ints(total, total, rows, den))
         sides.append(side)
 
     f2 = TruncSeries(("xi", "pi"), {"xi": order, "pi": order})

@@ -11,8 +11,9 @@ ran before it shared the module exponential, and ``closed_form_binomial_jet``
 is the binomial closed form that ``sewing._binomial_jet`` used before it read
 the jet power table.  ``fraction_exp_action`` and ``vector_bracket_failures``
 are the Fraction loops that the coordinate-change exponential and
-``voa check-relations`` ran before they ran on integer numerators.  The
-last four
+``voa check-relations`` ran before they ran on integer numerators;
+``vec_add`` and ``vec_scale`` are the Fock vector sum and scaling they and
+the tests build expected vectors with.  The last four
 helpers build the diagonal and block matrices and the pointwise Schwarzian
 that tests compare package results with.
 """
@@ -23,7 +24,8 @@ from itertools import product
 import math
 import random
 
-from blocksew.linalg import QMat, QVec, solve
+from blocksew.fock import _acc
+from blocksew.linalg import QMat, QVec, as_q, solve
 from blocksew.series import LaurentJet, NotInvertible, WindowError
 
 Q = Fraction
@@ -250,11 +252,23 @@ def fraction_exp_action(ec, module, vec):
     return {mu: ec.c0 ** sum(mu) * c for mu, c in acc.items() if c}
 
 
+def vec_add(a, b):
+    out = dict(a)
+    for mu, c in b.items():
+        _acc(out, mu, c)
+    return out
+
+
+def vec_scale(c, a):
+    c = as_q(c)
+    return {k: c * v for k, v in a.items()} if c else {}
+
+
 def vector_bracket_failures(module, n, rng):
     """The failure list of ``voa check-relations``, one basis vector at a time:
     [X_m, X_k] v against s X_{m+k} v + delta_{m+k,0} z v for every partition
     v of weight <= n, then L_2 of the conformal vector against 1/2 |0>."""
-    from blocksew.fock import CONFORMAL, vec_add, vec_scale
+    from blocksew.fock import CONFORMAL
 
     failures = []
     families = (
@@ -382,10 +396,11 @@ def fraction_matmul(a, b):
     clean rows {i: {j: nonzero value}}, for comparison with ``QMat.rows``.
     """
     out = {}
+    b_rows = b.rows
     for i, r in a.rows.items():
         acc = {}
         for k, x in r.items():
-            for j, y in b.rows.get(k, {}).items():
+            for j, y in b_rows.get(k, {}).items():
                 acc[j] = acc.get(j, Q(0)) + x * y
         acc = {j: v for j, v in acc.items() if v}
         if acc:

@@ -27,8 +27,6 @@ from blocksew.fock import (
     FockModule,
     partitions_of,
     vacuum_module,
-    vec_add,
-    vec_scale,
     weight,
 )
 from blocksew.fuchs import (
@@ -57,7 +55,7 @@ from blocksew.sewing import (
     residue_identity_check,
     sew,
 )
-from helpers import euler_partition_count, random_jet_coeffs, random_rational, scalar_pow_weight, schwarzian_at
+from helpers import euler_partition_count, random_jet_coeffs, random_rational, scalar_pow_weight, schwarzian_at, vec_add, vec_scale
 
 Q = Fraction
 SEED = 108

@@ -133,20 +133,21 @@ class TestVoaCommands:
         assert json.loads(out)["failures"] == []
 
     def test_check_relations_reports_each_failing_bracket_in_order(self, monkeypatch, capsys):
-        from blocksew.fock import FockModule, vec_scale
+        from blocksew.fock import FockModule
+        from helpers import vec_scale
 
         # the vacuum component of L_n, n >= 2, carries the central term: doubling it breaks
         # [L_2, L_-2] and L_2 omega = c/2 |0>
-        virasoro_monomial = FockModule._virasoro_monomial
+        virasoro_image = FockModule._virasoro_image
 
         def doubled_central_term(self, n, mu):
-            img = dict(virasoro_monomial(self, n, mu))
+            img = dict(virasoro_image(self, n, mu))
             if n >= 2 and () in img:
                 img[()] *= 2
             return img
 
         with monkeypatch.context() as m:
-            m.setattr(FockModule, "_virasoro_monomial", doubled_central_term)
+            m.setattr(FockModule, "_virasoro_image", doubled_central_term)
             code, out = run(["voa", "check-relations", "--trunc", "3", "--range", "2"], capsys)
         assert code == 1
         assert json.loads(out) == {
@@ -191,7 +192,7 @@ class TestVoaCommands:
         # a_1 scaled by 4/3 on two-part partitions (and so every L_n image built from it),
         # then L_-1 doubled on the boson
         apply_heisenberg = FockModule.apply_heisenberg
-        virasoro_monomial = FockModule._virasoro_monomial
+        virasoro_image = FockModule._virasoro_image
 
         def heisenberg(self, k, vec):
             out = {}
@@ -202,10 +203,10 @@ class TestVoaCommands:
             return {tau: x for tau, x in out.items() if x}
 
         def virasoro(self, n, mu):
-            img = virasoro_monomial(self, n, mu)
+            img = virasoro_image(self, n, mu)
             return {tau: 2 * c for tau, c in img.items()} if (n, mu) == (-1, (1,)) else img
 
-        for patch in ((FockModule, "apply_heisenberg", heisenberg), (FockModule, "_virasoro_monomial", virasoro)):
+        for patch in ((FockModule, "apply_heisenberg", heisenberg), (FockModule, "_virasoro_image", virasoro)):
             with monkeypatch.context() as m:
                 m.setattr(*patch)
                 for momentum in ("0", "-5/3"):
@@ -661,6 +662,13 @@ class TestMalformedDocuments:
         for shape in ("ab", [1], [1, -1], [1, True], [1, "1"]):
             with pytest.raises(jsonio.SchemaError, match=r"^matrix\.shape: "):
                 jsonio.matrix_from_json({"shape": shape, "entries": []})
+
+    def test_matrix_entry_repeated(self):
+        # a second entry at (0, 0) was read as the last one, {0: {0: 5}}
+        entries = [{"i": 0, "j": 0, "c": "3"}, {"i": 1, "j": 1, "c": "1"}, {"i": 0, "j": 0, "c": "5"}]
+        with pytest.raises(jsonio.SchemaError, match=r"^matrix\.entries\[2\]: repeats the i and j of matrix\.entries\[0\]$"):
+            jsonio.matrix_from_json({"shape": [2, 2], "entries": entries})
+        assert jsonio.matrix_from_json({"shape": [2, 2], "entries": entries[:2]}).rows == {0: {0: 3}, 1: {1: 1}}
 
     def test_matrix_entry_outside_shape(self):
         # "i": 3 in a 1 x 1 shape was an IndexError

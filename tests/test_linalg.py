@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blocksew.linalg import QMat, QVec, _combine, _int_rows, _ints, _of_one_den, _over_one_den, solve
+from blocksew.linalg import QMat, QVec, _combine, _ints, _of_one_den, _over_one_den, solve
 from helpers import fraction_matmul, fraction_solve
 
 Q = Fraction
@@ -115,6 +115,31 @@ class TestShape:
         assert (m.nrows, m.ncols) == (2, 3) and m.rows == {0: {0: 1, 2: 2}, 1: {2: 3}}
 
 
+def canonical(x) -> bool:
+    """Whether a QMat or QVec is in its stored form: den > 0, lowest terms, no zero entry, no empty row."""
+    rows = list(x.nums.values()) if isinstance(x, QMat) else [x.nums]
+    values = [v for r in rows for v in r.values()]
+    return x.den > 0 and math.gcd(x.den, *values) == 1 and all(values) and (isinstance(x, QVec) or all(rows))
+
+
+class TestStoredForm:
+    def test_of_ints_takes_any_nonzero_denominator_to_the_stored_form(self):
+        m = QMat._of_ints(2, 3, {0: {0: 4, 1: 0}, 1: {2: 0}}, -6)
+        assert (m.nums, m.den) == ({0: {0: -2}}, 3) and m == QMat(2, 3, {0: {0: Q(-2, 3)}})
+        v = QVec._of_ints(3, {0: 0, 2: -10}, -4)
+        assert (v.nums, v.den) == ({2: 5}, 2) and v == QVec(3, {2: Q(5, 2)})
+        assert QMat._of_ints(1, 1, {0: {0: 0}}, -7).den == QVec._of_ints(1, {}, 9).den == 1
+
+    def test_views_are_read_only_copies(self):
+        m, v = QMat.from_rows([[Q(1, 2), 0]]), QVec.from_list([0, Q(2, 3)])
+        with pytest.raises(TypeError):
+            m.rows[0] = {}
+        with pytest.raises(TypeError):
+            v.data[0] = Q(1)
+        m.rows[0][1] = Q(5)
+        assert m.rows == {0: {0: Q(1, 2)}} and not hasattr(m, "set_")
+
+
 # entries from a small signed set, so products often cancel to 0; 0 leaves holes and empty rows
 ENTRIES = st.sampled_from([Q(0), Q(0), Q(0), Q(1), Q(-1), Q(2), Q(-1, 2), Q(1, 2), Q(2, 3), Q(-5, 997)])
 
@@ -138,6 +163,19 @@ class TestIntegerKernel:
         # rows compare as dicts: no zero entry and no empty row may survive
         assert got.rows == fraction_matmul(a, b)
         assert all(type(v) is Fraction for r in got.rows.values() for v in r.values())
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(pair=sparse_pair(), c=ENTRIES, data=st.data())
+    def test_every_result_is_in_the_stored_form(self, pair, c, data):
+        # so equal values are equal stored integers, and hash alike
+        a, b = pair
+        vec = QVec.from_list([data.draw(ENTRIES) for _ in range(a.ncols)])
+        for m in (a, a @ b, a + a.scale(c), a - a, -a, a.transpose(), QMat.identity(a.ncols)):
+            again = QMat(m.nrows, m.ncols, m.rows)
+            assert canonical(m) and m == again and hash(m) == hash(again)
+        for v in (vec, a.apply(vec), vec.scale(c), vec - vec, vec + vec):
+            again = QVec(v.n, v.data)
+            assert canonical(v) and v == again and hash(v) == hash(again)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(pair=sparse_pair(), c=ENTRIES)
@@ -177,8 +215,8 @@ class TestIntegerKernel:
         assert _over_one_den(values, 24) == ([4, -18, 0, 120], 24)
         assert _over_one_den([]) == ([], 1)
         assert _of_one_den(dict(enumerate(nums)), den) == {0: Q(1, 6), 1: Q(-3, 4), 3: Q(5)}
-        rows, den = _int_rows(QMat.from_rows([[Q(1, 2), 0], [0, Q(2, 3)]]))
-        assert (rows, den) == ({0: {0: 3}, 1: {1: 4}}, 6)
+        mat = QMat.from_rows([[Q(1, 2), 0], [0, Q(2, 3)]])
+        assert (mat.nums, mat.den) == ({0: {0: 3}, 1: {1: 4}}, 6)
 
 
 # signed rationals: zero, denominator 1, and numerators and denominators over 997

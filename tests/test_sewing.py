@@ -99,11 +99,8 @@ def reference_resolvent(module, order):
         nil = module.nilpotent_block(n).to_rows()
         power = [[Q(int(i == j)) for j in range(d)] for i in range(d)]
         for l in range(module.log_bound + 1):
-            glob = QMat(total, total)
-            for i in range(d):
-                for j in range(d):
-                    glob.set_(start + i, start + j, power[i][j] / math.factorial(l))
-            out._store((n,), (l,), glob)
+            glob = {start + i: {start + j: power[i][j] / math.factorial(l) for j in range(d)} for i in range(d)}
+            out._store((n,), (l,), QMat(total, total, glob))
             power = [[sum(nil[i][k] * power[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
     return out
 
@@ -117,9 +114,7 @@ class TestResolvent:
         for n in range(5):
             mat = r.coefficient({"q": n})
             start = sum(dims[:n])
-            expect = QMat(sum(dims), sum(dims))
-            for i in range(dims[n]):
-                expect.set_(start + i, start + i, 1)
+            expect = QMat(sum(dims), sum(dims), {start + i: {start + i: 1} for i in range(dims[n])})
             assert mat == expect
 
     def test_matches_blockwise_reference(self):
@@ -373,8 +368,9 @@ class TestBlockKernels:
     @staticmethod
     def fraction_contract_slot(table, s, mat):
         out = {}
+        rows = mat.rows
         for key, c in table.items():
-            for j, v in mat.rows.get(key[s], {}).items():
+            for j, v in rows.get(key[s], {}).items():
                 nk = key[:s] + (j,) + key[s + 1 :]
                 w = out.get(nk, Q(0)) + c * v
                 if w:
@@ -398,7 +394,7 @@ class TestBlockKernels:
             assert got.table == want and got.slot_dims == block.slot_dims
             assert all(type(v) is Fraction for v in got.table.values())
             assert all(type(x) is int and x for x in got.nums.values())
-            cancelled += len(got.table) < len({k[:s] + (j,) + k[s + 1 :] for k in block.table for j in mat.rows.get(k[s], {})})
+            cancelled += len(got.table) < len({k[:s] + (j,) + k[s + 1 :] for k in block.table for j in mat.nums.get(k[s], {})})
         assert cancelled >= 5
 
     def test_tensor_matches_fraction_loop(self):

@@ -1,8 +1,9 @@
 """Static checks on the package source, with the stdlib ast module only.
 
-Every top-level import of a module is used in it, and every named function
-is reached from something: its name appears somewhere in src/, tests/ or
-bench/ besides its own def.
+Every top-level import of a module is used in it, every named function
+is reached from something (its name appears somewhere in src/, tests/ or
+bench/ besides its own def), and no kernel reads the rational views of a
+matrix or vector.
 """
 
 from __future__ import annotations
@@ -46,6 +47,18 @@ def test_every_top_level_import_is_used():
         used = _used_names(tree)
         unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree) if name not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def test_only_linalg_and_jsonio_read_the_rational_views():
+    # QMat.rows and QVec.data build Fractions on each read; kernels read nums and den
+    readers = []
+    for path in MODULES:
+        if path.name in ("linalg.py", "jsonio.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("rows", "data"):
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not readers, f"rational views read outside linalg and jsonio: {readers}"
 
 
 def test_every_named_function_is_referenced():
