@@ -118,8 +118,14 @@ def _emit_series(series: TruncSeries, args) -> None:
     _emit_chunks(chunks, args)
 
 
-def _emit_matrix(mat, module, n: int, args) -> int:
-    """Print a matrix on the module's basis up to weight n, each row and column labelled by its partition."""
+def _emit_matrix(mat, module, args) -> int:
+    """Print a matrix on the module's basis, each row and column labelled by its partition.
+
+    A raising mode's rows run to a higher weight than its columns; the basis
+    orders are nested, so one list of max(nrows, ncols) labels serves both."""
+    n = 0
+    while module.dim(n) < max(mat.nrows, mat.ncols):
+        n += 1
     labels = [",".join(map(str, mu)) for mu in module.basis(n)]
     _emit(jsonio.dumps_canonical(jsonio.matrix_to_json(mat, labels)), args)
     return 0
@@ -149,7 +155,7 @@ def cmd_coord_extract_c(args) -> int:
 def cmd_coord_u_op(args) -> int:
     jet = jsonio.jet_from_json(_read_json(args.input))
     module = _fock_module(args)
-    return _emit_matrix(u_matrix(jet, module, args.trunc), module, args.trunc, args)
+    return _emit_matrix(u_matrix(jet, module, args.trunc), module, args)
 
 
 def cmd_coord_check_huang(args) -> int:
@@ -207,7 +213,7 @@ def cmd_voa_dump_mode(args) -> int:
         mat = module.vertex_matrix(_parse_state(args.state), args.index, n)
     else:
         mat = module.contragredient_matrix(_parse_state(args.state), args.index, n)
-    return _emit_matrix(mat, module, n, args)
+    return _emit_matrix(mat, module, args)
 
 
 def _bracket_failures(module: FockModule, mode, m: int, k: int, n: int, s: int, z: Fraction) -> int:

@@ -10,6 +10,10 @@ Mode actions are computed exactly on vectors (no truncation of
 intermediates); matrices between weight truncations are snapshots of the
 exact action and record their weight shift, so operator identities hold as
 exact matrix identities whenever the target truncation covers the shift.
+The image of a basis monomial under a mode is built once, from the integer
+current q a_k (q the momentum's denominator), and kept as integers over a
+denominator fixed by the mode: q for a_k, 2 q^2 for L_n, q^len(nu) for
+Y(nu)_m.
 
 Conventions: [a_m, a_n] = m delta_{m+n,0}, a_0 = lambda, normal ordering puts
 creation modes left.  Virasoro operators come from the quadratic Sugawara
@@ -23,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import QMat, _ints, _of_one_den, as_q
+from .linalg import QMat, _combine, as_q
 
 Q = Fraction
 
@@ -100,12 +104,11 @@ class FockModule:
         self.momentum = as_q(momentum)
         self.offset = self.momentum * self.momentum / 2
         self._matrix_cache: Dict[tuple, QMat] = {}
-        # every entry of an L_n image is an integer over 2 q^2, q the momentum's denominator
+        # L_n = Y(a_{-1}^2 |0>)_{n+1} / 2, so each entry of an L_n image is an
+        # integer over 2 q^2, q the momentum's denominator
         self._virasoro_den = 2 * self.momentum.denominator ** 2
-        # exact images of basis monomials: L_n mu keyed (n, mu), as integers over
-        # _virasoro_den; Y(nu)_m mu keyed (nu, m, mu)
-        self._virasoro_images: Dict[Tuple[int, Partition], Dict[Partition, int]] = {}
-        self._vertex_images: Dict[Tuple[Partition, int, Partition], Vector] = {}
+        # q^len(nu) Y(nu)_m mu as integers, keyed (nu, m, mu); a_k is Y((1,))_k
+        self._images: Dict[Tuple[Partition, int, Partition], Dict[Partition, int]] = {}
 
     # -- basis bookkeeping ---------------------------------------------------
 
@@ -128,33 +131,60 @@ class FockModule:
     # -- exact mode actions ----------------------------------------------------
 
     def apply_heisenberg(self, k: int, vec: Vector) -> Vector:
-        out: Vector = {}
-        for mu, c in vec.items():
-            if k == 0:
-                if self.momentum:
-                    _acc(out, mu, c * self.momentum)
-            elif k < 0:
-                _acc(out, tuple(sorted(mu + (-k,), reverse=True)), c)
-            else:
-                mult = mu.count(k)
-                if mult:
-                    nu = list(mu)
-                    nu.remove(k)
-                    _acc(out, tuple(nu), c * k * mult)
-        return out
+        return self._apply([(partial(self._image, (1,), k), Q(1, self.momentum.denominator))], vec)
 
     def apply_virasoro(self, n: int, vec: Vector) -> Vector:
         """Sugawara L_n = (1/2) sum_j :a_j a_{n-j}: applied exactly.
 
         Coefficients may be rationals or ring elements such as LaurentJets."""
+        return self._apply([(partial(self._virasoro_image, n), Q(1, self._virasoro_den))], vec)
+
+    def apply_vertex(self, v: Vector, m: int, vec: Vector) -> Vector:
+        """Mode of the vertex operator attached to a vacuum-module vector v.
+
+        Uses the free-field formula: for v = a_{-n_1}...a_{-n_k}|0>, the field
+        is the normally ordered product of the derivative currents
+        d^{n_i - 1} a(z) / (n_i - 1)!.  v may mix weights; each of its terms
+        must have weight at most MAX_VERTEX_WEIGHT.
+        """
+        return self._apply(self._vertex_terms(v, m), vec)
+
+    @staticmethod
+    def _apply(terms, vec: Vector) -> Vector:
+        """sum of f c image(mu) over the (image, f) terms and the entries c mu
+        of vec.  c may be a rational or a ring element; it is multiplied once
+        per image entry x, by the rational f x."""
         out: Vector = {}
-        for mu, c in vec.items():
-            for tau, x in self._virasoro_monomial(n, mu).items():
-                _acc(out, tau, c * x)
+        for image, f in terms:
+            for mu, c in vec.items():
+                for tau, x in image(mu).items():
+                    _acc(out, tau, c * (f * x))
         return out
 
-    def _virasoro_monomial(self, n: int, mu: Partition) -> Vector:
-        return _of_one_den(self._virasoro_image(n, mu), self._virasoro_den)
+    def _vertex_terms(self, v: Vector, m: int):
+        """Y(v)_m as (image, factor) terms: c / q^len(nu) times the integer image of each c nu in v."""
+        terms = []
+        for nu, c in v.items():
+            _check_vertex_weight(weight(nu))
+            terms.append((partial(self._image, nu, m), c * Q(1, self.momentum.denominator ** len(nu))))
+        return terms
+
+    def _current(self, k: int, vec: Dict[Partition, int]) -> Dict[Partition, int]:
+        """q a_k on a vector of integers, q and p the momentum's denominator and
+        numerator: a_0 multiplies by p, a_{-k} creates times q, a_k removes times
+        q k mult.  Distinct monomials have distinct images, so nothing collides."""
+        q, out = self.momentum.denominator, {}
+        for mu, c in vec.items():
+            if k < 0:
+                out[tuple(sorted(mu + (-k,), reverse=True))] = c * q
+            elif k == 0:
+                if self.momentum:
+                    out[mu] = c * self.momentum.numerator
+            elif mult := mu.count(k):
+                nu = list(mu)
+                nu.remove(k)
+                out[tuple(nu)] = c * q * k * mult
+        return out
 
     def _virasoro_ints(self, n: int, vec: Dict[Partition, int]) -> Dict[Partition, int]:
         """_virasoro_den L_n on a vector of integers, an integer vector; entries may be zero."""
@@ -167,84 +197,47 @@ class FockModule:
     def _virasoro_image(self, n: int, mu: Partition) -> Dict[Partition, int]:
         """L_n mu, as integers over _virasoro_den, built once.
 
-        Twice the image, the sum over j <= n - j of :a_j a_{n-j}: mu weighted
-        2 (1 when j = n - j), is made on integer weights, so only a_0 = lambda
-        brings a denominator (q per factor, q^2 at most); the image goes over
-        _virasoro_den = 2 q^2 once at the end.
-        """
-        img = self._virasoro_images.get((n, mu))
+        This is the image of Y(a_{-1}^2)_{n+1} = 2 L_n, kept under its key, but
+        summed over j <= n - j only, each pair weighted 2 (1 when j = n - j):
+        half the products of the ordered sum in _image."""
+        key = ((1, 1), n + 1, mu)
+        img = self._images.get(key)
         if img is None:
-            twice: Vector = {}
-            wmax = weight(mu)
+            acc, wmax = {}, weight(mu)
             for j in range(n - wmax, n // 2 + 1):
-                k = n - j
-                if k > wmax and k > 0 and j >= 0:
-                    continue  # pure annihilation beyond support
-                # :a_j a_k: with j <= k means the annihilation-most factor acts first
-                for tau, c in self.apply_heisenberg(j, self.apply_heisenberg(k, {mu: 1 if j == k else 2})).items():
-                    _acc(twice, tau, c)
-            img = self._virasoro_images[(n, mu)] = _ints(twice, self._virasoro_den // 2)[0]
+                # :a_j a_{n-j}: with j <= n - j: the annihilation-most factor acts first
+                for tau, x in self._current(j, self._current(n - j, {mu: 1 if 2 * j == n else 2})).items():
+                    acc[tau] = acc.get(tau, 0) + x
+            img = self._images[key] = {tau: x for tau, x in acc.items() if x}
         return img
 
-    def apply_vertex(self, v: Vector, m: int, vec: Vector) -> Vector:
-        """Mode of the vertex operator attached to a vacuum-module vector v.
+    def _image(self, parts: Partition, m: int, mu: Partition) -> Dict[Partition, int]:
+        """q^len(parts) Y(parts)_m mu as integers, built once from the integer current.
 
-        Uses the free-field formula: for v = a_{-n_1}...a_{-n_k}|0>, the field
-        is the normally ordered product of the derivative currents
-        d^{n_i - 1} a(z) / (n_i - 1)!.  v may mix weights; each of its terms
-        must have weight at most MAX_VERTEX_WEIGHT.
-        """
-        out: Vector = {}
-        for nu_parts, cv in v.items():
-            _check_vertex_weight(weight(nu_parts))
-            for mu, cw in vec.items():
-                img = self._vertex_images.get((nu_parts, m, mu))
-                if img is None:
-                    img = self._vertex_images[(nu_parts, m, mu)] = self._vertex_monomial(nu_parts, m, mu)
-                for tau, x in img.items():
-                    _acc(out, tau, cv * cw * x)
-        return out
+        The sum runs over the j-tuples of sum m + 1 - |parts| whose positive
+        entries are parts of mu (the annihilators act first, on mu itself), each
+        term the normally ordered product weighted by the integers binom(-j-1, n-1)."""
+        img = self._images.get((parts, m, mu))
+        if img is None:
+            k, wmax, acc = len(parts), weight(mu), {}
 
-    def _vertex_monomial(self, parts: Partition, m: int, mu: Partition) -> Vector:
-        if not parts:
-            return {mu: Q(1)} if m == -1 else {}
-        k = len(parts)
-        target = m + 1 - sum(parts)
-        wmax = weight(mu)
-        out: Vector = {}
-        # j-tuples with sum = target; annihilation entries capped by the
-        # weight they can still remove, creation entries bounded by the sum
-        lo = target - (k - 1) * wmax
-
-        def rec(i: int, remaining: int, coeff: Fraction, js: List[int]):
-            if i == k - 1:
-                j = remaining
-                if j > wmax:
+            def rec(i: int, rest: int, coeff: int, js: Tuple[int, ...]) -> None:
+                if i == k:
+                    vec = {mu: coeff} if rest == 0 else {}  # rest != 0 only for the vacuum
+                    for j in sorted(js, reverse=True):  # annihilation (j >= 0) first
+                        vec = self._current(j, vec)
+                    for tau, x in vec.items():
+                        acc[tau] = acc.get(tau, 0) + x
                     return
-                c = _current_coeff(parts[i], j)
-                if c:
-                    _emit(js + [j], coeff * c)
-                return
-            for j in range(lo, wmax + 1):
-                rest = remaining - j
-                if rest > (k - 1 - i) * wmax:
-                    continue  # later entries cannot reach the sum
-                c = _current_coeff(parts[i], j)
-                if c:
-                    rec(i + 1, rest, coeff * c, js + [j])
+                # later entries are at most wmax each; the last one is what is left
+                for j in range(rest - (k - 1 - i) * wmax, (wmax if i < k - 1 else min(wmax, rest)) + 1):
+                    if (j <= 0 or j in mu) and (c := _current_coeff(parts[i], j)):
+                        rec(i + 1, rest - j, coeff * c, js + (j,))
 
-        def _emit(js: List[int], coeff: Fraction):
-            # normal order: annihilation (j >= 0, with a_0 -> momentum) first
-            vec1: Vector = {mu: coeff}
-            for j in sorted(js, reverse=True):
-                vec1 = self.apply_heisenberg(j, vec1)
-                if not vec1:
-                    return
-            for tau, x in vec1.items():
-                _acc(out, tau, x)
-
-        rec(0, target, Q(1), [])
-        return out
+            rec(0, m + 1 - sum(parts), 1, ())
+            # stored once complete, so a reader in another thread never sees a partial image
+            img = self._images[(parts, m, mu)] = {tau: x for tau, x in acc.items() if x}
+        return img
 
     # -- matrices ----------------------------------------------------------
 
@@ -260,20 +253,22 @@ class FockModule:
         return self._matrix_cache[key]
 
     def heisenberg_matrix(self, k: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
-        build = partial(self._snapshot, lambda mu: self.apply_heisenberg(k, {mu: Q(1)}), -k)
+        build = partial(self._snapshot, partial(self._image, (1,), k), -k, self.momentum.denominator)
         return self._mode_matrix(("a", k), -k, src_n, tgt_n, build)
 
     def virasoro_matrix(self, n: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
-        build = partial(self._snapshot, lambda mu: self._virasoro_image(n, mu), -n, den=self._virasoro_den)
+        build = partial(self._snapshot, partial(self._virasoro_image, n), -n, self._virasoro_den)
         return self._mode_matrix(("L", n), -n, src_n, tgt_n, build)
 
     def vertex_matrix(self, v: Vector, m: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
         d = vec_is_homogeneous(v)
         if d is None:
             raise ValueError("vertex modes need a homogeneous vector")
-        _check_vertex_weight(d)
         shift = d - m - 1
-        build = partial(self._snapshot, lambda mu: self.apply_vertex(v, m, {mu: Q(1)}), shift)
+        # the terms' images meet over one denominator, which depends on v alone
+        terms = self._vertex_terms(v, m)
+        image = lambda mu: _combine((img(mu), f) for img, f in terms)[0]
+        build = partial(self._snapshot, image, shift, math.lcm(*(f.denominator for _, f in terms)))
         return self._mode_matrix(("Y", _vec_key(v), m), shift, src_n, tgt_n, build)
 
     def contragredient_matrix(self, v: Vector, m: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
@@ -302,18 +297,17 @@ class FockModule:
 
         return self._mode_matrix(("Yd", _vec_key(v), m), d - m - 1, src_n, tgt_n, build)
 
-    def _snapshot(self, image, shift: int, src_n: int, tgt_n: int, den: Optional[int] = None) -> QMat:
+    def _snapshot(self, image, shift: int, den: int, src_n: int, tgt_n: int) -> QMat:
         """Matrix of a mode raising the weight by ``shift``, from the images of
-        the basis monomials: rationals, or integers over ``den`` when given;
-        columns whose image lies outside [0, tgt_n] are never computed."""
+        the basis monomials as integers over ``den``; columns whose image lies
+        outside [0, tgt_n] are never computed."""
         table = self._index_table(tgt_n)
-        rows: Dict[int, Dict[int, Fraction]] = {}
+        rows: Dict[int, Dict[int, int]] = {}
         for cidx, mu in enumerate(self.basis(src_n)):
             if 0 <= weight(mu) + shift <= tgt_n:
-                for tau, c in image(mu).items():
-                    rows.setdefault(table[tau], {})[cidx] = c
-        shape = self.dim(tgt_n), self.dim(src_n)
-        return QMat(*shape, rows) if den is None else QMat._of_ints(*shape, rows, den)
+                for tau, x in image(mu).items():
+                    rows.setdefault(table[tau], {})[cidx] = x
+        return QMat._of_ints(self.dim(tgt_n), self.dim(src_n), rows, den)
 
     # -- sewing interface ----------------------------------------------------
 

@@ -127,6 +127,21 @@ class TestVoaCommands:
         mat = jsonio.matrix_from_json(doc)
         assert mat.get(1, 1) == 1  # weight-1 vector has L_0 eigenvalue 1
 
+    @pytest.mark.parametrize(
+        "kind, index, state, shift",
+        [("heisenberg", -2, [], 2), ("virasoro", -1, [], 1), ("vertex", -1, ["--state", "2,1"], 3), ("contragredient", -2, ["--state", "1"], 2)],
+    )
+    def test_dump_mode_labels_every_row(self, kind, index, state, shift, capsys):
+        # a raising mode's rows run past the source truncation; each nonzero entry
+        # links a row label to a column label of weight lower by the shift
+        argv = ["voa", "dump-mode", "--kind", kind, "--index", str(index), "--trunc", "5", "--momentum=-5/3"]
+        code, out = run(argv + state, capsys)
+        doc = json.loads(out)
+        basis = doc["basis"]
+        weight = lambda label: sum(int(p) for p in label.split(",") if p)
+        assert code == 0 and len(basis) == max(doc["shape"]) > doc["shape"][1]
+        assert doc["entries"] and all(weight(basis[e["i"]]) == weight(basis[e["j"]]) + shift for e in doc["entries"])
+
     def test_check_relations(self, capsys):
         code, out = run(["voa", "check-relations", "--trunc", "4", "--range", "2"], capsys)
         assert code == 0
@@ -134,7 +149,6 @@ class TestVoaCommands:
 
     def test_check_relations_reports_each_failing_bracket_in_order(self, monkeypatch, capsys):
         from blocksew.fock import FockModule
-        from helpers import vec_scale
 
         # the vacuum component of L_n, n >= 2, carries the central term: doubling it breaks
         # [L_2, L_-2] and L_2 omega = c/2 |0>
@@ -157,9 +171,9 @@ class TestVoaCommands:
             "failures": [["virasoro", -2, 2]] * 2 + [["virasoro", 2, -2]] * 2 + [["central-charge"]],
         }
         # a_k twice too large for k > 0: the Heisenberg brackets fail first, then the Virasoro ones
-        apply_heisenberg = FockModule.apply_heisenberg
+        current = FockModule._current
         monkeypatch.setattr(
-            FockModule, "apply_heisenberg", lambda self, k, vec: vec_scale(2 if k > 0 else 1, apply_heisenberg(self, k, vec))
+            FockModule, "_current", lambda self, k, vec: {mu: (2 if k > 0 else 1) * x for mu, x in current(self, k, vec).items()}
         )
         code, out = run(["voa", "check-relations", "--trunc", "2", "--range", "1"], capsys)
         assert code == 1
@@ -189,16 +203,16 @@ class TestVoaCommands:
                     want = vector_bracket_failures(FockModule(Q(momentum)), trunc, rng)
                     assert want == [] and failures(trunc, rng, momentum) == want
         # corrupted images, kept linear and graded so that both checks see one operator:
-        # a_1 scaled by 4/3 on two-part partitions (and so every L_n image built from it),
-        # then L_-1 doubled on the boson
-        apply_heisenberg = FockModule.apply_heisenberg
+        # the integer a_1 scaled by 3 on two-part partitions (and so every L_n image built
+        # from it), then L_-1 doubled on the boson
+        current = FockModule._current
         virasoro_image = FockModule._virasoro_image
 
         def heisenberg(self, k, vec):
             out = {}
             for mu, c in vec.items():
-                scale = Q(4, 3) if k == 1 and len(mu) == 2 else 1
-                for tau, x in apply_heisenberg(self, k, {mu: c}).items():
+                scale = 3 if k == 1 and len(mu) == 2 else 1
+                for tau, x in current(self, k, {mu: c}).items():
                     out[tau] = out.get(tau, 0) + scale * x
             return {tau: x for tau, x in out.items() if x}
 
@@ -206,7 +220,7 @@ class TestVoaCommands:
             img = virasoro_image(self, n, mu)
             return {tau: 2 * c for tau, c in img.items()} if (n, mu) == (-1, (1,)) else img
 
-        for patch in ((FockModule, "apply_heisenberg", heisenberg), (FockModule, "_virasoro_image", virasoro)):
+        for patch in ((FockModule, "_current", heisenberg), (FockModule, "_virasoro_image", virasoro)):
             with monkeypatch.context() as m:
                 m.setattr(*patch)
                 for momentum in ("0", "-5/3"):

@@ -53,18 +53,19 @@ class TestHeisenberg:
         assert m.apply_heisenberg(2, VACUUM) == {}
 
     def test_commutators_at_weight_8(self):
-        m = vacuum_module()
+        # at a fractional momentum the integer action carries q, the momentum's denominator
         basis = [{mu: Q(1)} for w in range(9) for mu in partitions_of(w)]
-        for a in range(-4, 5):
-            for b in range(-4, 5):
-                for vec in basis:
-                    got = commutator(
-                        lambda x, a=a: m.apply_heisenberg(a, x),
-                        lambda x, b=b: m.apply_heisenberg(b, x),
-                        vec,
-                    )
-                    want = vec_scale(Q(a), vec) if a + b == 0 else {}
-                    assert got == want, (a, b, vec)
+        for m in (vacuum_module(), FockModule(Q(1, 3)), FockModule(Q(-5, 3))):
+            for a in range(-4, 5):
+                for b in range(-4, 5):
+                    for vec in basis:
+                        got = commutator(
+                            lambda x, a=a: m.apply_heisenberg(a, x),
+                            lambda x, b=b: m.apply_heisenberg(b, x),
+                            vec,
+                        )
+                        want = vec_scale(Q(a), vec) if a + b == 0 else {}
+                        assert got == want, (m.momentum, a, b, vec)
 
     def test_momentum_zero_mode(self):
         f = FockModule(Q(2, 3))
@@ -332,16 +333,25 @@ class TestMonomialImageCache:
                         assert same_vectors(m.apply_virasoro(n, vec), sugawara_reference(m, n, vec)), (n, vec)
 
     def test_integer_images_are_the_sugawara_sum(self):
-        # each L_n image is kept as integers over 2 q^2, q the momentum's denominator, and read as rationals
+        # each image is kept as integers over its mode's denominator, q the momentum's denominator:
+        # q for a_k, 2 q^2 for L_n, q^len(nu) for Y(nu)_m; every cached value is an int
+        states = [VACUUM, BOSON, {(3,): Q(1)}, {(2, 1): Q(1)}, {(1, 1, 1): Q(1)}]
         for momentum in (Q(0), Q(1, 3), Q(-5, 3)):
-            m = FockModule(momentum)
-            assert m._virasoro_den == 2 * momentum.denominator**2
+            m, q = FockModule(momentum), momentum.denominator
+            assert m._virasoro_den == 2 * q**2
             for mu in FockModule.basis(5):
                 for n in range(-3, 4):
                     want = {tau: c for tau, c in sugawara_reference(m, n, {mu: Q(1)}).items() if c}
-                    img, ints = m._virasoro_monomial(n, mu), m._virasoro_image(n, mu)
-                    assert all(type(x) is int for x in ints.values())
+                    img, ints = m.apply_virasoro(n, {mu: Q(1)}), m._virasoro_image(n, mu)
                     assert img == want == {tau: Q(x, m._virasoro_den) for tau, x in ints.items()}, (momentum, n, mu)
+                    ints = m._image((1,), n, mu)
+                    assert {tau: Q(x, q) for tau, x in ints.items()} == m.apply_heisenberg(n, {mu: Q(1)}), (momentum, n, mu)
+                    for v in states:
+                        (nu,) = v
+                        ints = m._image(nu, n, mu)
+                        want = {tau: c for tau, c in vertex_reference(m, v, n, {mu: Q(1)}).items() if c}
+                        assert {tau: Q(x, q ** len(nu)) for tau, x in ints.items()} == want, (momentum, nu, n, mu)
+            assert all(type(x) is int for img in m._images.values() for x in img.values())
 
     def test_vertex_matches_normal_ordered_product(self):
         rnd = random.Random(21)
@@ -389,7 +399,8 @@ class TestWeightAwareSnapshots:
                     assert m.heisenberg_matrix(k, src, tgt) == full, (k, src, tgt)
                     full = self.full_snapshot(m, lambda x: m.apply_virasoro(k, x), src, tgt)
                     assert m.virasoro_matrix(k, src, tgt) == full, (k, src, tgt)
-                    for v in (BOSON, CONFORMAL, {(2, 1): Q(1)}):
+                    # the last state's terms have different part counts, so different denominators
+                    for v in (BOSON, CONFORMAL, {(2, 1): Q(1)}, {(2,): Q(1, 3), (1, 1): Q(-2)}):
                         full = self.full_snapshot(m, lambda x: m.apply_vertex(v, k, x), src, tgt)
                         assert m.vertex_matrix(v, k, src, tgt) == full, (v, k, src, tgt)
                         assert m.contragredient_matrix(v, k, src, tgt) == self.dual_reference(m, v, k, src, tgt)
