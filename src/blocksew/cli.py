@@ -260,6 +260,9 @@ def cmd_voa_check_relations(args) -> int:
                 failures += [[name, m, k]] * count
     if module.apply_virasoro(2, CONFORMAL) != {(): Q(1, 2)}:
         failures.append(["central-charge"])
+    # a_0 is central, so no bracket sees the momentum
+    if module.apply_heisenberg(0, VACUUM) != ({(): module.momentum} if module.momentum else {}):
+        failures.append(["momentum"])
     report = {"trunc": n, "range": rng, "failures": failures}
     return _report(not failures, report, args)
 

@@ -137,7 +137,7 @@ class FockModule:
         """Sugawara L_n = (1/2) sum_j :a_j a_{n-j}: applied exactly.
 
         Coefficients may be rationals or ring elements such as LaurentJets."""
-        return self._apply([(partial(self._virasoro_image, n), Q(1, self._virasoro_den))], vec)
+        return self._apply([(partial(self._image, (1, 1), n + 1), Q(1, self._virasoro_den))], vec)
 
     def apply_vertex(self, v: Vector, m: int, vec: Vector) -> Vector:
         """Mode of the vertex operator attached to a vacuum-module vector v.
@@ -190,54 +190,56 @@ class FockModule:
         """_virasoro_den L_n on a vector of integers, an integer vector; entries may be zero."""
         out: Dict[Partition, int] = {}
         for mu, c in vec.items():
-            for tau, x in self._virasoro_image(n, mu).items():
+            for tau, x in self._image((1, 1), n + 1, mu).items():
                 out[tau] = out.get(tau, 0) + c * x
         return out
 
-    def _virasoro_image(self, n: int, mu: Partition) -> Dict[Partition, int]:
-        """L_n mu, as integers over _virasoro_den, built once.
+    def _image(self, parts: Partition, m: int, mu: Partition) -> Dict[Partition, int]:
+        """q^len(parts) Y(parts)_m mu as integers, built once by _build_image.
 
-        This is the image of Y(a_{-1}^2)_{n+1} = 2 L_n, kept under its key, but
-        summed over j <= n - j only, each pair weighted 2 (1 when j = n - j):
-        half the products of the ordered sum in _image."""
-        key = ((1, 1), n + 1, mu)
-        img = self._images.get(key)
+        An L_n image is read here too, as Y(a_{-1}^2)_{n+1} = 2 L_n over
+        _virasoro_den = 2 q^2."""
+        img = self._images.get((parts, m, mu))
         if img is None:
-            acc, wmax = {}, weight(mu)
-            for j in range(n - wmax, n // 2 + 1):
-                # :a_j a_{n-j}: with j <= n - j: the annihilation-most factor acts first
-                for tau, x in self._current(j, self._current(n - j, {mu: 1 if 2 * j == n else 2})).items():
-                    acc[tau] = acc.get(tau, 0) + x
-            img = self._images[key] = {tau: x for tau, x in acc.items() if x}
+            # stored once complete, so a reader in another thread never sees a partial image
+            img = self._images[(parts, m, mu)] = self._build_image(parts, m, mu)
         return img
 
-    def _image(self, parts: Partition, m: int, mu: Partition) -> Dict[Partition, int]:
-        """q^len(parts) Y(parts)_m mu as integers, built once from the integer current.
+    def _build_image(self, parts: Partition, m: int, mu: Partition) -> Dict[Partition, int]:
+        """q^len(parts) Y(parts)_m mu as integers, from the integer current.
 
         The sum runs over the j-tuples of sum m + 1 - |parts| whose positive
         entries are parts of mu (the annihilators act first, on mu itself), each
-        term the normally ordered product weighted by the integers binom(-j-1, n-1)."""
-        img = self._images.get((parts, m, mu))
-        if img is None:
-            k, wmax, acc = len(parts), weight(mu), {}
+        term the normally ordered product weighted by the integers binom(-j-1, n-1).
+        That product is symmetric in the parts, so they are taken in descending
+        order and the j's of each run of equal parts do not increase; a term
+        then counts the orderings of its j's."""
+        ps = sorted(parts, reverse=True)
+        k, wmax, acc = len(ps), weight(mu), {}
+        # for each i: where the run of ps[i] begins, and how many of it follow i
+        runs = [(ps.index(p), ps.index(p) + ps.count(p) - 1 - i) for i, p in enumerate(ps)]
 
-            def rec(i: int, rest: int, coeff: int, js: Tuple[int, ...]) -> None:
-                if i == k:
-                    vec = {mu: coeff} if rest == 0 else {}  # rest != 0 only for the vacuum
-                    for j in sorted(js, reverse=True):  # annihilation (j >= 0) first
-                        vec = self._current(j, vec)
-                    for tau, x in vec.items():
-                        acc[tau] = acc.get(tau, 0) + x
-                    return
-                # later entries are at most wmax each; the last one is what is left
-                for j in range(rest - (k - 1 - i) * wmax, (wmax if i < k - 1 else min(wmax, rest)) + 1):
-                    if (j <= 0 or j in mu) and (c := _current_coeff(parts[i], j)):
-                        rec(i + 1, rest - j, coeff * c, js + (j,))
+        def rec(i: int, rest: int, coeff: int, js: Tuple[int, ...]) -> None:
+            if i == k:
+                vec = {mu: coeff} if rest == 0 else {}  # rest != 0 only for the vacuum
+                for j in sorted(js, reverse=True):  # annihilation (j >= 0) first
+                    vec = self._current(j, vec)
+                for tau, x in vec.items():
+                    acc[tau] = acc.get(tau, 0) + x
+                return
+            # the later entries of this run are at most j, the others at most
+            # wmax (a positive j is a part of mu), and they sum to rest - j
+            first, later = runs[i]
+            run, lo = js[first:], -(((k - 1 - i - later) * wmax - rest) // (later + 1))
+            hi = min(wmax, run[-1] if run else wmax, rest if i == k - 1 else wmax)
+            for j in range(lo, hi + 1):
+                if (j <= 0 or j in mu) and (c := _current_coeff(ps[i], j)):
+                    # (t-th of its run) / (s-th equal j) each step: a run's weight is
+                    # its number of orderings, and every prefix's weight is an integer
+                    rec(i + 1, rest - j, coeff * c * (len(run) + 1) // (run.count(j) + 1), js + (j,))
 
-            rec(0, m + 1 - sum(parts), 1, ())
-            # stored once complete, so a reader in another thread never sees a partial image
-            img = self._images[(parts, m, mu)] = {tau: x for tau, x in acc.items() if x}
-        return img
+        rec(0, m + 1 - sum(parts), 1, ())
+        return {tau: x for tau, x in acc.items() if x}
 
     # -- matrices ----------------------------------------------------------
 
@@ -257,7 +259,7 @@ class FockModule:
         return self._mode_matrix(("a", k), -k, src_n, tgt_n, build)
 
     def virasoro_matrix(self, n: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:
-        build = partial(self._snapshot, partial(self._virasoro_image, n), -n, self._virasoro_den)
+        build = partial(self._snapshot, partial(self._image, (1, 1), n + 1), -n, self._virasoro_den)
         return self._mode_matrix(("L", n), -n, src_n, tgt_n, build)
 
     def vertex_matrix(self, v: Vector, m: int, src_n: int, tgt_n: Optional[int] = None) -> QMat:

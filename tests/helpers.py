@@ -13,7 +13,8 @@ the jet power table.  ``fraction_exp_action`` and ``vector_bracket_failures``
 are the Fraction loops that the coordinate-change exponential and
 ``voa check-relations`` ran before they ran on integer numerators;
 ``vec_add`` and ``vec_scale`` are the Fock vector sum and scaling they and
-the tests build expected vectors with.  The last four
+the tests build expected vectors with, and ``heisenberg_reference`` is the
+Fraction a_k action that the Fock mode images are built without.  The last four
 helpers build the diagonal and block matrices and the pointwise Schwarzian
 that tests compare package results with.
 """
@@ -264,10 +265,29 @@ def vec_scale(c, a):
     return {k: c * v for k, v in a.items()} if c else {}
 
 
+def heisenberg_reference(momentum, k, vec):
+    """a_k on a vector, by its definition: a_0 is the momentum, a_{-k} creates
+    a part k, a_k removes one times k and the multiplicity of k.  Coefficients
+    may be rationals or ring elements; what the mode images are checked against."""
+    out = {}
+    for mu, c in vec.items():
+        if k == 0:
+            if momentum:
+                _acc(out, mu, c * momentum)
+        elif k < 0:
+            _acc(out, tuple(sorted(mu + (-k,), reverse=True)), c)
+        elif mult := mu.count(k):
+            nu = list(mu)
+            nu.remove(k)
+            _acc(out, tuple(nu), c * k * mult)
+    return out
+
+
 def vector_bracket_failures(module, n, rng):
     """The failure list of ``voa check-relations``, one basis vector at a time:
     [X_m, X_k] v against s X_{m+k} v + delta_{m+k,0} z v for every partition
-    v of weight <= n, then L_2 of the conformal vector against 1/2 |0>."""
+    v of weight <= n, then L_2 of the conformal vector against 1/2 |0> and
+    a_0 |0> against the momentum."""
     from blocksew.fock import CONFORMAL
 
     failures = []
@@ -287,6 +307,8 @@ def vector_bracket_failures(module, n, rng):
                         failures.append([name, m, k])
     if module.apply_virasoro(2, CONFORMAL) != {(): Q(1, 2)}:
         failures.append(["central-charge"])
+    if module.apply_heisenberg(0, {(): Q(1)}) != heisenberg_reference(module.momentum, 0, {(): Q(1)}):
+        failures.append(["momentum"])
     return failures
 
 

@@ -152,16 +152,17 @@ class TestVoaCommands:
 
         # the vacuum component of L_n, n >= 2, carries the central term: doubling it breaks
         # [L_2, L_-2] and L_2 omega = c/2 |0>
-        virasoro_image = FockModule._virasoro_image
+        # (an L_n image is the image of Y(a_{-1}^2)_{n+1} = 2 L_n)
+        image = FockModule._image
 
-        def doubled_central_term(self, n, mu):
-            img = dict(virasoro_image(self, n, mu))
-            if n >= 2 and () in img:
+        def doubled_central_term(self, parts, k, mu):
+            img = dict(image(self, parts, k, mu))
+            if parts == (1, 1) and k >= 3 and () in img:
                 img[()] *= 2
             return img
 
         with monkeypatch.context() as m:
-            m.setattr(FockModule, "_virasoro_image", doubled_central_term)
+            m.setattr(FockModule, "_image", doubled_central_term)
             code, out = run(["voa", "check-relations", "--trunc", "3", "--range", "2"], capsys)
         assert code == 1
         assert json.loads(out) == {
@@ -187,6 +188,14 @@ class TestVoaCommands:
             + [["virasoro", 1, -1]] * 3
             + [["virasoro", 1, 0], ["central-charge"]]
         )
+        # a_0 is central: the module of momentum 5/3 in place of -5/3 breaks no bracket,
+        # only a_0 |0> = lambda |0>
+        monkeypatch.setattr(
+            FockModule, "_current", lambda self, k, vec: {mu: (-1 if k == 0 else 1) * x for mu, x in current(self, k, vec).items()}
+        )
+        code, out = run(["voa", "check-relations", "--trunc", "3", "--range", "2", "--momentum=-5/3"], capsys)
+        assert code == 1
+        assert json.loads(out)["failures"] == [["momentum"]]
 
     def test_check_relations_matches_the_vector_loop(self, monkeypatch, capsys):
         from blocksew.fock import FockModule
@@ -205,8 +214,7 @@ class TestVoaCommands:
         # corrupted images, kept linear and graded so that both checks see one operator:
         # the integer a_1 scaled by 3 on two-part partitions (and so every L_n image built
         # from it), then L_-1 doubled on the boson
-        current = FockModule._current
-        virasoro_image = FockModule._virasoro_image
+        current, image = FockModule._current, FockModule._image
 
         def heisenberg(self, k, vec):
             out = {}
@@ -216,11 +224,11 @@ class TestVoaCommands:
                     out[tau] = out.get(tau, 0) + scale * x
             return {tau: x for tau, x in out.items() if x}
 
-        def virasoro(self, n, mu):
-            img = virasoro_image(self, n, mu)
-            return {tau: 2 * c for tau, c in img.items()} if (n, mu) == (-1, (1,)) else img
+        def virasoro(self, parts, k, mu):
+            img = image(self, parts, k, mu)
+            return {tau: 2 * c for tau, c in img.items()} if (parts, k, mu) == ((1, 1), 0, (1,)) else img
 
-        for patch in ((FockModule, "_current", heisenberg), (FockModule, "_virasoro_image", virasoro)):
+        for patch in ((FockModule, "_current", heisenberg), (FockModule, "_image", virasoro)):
             with monkeypatch.context() as m:
                 m.setattr(*patch)
                 for momentum in ("0", "-5/3"):

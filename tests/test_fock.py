@@ -20,7 +20,7 @@ from blocksew.fock import (
 )
 from blocksew.linalg import QMat
 from blocksew.series import LaurentJet
-from helpers import euler_partition_count, random_rational, vec_add, vec_scale, weight_diag
+from helpers import euler_partition_count, heisenberg_reference, random_rational, vec_add, vec_scale, weight_diag
 
 Q = Fraction
 
@@ -140,7 +140,8 @@ class TestVertexModes:
         for k in range(-4, 5):
             for w in range(6):
                 for mu in partitions_of(w):
-                    assert m.apply_vertex(BOSON, k, {mu: Q(1)}) == m.apply_heisenberg(k, {mu: Q(1)})
+                    want = heisenberg_reference(m.momentum, k, {mu: Q(1)})
+                    assert m.apply_vertex(BOSON, k, {mu: Q(1)}) == m.apply_heisenberg(k, {mu: Q(1)}) == want
 
     def test_conformal_gives_virasoro(self):
         m = vacuum_module()
@@ -260,12 +261,13 @@ def _add_scaled(out, vec, scale):
 
 
 def sugawara_reference(m, n, vec):
-    """L_n = (1/2) sum over every j of :a_j a_{n-j}:, the larger index acting first."""
+    """L_n = (1/2) sum over every j of :a_j a_{n-j}:, the larger index acting first,
+    on the reference a_k."""
     top = max([weight(mu) for mu in vec] + [0])
     out = {}
     for j in range(n - top, top + 1):
         lo, hi = sorted((j, n - j))
-        _add_scaled(out, m.apply_heisenberg(lo, m.apply_heisenberg(hi, vec)), Q(1, 2))
+        _add_scaled(out, heisenberg_reference(m.momentum, lo, heisenberg_reference(m.momentum, hi, vec)), Q(1, 2))
     return out
 
 
@@ -276,7 +278,7 @@ def current_coeff(n, j):
 
 def vertex_reference(m, v, k, vec):
     """Y(v)_k as the normally ordered product of derivative currents, summed
-    over mode tuples with annihilators acting first."""
+    over mode tuples with annihilators acting first, on the reference a_k."""
     top = max([weight(mu) for mu in vec] + [0])
     out = {}
     for parts, cv in v.items():
@@ -290,7 +292,7 @@ def vertex_reference(m, v, k, vec):
             coeff = cv * math.prod(current_coeff(n, j) for n, j in zip(parts, js))
             term = vec
             for j in sorted(js, reverse=True):
-                term = m.apply_heisenberg(j, term)
+                term = heisenberg_reference(m.momentum, j, term)
             _add_scaled(out, term, coeff)
     return out
 
@@ -335,17 +337,19 @@ class TestMonomialImageCache:
     def test_integer_images_are_the_sugawara_sum(self):
         # each image is kept as integers over its mode's denominator, q the momentum's denominator:
         # q for a_k, 2 q^2 for L_n, q^len(nu) for Y(nu)_m; every cached value is an int
-        states = [VACUUM, BOSON, {(3,): Q(1)}, {(2, 1): Q(1)}, {(1, 1, 1): Q(1)}]
+        # repeated parts, at the start and at the end of a state, are summed as unordered runs
+        states = [VACUUM, BOSON, {(3,): Q(1)}, {(2, 1): Q(1)}, {(1, 1, 1): Q(1)}, {(2, 2): Q(1)}, {(2, 1, 1): Q(1)}]
         for momentum in (Q(0), Q(1, 3), Q(-5, 3)):
             m, q = FockModule(momentum), momentum.denominator
             assert m._virasoro_den == 2 * q**2
             for mu in FockModule.basis(5):
                 for n in range(-3, 4):
                     want = {tau: c for tau, c in sugawara_reference(m, n, {mu: Q(1)}).items() if c}
-                    img, ints = m.apply_virasoro(n, {mu: Q(1)}), m._virasoro_image(n, mu)
+                    img, ints = m.apply_virasoro(n, {mu: Q(1)}), m._image((1, 1), n + 1, mu)
                     assert img == want == {tau: Q(x, m._virasoro_den) for tau, x in ints.items()}, (momentum, n, mu)
                     ints = m._image((1,), n, mu)
-                    assert {tau: Q(x, q) for tau, x in ints.items()} == m.apply_heisenberg(n, {mu: Q(1)}), (momentum, n, mu)
+                    want = heisenberg_reference(momentum, n, {mu: Q(1)})
+                    assert {tau: Q(x, q) for tau, x in ints.items()} == want, (momentum, n, mu)
                     for v in states:
                         (nu,) = v
                         ints = m._image(nu, n, mu)
@@ -395,7 +399,7 @@ class TestWeightAwareSnapshots:
             m = FockModule(momentum)
             for src, tgt in [(0, 0), (2, 5), (5, 2), (4, 4), (6, 3)]:
                 for k in range(-3, 4):
-                    full = self.full_snapshot(m, lambda x: m.apply_heisenberg(k, x), src, tgt)
+                    full = self.full_snapshot(m, lambda x: heisenberg_reference(momentum, k, x), src, tgt)
                     assert m.heisenberg_matrix(k, src, tgt) == full, (k, src, tgt)
                     full = self.full_snapshot(m, lambda x: m.apply_virasoro(k, x), src, tgt)
                     assert m.virasoro_matrix(k, src, tgt) == full, (k, src, tgt)
