@@ -26,7 +26,9 @@ from .series import (
     LaurentJet,
     NotInvertible,
     WindowError,
+    _is_rational,
     _is_ring_zero,
+    _monic_ints,
     _powers,
     compose_jets,
     reverse_jet,
@@ -85,11 +87,6 @@ def _exp(cs: Sequence, act: Callable[[int, Dict], Dict], vec: Dict, d: int = 1) 
     return acc, weights[0]
 
 
-def _is_rational(values) -> bool:
-    """Whether every value is a Fraction, so that the exponential can run on integers."""
-    return all(isinstance(x, Fraction) for x in values)
-
-
 def exp_vf_on_z(cs: Sequence, cap: int, one=Q(1)):
     """exp(sum c_n z^{n+1} d/dz) z as a degree-indexed list up to degree cap."""
 
@@ -107,18 +104,59 @@ def exp_vf_on_z(cs: Sequence, cap: int, one=Q(1)):
     return [poly[m] * inv if m in poly else zero for m in range(cap + 1)]
 
 
-def extract_c(rho: CoordJet) -> ExpCoeffs:
-    """Triangular solve for the exponential coefficients of a coordinate jet.
+def _monic_exp_ints(u: Sequence[int]) -> Tuple[List[int], int]:
+    """The c_n of a monic integer jet w + u_2 w^2 + ... + u_K w^K as integers
+    C_1..C_(K-1) over one denominator F: c_n = C_n / F.
 
-    One pass in degree order over T_k = D^k z / k!, D = sum c_n z^{n+1} d/dz:
-    [z^d] T_k = (1/k) sum_n c_n (d - n) [z^{d-n}] T_{k-1}, and for k >= 2 that
-    reads c_1..c_{d-2} only, while [z^d] T_1 = c_{d-1}.  So the coefficient of
-    z^d in exp(D) z = sum_k T_k fixes c_{d-1} once the k >= 2 terms at degree
-    d are known.  The result is re-expanded and checked against the input.
+    The solve of :func:`extract_c` on V_k[d] = F^k k! [w^d] T_k, the
+    coefficients of (F D)^k w for the integer vector field F D = sum C_n
+    w^(n+1) d/dw: V_k[d] = sum_n C_n (d - n) V_(k-1)[d - n], V_1[d] = C_(d-1).
+    At degree d, c_(d-1) = u_d - sum_(k=2..d-1) V_k[d] / (F^k k!) is taken
+    over F^(d-1) (d-1)!.  F starts at 1 and grows to the lcm with the
+    reduced denominator of c_(d-1) where that does not divide it; then every
+    C_n and V_k grow by the factor, to the powers 1 and k.  So each quotient
+    is exact and none is truncated.
     """
-    rho.check_invertible()
+    K = len(u)
+    f = 1
+    cs: List[int] = []
+    # vtab[k][d] = d V_k[d], the nonzero ones for d up to the current degree
+    vtab: List[Dict[int, int]] = [{} for _ in range(K)]
+    for d in range(2, K + 1):
+        # weight F^(d-1-k) (d-1)!/k! for V_k[d]: 1 at k = d-1, times F k per step down
+        acc, wk = 0, 1
+        for k in range(d - 1, 1, -1):
+            prev, vk = vtab[k - 1], 0
+            for n, cn in enumerate(cs[: d - k], start=1):
+                if cn and d - n in prev:
+                    vk += cn * prev[d - n]
+            if vk:
+                acc += vk * wk
+                vtab[k][d] = vk * d
+            wk *= f * k
+        # c_(d-1) = (u_d F^(d-1) (d-1)! - acc) / (F^(d-1) (d-1)!), with wk = F^(d-2) (d-1)! here
+        den = wk * f
+        num = u[d - 1] * den - acc
+        g = math.gcd(num, den)
+        need = den // g
+        if f % need:
+            grow = need // math.gcd(f, need)
+            f *= grow
+            cs = [c * grow for c in cs]
+            for k, row in enumerate(vtab[1:], start=1):
+                scale = grow**k
+                for m in row:
+                    row[m] *= scale
+        cm = num // g * (f // need)
+        cs.append(cm)
+        if cm:
+            vtab[1][d] = cm * d
+    return cs, f
+
+
+def _ring_exp_coeffs(rho: CoordJet) -> List:
+    """c_1..c_(K-1) of :func:`extract_c` in the ring of the jet's coefficients."""
     K = rho.order
-    one = ring_one_like(rho.a1)
     zero = ring_zero_like(rho.a1)
     c0 = rho.a1
     cs: List = []
@@ -139,6 +177,34 @@ def extract_c(rho: CoordJet) -> ExpCoeffs:
         cs.append(cm)
         if not _is_ring_zero(cm):
             dtab[1][d] = cm * d
+    return cs
+
+
+def extract_c(rho: CoordJet) -> ExpCoeffs:
+    """Triangular solve for the exponential coefficients of a coordinate jet.
+
+    One pass in degree order over T_k = D^k z / k!, D = sum c_n z^{n+1} d/dz:
+    [z^d] T_k = (1/k) sum_n c_n (d - n) [z^{d-n}] T_{k-1}, and for k >= 2 that
+    reads c_1..c_{d-2} only, while [z^d] T_1 = c_{d-1}.  So the coefficient of
+    z^d in exp(D) z = sum_k T_k fixes c_{d-1} once the k >= 2 terms at degree
+    d are known.  The result is re-expanded and checked against the input.
+
+    When every coefficient is a Fraction, the solve runs on integers: the
+    scaling z -> E w of :func:`series._monic_ints` turns rho / a_1 into a
+    monic integer jet whose c_n are c_n E^n, solved by
+    :func:`_monic_exp_ints`, and each c_n is one Fraction.  Any other
+    coefficients (LaurentJets of a family jet) run in their own ring.
+    """
+    rho.check_invertible()
+    K = rho.order
+    one = ring_one_like(rho.a1)
+    c0 = rho.a1
+    if _is_rational(rho.coeffs):
+        u, e = _monic_ints(rho.coeffs)
+        nums, f = _monic_exp_ints(u)
+        cs: List = [Q(x, f * e**n) for n, x in enumerate(nums, start=1)]
+    else:
+        cs = _ring_exp_coeffs(rho)
     # round-trip self-check
     expd = exp_vf_on_z(cs, K, one=one)
     for k in range(1, K + 1):

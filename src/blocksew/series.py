@@ -29,7 +29,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .linalg import QMat, QVec, _combine, _ints, _of_one_den, as_q
+from .linalg import QMat, QVec, _combine, _ints, _of_one_den, _over_one_den, as_q
 
 Q = Fraction
 
@@ -423,6 +423,27 @@ def _power_step(powers: List[Dict[int, object]], a: Sequence, n: int, zero) -> o
     return sum((aj * p[n] for aj, p in zip(a, powers) if n in p and not _is_ring_zero(aj)), zero)
 
 
+def _is_rational(values) -> bool:
+    """Whether every value is a Fraction, so that a kernel can run on integer numerators."""
+    return all(isinstance(x, Fraction) for x in values)
+
+
+def _monic_ints(coeffs: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """A rational jet rho = a_1 z + a_2 z^2 + ... made monic and integral.
+
+    With sigma = rho / a_1 and E the lcm of the denominators of a_j / a_1,
+    sigma(E w) / E = w + sum_j u_j w^j has the integer coefficients u_j =
+    (a_j / a_1) E^(j-1).  Returns ([1, u_2, u_3, ...], E).
+    """
+    a1 = coeffs[0]
+    nums, e = _over_one_den(a / a1 for a in coeffs[1:])
+    u, scale = [1], 1
+    for x in nums:
+        u.append(x * scale)
+        scale *= e
+    return u, e
+
+
 def compose_jets(f: CoordJet, g: CoordJet) -> CoordJet:
     """Group law of coordinate changes: (f o g)(z) = f(g(z)).
 
@@ -430,19 +451,35 @@ def compose_jets(f: CoordJet, g: CoordJet) -> CoordJet:
     minimum of the inexact inputs' orders, which is the full set of exactly
     determined coefficients.  [z^n] f(g) = sum_j a_j [z^n] g^j, on the power
     table of :func:`reverse_jet`.
+
+    When every coefficient of f and g is a Fraction, the table runs on
+    integers: with a_j = A_j / D_f and g = G / D_g for an integer jet G,
+    [z^n] f(g) = sum_j A_j D_g^(J-j) [z^n] G^j / (D_f D_g^J), J the number
+    of a_j read, and each output coefficient is one Fraction.  Any other
+    coefficients (LaurentJets of a family jet) run in their own ring.
     """
     g.check_invertible()
     inexact = [h.order for h in (f, g) if not h.exact]
     cap = min(inexact) if inexact else f.order * g.order
-    zero = ring_zero_like(f.coeffs[0])
-    a = [zero] + f.coeffs[:cap]
+    rational = _is_rational([*f.coeffs, *g.coeffs])
+    if rational:
+        nums, df = _over_one_den(f.coeffs[:cap])
+        gs, dg = _over_one_den(g.coeffs[:cap])
+        top = len(nums)
+        zero, a = 0, [0] + [x * dg ** (top - j) for j, x in enumerate(nums, start=1)]
+    else:
+        gs, zero = g.coeffs, ring_zero_like(f.coeffs[0])
+        a = [zero] + f.coeffs[:cap]
     powers: List[Dict[int, object]] = [{} for _ in a]
     out = []
     for n in range(1, cap + 1):
-        if n <= g.order and not _is_ring_zero(g.coeffs[n - 1]):
+        if n <= g.order and not _is_ring_zero(gs[n - 1]):
             # a sum from zero, as every table entry: a LaurentJet's window starts at 0 or below
-            powers[1][n] = zero + g.coeffs[n - 1]
+            powers[1][n] = zero + gs[n - 1]
         out.append(_power_step(powers, a, n, zero))
+    if rational:
+        den = df * dg**top
+        out = [Q(x, den) for x in out]
     return CoordJet(out, exact=not inexact)
 
 
@@ -452,17 +489,30 @@ def reverse_jet(rho: CoordJet, order: Optional[int] = None) -> CoordJet:
     With B = b_1 z + b_2 z^2 + ... the inverse, [z^n] rho(B) = a_1 b_n +
     sum_{j=2..n} a_j [z^n] B^j vanishes for n >= 2.  The powers of B are built
     degree by degree alongside b (:func:`_power_step`), in O(order^3) ring
-    operations.
+    operations.  ``order`` must be at least 1.
+
+    When every coefficient is a Fraction, the reversion runs on integers, on
+    the monic integer jet sigma(E w) / E of :func:`_monic_ints` (the scaling
+    z -> E w of sigma = rho / a_1).  Its inverse T has integer coefficients
+    t_n, and b_n = t_n / (E^(n-1) a_1^n), one Fraction per coefficient.  Any
+    other coefficients (LaurentJets of a family jet) run in their own ring.
     """
     rho.check_invertible()
     if order is None:
         order = rho.order
+    if order < 1:
+        raise ValueError(f"reversion order must be at least 1, not {order}")
     if not rho.exact and order > rho.order:
         raise WindowError("cannot invert beyond the known jet order")
-    zero = ring_zero_like(rho.a1)
-    inv_a1 = ring_one_like(rho.a1) / rho.a1
+    rational = _is_rational(rho.coeffs)
     # a_j = 0 past an exact jet's order, so no power of B above it is needed
-    a = [zero] + rho.coeffs[:order]
+    if rational:
+        u, e = _monic_ints(rho.coeffs[:order])
+        zero, inv_a1, a = 0, 1, [0] + u
+    else:
+        zero = ring_zero_like(rho.a1)
+        inv_a1 = ring_one_like(rho.a1) / rho.a1
+        a = [zero] + rho.coeffs[:order]
     powers: List[Dict[int, object]] = [{}, {1: inv_a1}] + [{} for _ in a[2:]]
     b = [inv_a1]
     for n in range(2, order + 1):
@@ -471,6 +521,9 @@ def reverse_jet(rho: CoordJet, order: Optional[int] = None) -> CoordJet:
         b.append(-excess * inv_a1 if not _is_ring_zero(excess) else zero)
         if not _is_ring_zero(b[-1]):
             powers[1][n] = b[-1]
+    if rational:
+        p, q = rho.a1.numerator, rho.a1.denominator
+        b = [Q(t * q**n, e ** (n - 1) * p**n) for n, t in enumerate(b, start=1)]
     return CoordJet(b, exact=False)
 
 

@@ -11,7 +11,11 @@ ran before it shared the module exponential, and ``closed_form_binomial_jet``
 is the binomial closed form that ``sewing._binomial_jet`` used before it read
 the jet power table.  ``fraction_exp_action`` and ``vector_bracket_failures``
 are the Fraction loops that the coordinate-change exponential and
-``voa check-relations`` ran before they ran on integer numerators;
+``voa check-relations`` ran before they ran on integer numerators, and
+``fraction_compose_jets``, ``fraction_reverse_jet`` and
+``fraction_exp_coeffs`` those of the rational jet kernels (on the power
+table of ``fraction_power_step``), which ``rational_jet`` and
+``random_rational_jet`` build inputs for;
 ``vec_add`` and ``vec_scale`` are the Fock vector sum and scaling they and
 the tests build expected vectors with, and ``heisenberg_reference`` is the
 Fraction a_k action that the Fock mode images are built without.  The last four
@@ -27,7 +31,7 @@ import random
 
 from blocksew.fock import _acc
 from blocksew.linalg import QMat, QVec, as_q, solve
-from blocksew.series import LaurentJet, NotInvertible, WindowError
+from blocksew.series import CoordJet, LaurentJet, NotInvertible, WindowError
 
 Q = Fraction
 
@@ -251,6 +255,90 @@ def fraction_exp_action(ec, module, vec):
             acc[mu] = acc.get(mu, 0) + c
         k += 1
     return {mu: ec.c0 ** sum(mu) * c for mu, c in acc.items() if c}
+
+
+JET_LEADS = (Q(1), Q(-2, 3), Q(997, 5))
+
+
+def rational_jet(lead, den, terms, exact):
+    """The jet with a_1 = lead and a_(j+2) = num / den^k for the j-th (num, k) of terms."""
+    return CoordJet([lead] + [Q(num, den**k) for num, k in terms], exact=exact)
+
+
+def random_rational_jet(rnd, order, den, lead, exact):
+    """A rational_jet of the given order; about a third of its a_j past a_1 are zero."""
+    terms = [(0 if rnd.random() < 0.35 else rnd.randint(-9, 9), rnd.randint(0, 2)) for _ in range(order - 1)]
+    return rational_jet(lead, den, terms, exact)
+
+
+def fraction_power_step(powers, a, n):
+    """Extend the Fraction power table of B to degree n and return sum_j a_j [z^n] B^j.
+
+    powers[j] = {m: [z^m] B^j} holds the nonzero entries, powers[1] the b_m
+    known so far; [z^n] B^j = sum_k b_k [z^(n-k)] B^(j-1) for j >= 2."""
+    for j in range(2, min(n, len(a) - 1) + 1):
+        below, acc = powers[j - 1], Q(0)
+        for k, bk in powers[1].items():
+            if k <= n - j + 1 and n - k in below:
+                acc += bk * below[n - k]
+        if acc:
+            powers[j][n] = acc
+    return sum((aj * p[n] for aj, p in zip(a, powers) if n in p and aj), Q(0))
+
+
+def fraction_compose_jets(f, g):
+    """f(g(z)) for rational jets, [z^n] f(g) = sum_j a_j [z^n] g^j on a Fraction power table of g."""
+    inexact = [h.order for h in (f, g) if not h.exact]
+    cap = min(inexact) if inexact else f.order * g.order
+    a = [Q(0)] + f.coeffs[:cap]
+    powers = [{} for _ in a]
+    out = []
+    for n in range(1, cap + 1):
+        if n <= g.order and g.coeffs[n - 1]:
+            powers[1][n] = g.coeffs[n - 1]
+        out.append(fraction_power_step(powers, a, n))
+    return CoordJet(out, exact=not inexact)
+
+
+def fraction_reverse_jet(rho, order=None):
+    """Inverse of a rational jet to ``order``: b_n = -[z^n] sum_(j>=2) a_j B^j / a_1, on a Fraction power table of B."""
+    order = rho.order if order is None else order
+    inv_a1 = 1 / rho.a1
+    a = [Q(0)] + rho.coeffs[:order]
+    powers = [{}, {1: inv_a1}] + [{} for _ in a[2:]]
+    b = [inv_a1]
+    for n in range(2, order + 1):
+        b.append(-fraction_power_step(powers, a, n) * inv_a1)
+        if b[-1]:
+            powers[1][n] = b[-1]
+    return CoordJet(b, exact=False)
+
+
+def fraction_exp_coeffs(rho):
+    """c_1..c_(K-1) of a rational jet of order K, by the triangular solve in Fractions.
+
+    dtab[k][d] = d [z^d] T_k for T_k = D^k z / k!, D = sum c_n z^(n+1) d/dz;
+    [z^d] T_k = (1/k) sum_n c_n (d - n) [z^(d-n)] T_(k-1), and c_(d-1) is
+    a_d / a_1 less the k >= 2 terms at degree d."""
+    K = rho.order
+    cs = []
+    dtab = [{} for _ in range(K)]
+    for d in range(2, K + 1):
+        expd = Q(0)
+        for k in range(2, d):
+            prev, acc = dtab[k - 1], Q(0)
+            for n, cn in enumerate(cs[: d - k], start=1):
+                if d - n in prev and cn:
+                    acc += cn * prev[d - n]
+            tk = acc / k
+            if tk:
+                expd += tk
+                dtab[k][d] = tk * d
+        cm = rho.coefficient(d) / rho.a1 - expd
+        cs.append(cm)
+        if cm:
+            dtab[1][d] = cm * d
+    return cs
 
 
 def vec_add(a, b):

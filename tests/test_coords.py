@@ -24,7 +24,20 @@ from blocksew.coords import (
 from blocksew.fock import BOSON, CONFORMAL, VACUUM, FockModule, partitions_of, vacuum_module, weight
 from blocksew.linalg import QMat
 from blocksew.series import CoordJet, LaurentJet, NotInvertible, WindowError, compose_jets, ring_one_like
-from helpers import fraction_exp_action, fraction_matmul, list_exp_vf_on_z, random_jet_coeffs, random_rational, scalar_pow_weight
+from hypothesis import given, settings, strategies as st
+
+from helpers import (
+    JET_LEADS,
+    fraction_exp_action,
+    fraction_exp_coeffs,
+    fraction_matmul,
+    list_exp_vf_on_z,
+    random_jet_coeffs,
+    random_rational,
+    random_rational_jet,
+    rational_jet,
+    scalar_pow_weight,
+)
 
 Q = Fraction
 SEED = 31337
@@ -69,6 +82,27 @@ class TestExtractC:
         for rho in jets:
             ec = extract_c(rho)
             assert [with_window(c) for c in ec.cs] == [with_window(c) for c in per_degree_c(rho)]
+
+    def test_against_the_fraction_solve(self):
+        rnd = random.Random(SEED + 20)
+        for den in (3, 997):
+            for lead in JET_LEADS:
+                for exact in (False, True):
+                    for order in range(1, 17):
+                        rho = random_rational_jet(rnd, order, den, lead, exact)
+                        ec = extract_c(rho)
+                        assert ec.c0 is rho.a1 and ec.cs == fraction_exp_coeffs(rho), rho
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        lead=st.sampled_from(JET_LEADS),
+        den=st.sampled_from([3, 997]),
+        terms=st.lists(st.tuples(st.one_of(st.just(0), st.integers(-9, 9)), st.integers(0, 2)), max_size=15),
+        exact=st.booleans(),
+    )
+    def test_property_against_the_fraction_solve(self, lead, den, terms, exact):
+        rho = rational_jet(lead, den, terms, exact)
+        assert extract_c(rho).cs == fraction_exp_coeffs(rho)
 
     def test_pure_scaling(self):
         ec = extract_c(CoordJet.from_poly([2]).truncate(4))

@@ -22,7 +22,17 @@ from blocksew.series import (
     ring_one_like,
     ring_zero_like,
 )
-from helpers import convolve, lagrange_inverse, random_jet_coeffs, random_rational
+from helpers import (
+    JET_LEADS,
+    convolve,
+    fraction_compose_jets,
+    fraction_reverse_jet,
+    lagrange_inverse,
+    random_jet_coeffs,
+    random_rational,
+    random_rational_jet,
+    rational_jet,
+)
 
 Q = Fraction
 SEED = 20250808
@@ -398,6 +408,66 @@ class TestReverse:
         n = max(1, rho.order - extra)
         assert reverse_jet(rho, n).coeffs == reverse_jet(rho).coeffs[:n]
         assert reverse_jet(rho.truncate(n)).coeffs == reverse_jet(rho).coeffs[:n]
+
+
+def same_jet(got, want):
+    return got.coeffs == want.coeffs and got.exact == want.exact and got.order == want.order
+
+
+# (num, k) for a coefficient num / den^k; a third of the numerators are zero
+JET_TERMS = st.lists(st.tuples(st.one_of(st.just(0), st.integers(-9, 9)), st.integers(0, 2)), max_size=15)
+
+
+class TestRationalKernels:
+    """The integer paths of reverse_jet and compose_jets against their Fraction loops."""
+
+    def test_order_below_one_is_an_error(self):
+        rho = CoordJet([Q(2), Q(1)])
+        for order in (0, -1):
+            with pytest.raises(ValueError):
+                reverse_jet(rho, order)
+
+    def test_against_the_fraction_loops(self):
+        rnd = random.Random(SEED + 20)
+        for den in (3, 997):
+            for lead in JET_LEADS:
+                for exact in (False, True):
+                    for order in range(1, 17):
+                        rho = random_rational_jet(rnd, order, den, lead, exact)
+                        for target in {1, order, rnd.randint(1, order)} | ({order + 3} if exact else set()):
+                            assert same_jet(reverse_jet(rho, target), fraction_reverse_jet(rho, target)), (rho, target)
+                        # two exact jets compose to order f.order * g.order: keep that small
+                        g_exact = rnd.random() < 0.5 and order <= 8
+                        g = random_rational_jet(rnd, rnd.randint(1, 2 if exact and g_exact else 16), den, rnd.choice(JET_LEADS), g_exact)
+                        assert same_jet(compose_jets(rho, g), fraction_compose_jets(rho, g)), (rho, g)
+                        assert same_jet(compose_jets(g, rho), fraction_compose_jets(g, rho)), (g, rho)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        lead=st.sampled_from(JET_LEADS),
+        den=st.sampled_from([3, 997]),
+        terms=JET_TERMS,
+        exact=st.booleans(),
+        g_terms=JET_TERMS,
+        g_exact=st.booleans(),
+        extra=st.integers(0, 4),
+    )
+    def test_property_against_the_fraction_loops(self, lead, den, terms, exact, g_terms, g_exact, extra):
+        if exact and g_exact:
+            terms, g_terms = terms[:3], g_terms[:3]
+        rho = rational_jet(lead, den, terms, exact)
+        g = rational_jet(Q(1, den) - lead, den, g_terms, g_exact)
+        n = rho.order + extra if exact else max(1, rho.order - extra)
+        assert same_jet(reverse_jet(rho, n), fraction_reverse_jet(rho, n))
+        assert same_jet(compose_jets(rho, g), fraction_compose_jets(rho, g))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(lead=st.sampled_from(JET_LEADS), den=st.sampled_from([3, 997]), terms=JET_TERMS, exact=st.booleans(), extra=st.integers(0, 4))
+    def test_compose_with_reverse_is_the_identity(self, lead, den, terms, exact, extra):
+        rho = rational_jet(lead, den, terms, exact)
+        n = rho.order + extra if exact else max(1, rho.order - extra)
+        comp = compose_jets(rho, reverse_jet(rho, n))
+        assert comp.coeffs == [Q(1)] + [Q(0)] * (n - 1) and not comp.exact
 
 
 def fraction_product(x, y):
