@@ -362,15 +362,13 @@ def family_jet(alpha: CoordJet, var: str = "z", work_order: Optional[int] = None
     """
     K = alpha.order
     deg_cap = max_degree if max_degree is not None else K
+    # a_j = nums[j - 1] / den
+    nums, den = _over_one_den(alpha.coeffs)
     coeffs: List[LaurentJet] = []
     for m in range(1, deg_cap + 1):
-        data = {}
-        for j in range(m, K + 1):
-            a = alpha.coefficient(j)
-            if a:
-                data[j - m] = math.comb(j, m) * a
+        data = {j - m: math.comb(j, m) * nums[j - 1] for j in range(m, K + 1)}
         hi = None if alpha.exact else K - m
-        jet = LaurentJet(data, 0, hi, var)
+        jet = LaurentJet._of_ints(data, den, 0, hi, var)
         if work_order is not None:
             jet = jet.truncated(work_order)
         coeffs.append(jet)

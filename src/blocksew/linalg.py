@@ -13,7 +13,8 @@ The O(n^3) kernels (the QMat product here, and in other modules the
 coordinate-change exponential, the bracket check, slot contraction and the
 recursions over series) run on that format, and this module is its one
 home: ``_over_one_den`` and ``_ints`` take rationals there, ``_of_ints``
-takes integers over any nonzero denominator to the stored form,
+takes integers over any nonzero denominator to the stored form (through
+``_lowest_terms``, which ``series.LaurentJet`` shares),
 ``_int_product`` and ``_add_scaled`` combine integer rows, ``_combine`` sums
 parts under rational factors, and ``_of_one_den`` brings sums back, one
 Fraction (one gcd) per output entry instead of one per product.
@@ -81,15 +82,10 @@ class QVec:
 
     @classmethod
     def _of_ints(cls, n: int, nums: Dict[int, int], den: int) -> "QVec":
-        """The vector nums / den in the stored form: zeros dropped, lowest terms,
-        den > 0.  ``nums`` is kept, not copied, when it has no zero."""
-        if 0 in nums.values():
-            nums = {i: x for i, x in nums.items() if x}
-        g = math.gcd(den, *nums.values())
-        g = g if den > 0 else -g
+        """The vector nums / den in the stored form (:func:`_lowest_terms`)."""
         vec = cls.__new__(cls)
-        vec.n, vec.den = n, den // g
-        vec.nums = nums if g == 1 else {i: x // g for i, x in nums.items()}
+        vec.n = n
+        vec.nums, vec.den = _lowest_terms(nums, den)
         return vec
 
     @property
@@ -348,6 +344,17 @@ def _of_one_den(nums: Dict[K, int], den: int) -> Dict[K, Fraction]:
     if den == 1:
         return {k: Q(n) for k, n in nums.items() if n}
     return {k: Q(n, den) for k, n in nums.items() if n}
+
+
+def _lowest_terms(nums: Dict[K, int], den: int) -> Tuple[Dict[K, int], int]:
+    """Integer numerators over a nonzero ``den`` in the stored form: zeros
+    dropped, lowest terms, den > 0.  ``nums`` is kept, not copied, when it
+    has no zero and nothing cancels."""
+    if 0 in nums.values():
+        nums = {k: x for k, x in nums.items() if x}
+    g = math.gcd(den, *nums.values())
+    g = g if den > 0 else -g
+    return (nums if g == 1 else {k: x // g for k, x in nums.items()}), den // g
 
 
 def _combine(parts: Iterable[Tuple[Dict[K, int], Fraction]]) -> Tuple[Dict[K, int], int]:

@@ -99,13 +99,12 @@ def cocycle_check(eta: CoordJet, mu: CoordJet, f: CoordJet, order: int) -> bool:
 
 
 def _jets_equal(a: LaurentJet, b: LaurentJet, order: int) -> bool:
-    lo = min(a.lo, b.lo)
-    for e in range(lo, order + 1):
-        ca = a.coeffs.get(e, Q(0)) if (a.hi is None or e <= a.hi) else None
-        cb = b.coeffs.get(e, Q(0)) if (b.hi is None or e <= b.hi) else None
-        if ca is None or cb is None:
+    """Whether a and b agree at every exponent up to order, both windows covering it."""
+    for e in range(min(a.lo, b.lo), order + 1):
+        if (a.hi is not None and e > a.hi) or (b.hi is not None and e > b.hi):
             raise WindowError(f"comparison window {order} not covered (exponent {e})")
-        if ca != cb:
+        # a_e = x / a.den and b_e = y / b.den are equal when x b.den = y a.den
+        if a.nums.get(e, 0) * b.den != b.nums.get(e, 0) * a.den:
             return False
     return True
 

@@ -3,7 +3,10 @@
 Three series-like objects cover everything downstream:
 
 * LaurentJet   -- one variable, exponent window [lo, hi], exact rational
-                  coefficients.  hi=None means the series is known exactly at
+                  coefficients stored as integer numerators over one
+                  denominator, in lowest terms (``nums``, ``den``); every
+                  operation works on the integers and reduces once.
+                  hi=None means the series is known exactly at
                   every order (a Laurent polynomial).  Coefficients below lo
                   are structurally zero; coefficients above hi are unknown.
                   Every operation computes the exact window of the result, so
@@ -24,12 +27,14 @@ The zero series has an empty coefficient map in all three.
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .linalg import QMat, QVec, _combine, _ints, _of_one_den, _over_one_den, as_q
+from .linalg import QMat, QVec, _combine, _ints, _lowest_terms, _of_one_den, _over_one_den, as_q
 
 Q = Fraction
 
@@ -91,65 +96,78 @@ def ring_zero_like(x):
 
 
 class LaurentJet:
-    """Univariate Laurent series with an explicit exactness window."""
+    """Univariate Laurent series with an explicit exactness window.
 
-    __slots__ = ("var", "coeffs", "lo", "hi")
+    Stored as nonzero integer numerators ``nums`` (exponent -> int) over one
+    denominator ``den``, in lowest terms with ``den > 0``, so equality is
+    equality of the stored integers; ``coeffs`` is its rational view.
+    """
+
+    __slots__ = ("var", "nums", "den", "lo", "hi")
 
     def __init__(self, coeffs: Dict[int, Fraction], lo: int, hi: Optional[int], var: str = "z"):
         if hi is not None and hi < lo:
             raise WindowError(f"empty window [{lo}, {hi}]")
-        self.var = var
-        self.lo = lo
-        self.hi = hi
         clean: Dict[int, Fraction] = {}
         for e, v in coeffs.items():
             if e < lo or (hi is not None and e > hi):
                 raise WindowError(f"exponent {e} outside window [{lo}, {hi}]")
-            if not _is_ring_zero(v):
-                clean[e] = v if not isinstance(v, (int, str)) else as_q(v)
-        self.coeffs = clean
+            v = as_q(v)
+            if v:
+                clean[e] = v
+        self.var, self.lo, self.hi = var, lo, hi
+        # numerators over the lcm of lowest-terms denominators share no factor with it
+        self.nums, self.den = _ints(clean)
 
     @classmethod
-    def _of_clean(cls, coeffs: Dict[int, Fraction], lo: int, hi: Optional[int], var: str) -> "LaurentJet":
-        """Wrap nonzero Fraction coefficients already inside the window [lo, hi]."""
+    def _of_ints(cls, nums: Dict[int, int], den: int, lo: int, hi: Optional[int], var: str) -> "LaurentJet":
+        """The jet nums / den on [lo, hi] in the stored form (``linalg._lowest_terms``);
+        the exponents must lie in the window."""
         if hi is not None and hi < lo:
             raise WindowError(f"empty window [{lo}, {hi}]")
         jet = cls.__new__(cls)
-        jet.var, jet.coeffs, jet.lo, jet.hi = var, coeffs, lo, hi
+        jet.var, jet.lo, jet.hi = var, lo, hi
+        jet.nums, jet.den = _lowest_terms(nums, den)
         return jet
+
+    @property
+    def coeffs(self) -> Mapping[int, Fraction]:
+        """The coefficients as rationals, built on each read; a write into it raises TypeError."""
+        return MappingProxyType(_of_one_den(self.nums, self.den))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, var: str = "z") -> "LaurentJet":
-        return cls({}, 0, None, var)
+        return cls._of_ints({}, 1, 0, None, var)
 
     @classmethod
     def const(cls, c, var: str = "z") -> "LaurentJet":
-        return cls({0: as_q(c)} if as_q(c) else {}, 0, None, var)
+        return cls.monomial(c, 0, var)
 
     @classmethod
     def monomial(cls, c, e: int, var: str = "z") -> "LaurentJet":
-        return cls({e: as_q(c)} if as_q(c) else {}, min(e, 0), None, var)
+        c = as_q(c)
+        return cls._of_ints({e: c.numerator}, c.denominator, min(e, 0), None, var)
 
     # -- basic access ------------------------------------------------------
 
-    def coeff(self, e: int):
+    def coeff(self, e: int) -> Fraction:
         """Exact coefficient of z^e; raises if e is beyond the known window."""
         if self.hi is not None and e > self.hi:
             raise WindowError(f"coefficient of {self.var}^{e} not covered by window [{self.lo}, {self.hi}]")
-        return self.coeffs.get(e, Q(0))
+        return Q(self.nums.get(e, 0), self.den)
 
     def valuation(self) -> Optional[int]:
         """Smallest exponent with a nonzero coefficient, None for (window-)zero."""
-        return min(self.coeffs) if self.coeffs else None
+        return min(self.nums) if self.nums else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def truncated(self, hi: int) -> "LaurentJet":
         new_hi = hi if self.hi is None else min(hi, self.hi)
-        return LaurentJet({e: v for e, v in self.coeffs.items() if e <= new_hi}, self.lo, new_hi, self.var)
+        return LaurentJet._of_ints({e: x for e, x in self.nums.items() if e <= new_hi}, self.den, self.lo, new_hi, self.var)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -163,18 +181,19 @@ class LaurentJet:
         self._check_var(other)
         lo = min(self.lo, other.lo)
         hi = _min_hi(self.hi, other.hi)
-        out: Dict[int, Fraction] = {}
-        for src in (self.coeffs, other.coeffs):
-            for e, v in src.items():
-                if hi is not None and e > hi:
-                    continue
-                out[e] = out.get(e, Q(0)) + v
-        return LaurentJet(out, lo, hi, self.var)
+        den = math.lcm(self.den, other.den)
+        out: Dict[int, int] = {}
+        for jet in (self, other):
+            f = den // jet.den
+            for e, x in jet.nums.items():
+                if hi is None or e <= hi:
+                    out[e] = out.get(e, 0) + x * f
+        return LaurentJet._of_ints(out, den, lo, hi, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentJet({e: -v for e, v in self.coeffs.items()}, self.lo, self.hi, self.var)
+        return LaurentJet._of_ints({e: -x for e, x in self.nums.items()}, self.den, self.lo, self.hi, self.var)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentJet):
@@ -186,7 +205,8 @@ class LaurentJet:
 
     def scale(self, c) -> "LaurentJet":
         c = as_q(c)
-        return LaurentJet({e: c * v for e, v in self.coeffs.items()} if c else {}, self.lo, self.hi, self.var)
+        nums = {e: c.numerator * x for e, x in self.nums.items()} if c else {}
+        return LaurentJet._of_ints(nums, self.den * c.denominator, self.lo, self.hi, self.var)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentJet):
@@ -198,18 +218,15 @@ class LaurentJet:
             None if self.hi is None else self.hi + other.lo,
             None if other.hi is None else other.hi + self.lo,
         )
-        if self.is_zero() or other.is_zero():
-            return LaurentJet._of_clean({}, lo, hi, self.var)
-        ns1, d1 = _ints(self.coeffs)
-        ns2, d2 = _ints(other.coeffs)
+        ns2 = other.nums
         es2 = sorted(ns2)
         acc: Dict[int, int] = {}
-        for e1, n1 in ns1.items():
+        for e1, n1 in self.nums.items():
             # es2 is sorted, so the terms of e1 inside the window are a prefix
             for e2 in es2 if hi is None else es2[: bisect_right(es2, hi - e1)]:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + n1 * ns2[e2]
-        return LaurentJet._of_clean(_of_one_den(acc, d1 * d2), lo, hi, self.var)
+        return LaurentJet._of_ints(acc, self.den * other.den, lo, hi, self.var)
 
     __rmul__ = __mul__
 
@@ -234,22 +251,23 @@ class LaurentJet:
         # self = z^v S / den with integer S = s_0 + s_1 z + ..., and
         # 1/S = sum_n t_n z^n / s_0^(n+1) with t_0 = 1 and integer
         # t_n = -sum_{k=1..n} s_k s_0^(k-1) t_(n-k)
-        ns, den = _ints({e: c for e, c in self.coeffs.items() if e - v <= rel})
-        s0 = ns.pop(v)
+        s0 = self.nums[v]
         scaled = [0] * (rel + 1)
-        for e, n in ns.items():
-            scaled[e - v] = n * s0 ** (e - v - 1)
+        for e, n in self.nums.items():
+            if 0 < e - v <= rel:
+                scaled[e - v] = n * s0 ** (e - v - 1)
         t = [1]
         for n in range(1, rel + 1):
             # t is t_0..t_(n-1), so reversed(t) pairs s_k with t_(n-k)
             t.append(-sum(map(operator.mul, scaled[1 : n + 1], reversed(t))))
-        coeffs: Dict[int, Fraction] = {}
-        power = s0
-        for n, tn in enumerate(t):
-            if tn:
-                coeffs[n - v] = Q(den * tn, power)
+        # den t_n / s_0^(n+1) over the one denominator s_0^(rel+1)
+        nums: Dict[int, int] = {}
+        power = 1
+        for n in range(rel, -1, -1):
+            if t[n]:
+                nums[n - v] = self.den * t[n] * power
             power *= s0
-        return LaurentJet._of_clean(coeffs, -v, -v + rel, self.var)
+        return LaurentJet._of_ints(nums, power, -v, -v + rel, self.var)
 
     def __truediv__(self, other):
         if not isinstance(other, LaurentJet):
@@ -265,8 +283,9 @@ class LaurentJet:
     __pow__ = pow
 
     def derivative(self) -> "LaurentJet":
-        return LaurentJet(
-            {e - 1: e * v for e, v in self.coeffs.items() if e},
+        return LaurentJet._of_ints(
+            {e - 1: e * x for e, x in self.nums.items() if e},
+            self.den,
             self.lo - 1,
             None if self.hi is None else self.hi - 1,
             self.var,
@@ -281,25 +300,25 @@ class LaurentJet:
         exact = self.hi is None
         if order is None:
             if exact:
-                order = max(self.coeffs, default=1)
+                order = max(self.nums, default=1)
             else:
                 order = self.hi
         if not exact and order > self.hi:
             raise WindowError("requested jet order beyond known window")
-        return CoordJet([self.coeffs.get(k, Q(0)) for k in range(1, order + 1)], exact=exact)
+        return CoordJet([Q(self.nums.get(k, 0), self.den) for k in range(1, order + 1)], exact=exact)
 
     def to_trunc_series(self, var: Optional[str] = None) -> "TruncSeries":
         if self.hi is None:
-            hi = max(self.coeffs, default=0)
+            hi = max(self.nums, default=0)
         else:
             hi = self.hi
-        lo = min(self.valuation() if self.coeffs else 0, 0)
+        lo = min(self.valuation() if self.nums else 0, 0)
         name = var or self.var
         return TruncSeries(
             (name,),
             trunc={name: hi - lo},
             offset={name: Q(lo)},
-            terms={((e - lo,), (0,)): v for e, v in self.coeffs.items()},
+            terms={((e - lo,), (0,)): Q(x, self.den) for e, x in self.nums.items()},
         )
 
     def __eq__(self, other) -> bool:
@@ -307,10 +326,10 @@ class LaurentJet:
             other = LaurentJet.const(other, var=self.var)
         if not isinstance(other, LaurentJet):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return (self.var, self.den, self.nums) == (other.var, other.den, other.nums)
 
     def __hash__(self):
-        return hash((self.var, tuple(sorted(self.coeffs.items()))))
+        return hash((self.var, self.den, tuple(sorted(self.nums.items()))))
 
     def __repr__(self):
         terms = " + ".join(f"({v})*{self.var}^{e}" for e, v in sorted(self.coeffs.items())) or "0"
@@ -542,22 +561,23 @@ def jet_compose(outer: LaurentJet, inner: CoordJet) -> LaurentJet:
     inner.check_invertible()
     var = outer.var
     power = _powers(inner.to_laurent(var))
-    terms = [(c, power(e)) for e, c in outer.coeffs.items()]
+    terms = [(x, power(e)) for e, x in outer.nums.items()]
     lo = min((p.lo for _c, p in terms), default=0)
     # unknown outer coefficients above outer.hi pollute exponents > outer.hi
     hi = outer.hi
     for _c, p in terms:
         hi = _min_hi(hi, p.hi)
-    # sum_e c_e inner^e as one int per exponent over one common denominator
-    ints = [(c, _ints({e: v for e, v in p.coeffs.items() if hi is None or e <= hi})) for c, p in terms]
-    acc, den = _combine((nums, c / d) for c, (nums, d) in ints)
-    return LaurentJet._of_clean(_of_one_den(acc, den), lo, hi, var)
+    # sum_e (x_e / D) inner^e, x_e / D the outer coefficients, as one int per exponent over one denominator
+    parts = [({e: y for e, y in p.nums.items() if hi is None or e <= hi}, Q(x, p.den)) for x, p in terms]
+    acc, den = _combine(parts)
+    return LaurentJet._of_ints(acc, den * outer.den, lo, hi, var)
 
 
 def _safe_inv(lt: LaurentJet) -> LaurentJet:
     """Inverse of a window, or of an exact polynomial to 4 * degree (at least 24) terms."""
     if lt.hi is None:
-        return lt.inv(rel_order=max(max(lt.coeffs) * 4, DEFAULT_EXACT_PRECISION))
+        # an exact zero has no degree, and its inverse is NotInvertible like any zero's
+        return lt.inv(rel_order=max(max(lt.nums, default=0) * 4, DEFAULT_EXACT_PRECISION))
     return lt.inv()
 
 

@@ -21,7 +21,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, U
 
 from .coords import family_jet, gamma_xi, u_apply
 from .fock import FockModule, Vector, vacuum_module, vec_is_homogeneous, weight
-from .linalg import QMat, QVec, _combine, _ints, _of_one_den, as_q
+from .linalg import QMat, QVec, _add_scaled, _combine, _ints, _of_one_den, _over_one_den, as_q
 from .series import (
     CoordJet,
     LaurentJet,
@@ -443,7 +443,7 @@ def _binomial_jet(z0: Fraction, k: int, work: int, var: str) -> LaurentJet:
     """(z0 + t)^k as a t-series; exact for k >= 0, truncated window otherwise."""
     if z0 == 0:
         return LaurentJet.monomial(1, k, var)
-    base = LaurentJet({0: z0, 1: 1}, 0, None, var)
+    base = LaurentJet._of_ints({0: z0.numerator, 1: z0.denominator}, z0.denominator, 0, None, var)
     return _powers(base)(k) if k >= 0 else _powers(base.truncated(work))(k)
 
 
@@ -465,7 +465,7 @@ def expand_section_at_point(
         # z^k dz = -t^{-k-2} dt
         fam = CoordJet(
             [
-                LaurentJet({m + 1: Q(-1) ** m}, 0, work, var)
+                LaurentJet._of_ints({m + 1: (-1) ** m}, 1, 0, work, var)
                 for m in range(1, dv + 2)
             ],
             exact=False,
@@ -521,7 +521,9 @@ def genus0_invariance_check(
         # only sources of weight <= weight_cap are ever read
         src_n = min(weight_cap, n_slot)
         coeffs = expand_section_at_point(v, k, pt, work)
-        act = QMat(block.slot_dim(s), limits[s])
+        # the section's modes on slot s, (matrix, coefficient / matrix denominator)
+        modes: List[Tuple[QMat, Fraction]] = []
+        shape = (block.slot_dim(s), limits[s])
         for mu_u, jet in coeffs.items():
             du = weight(mu_u)
             val = jet.valuation()
@@ -542,14 +544,22 @@ def genus0_invariance_check(
                     required=weight_cap + raise_max,
                 )
             for e in range(e_lo, e_hi + 1):
-                c = jet.coeff(e)
-                if not c:
+                x = jet.nums.get(e)
+                if not x:
                     continue
                 if pt.dual:
                     mode = pt.module.contragredient_matrix({mu_u: Q(1)}, e, src_n, n_slot)
                 else:
                     mode = pt.module.vertex_matrix({mu_u: Q(1)}, e, src_n, n_slot)
-                act = act + mode.scale(c)
+                if (mode.nrows, mode.ncols) != shape:
+                    raise ValueError("shape mismatch")
+                modes.append((mode, Q(x, jet.den * mode.den)))
+        # act = sum of c_e Y(mu_u)_e, summed on integer rows over one denominator
+        fs, den = _over_one_den(f for _, f in modes)
+        rows: Dict[int, Dict[int, int]] = {}
+        for (mode, _), f in zip(modes, fs):
+            _add_scaled(rows, mode.nums, f)
+        act = QMat._of_ints(*shape, rows, den)
         # only checked keys are computed: other slots and the new index of
         # slot s stay within the weight cap; slot s itself is read whole
         bounds = limits[:s] + [block.slot_dim(s)] + limits[s + 1 :]

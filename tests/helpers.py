@@ -15,7 +15,12 @@ are the Fraction loops that the coordinate-change exponential and
 ``fraction_compose_jets``, ``fraction_reverse_jet`` and
 ``fraction_exp_coeffs`` those of the rational jet kernels (on the power
 table of ``fraction_power_step``), which ``rational_jet`` and
-``random_rational_jet`` build inputs for;
+``random_rational_jet`` build inputs for.  The ``fraction_*`` jet
+operations (sum, scaling, product, inverse, derivative, truncation, powers
+and ``fraction_jet_compose``) are those of ``LaurentJet`` when it stored one
+Fraction per coefficient; they read a LaurentJet or a ``FractionJet`` and
+return a ``FractionJet``, which compares equal to the triple
+``(coeffs, lo, hi)``;
 ``vec_add`` and ``vec_scale`` are the Fock vector sum and scaling they and
 the tests build expected vectors with, and ``heisenberg_reference`` is the
 Fraction a_k action that the Fock mode images are built without.  The last four
@@ -28,6 +33,7 @@ from functools import lru_cache
 from itertools import product
 import math
 import random
+from typing import NamedTuple, Optional
 
 from blocksew.fock import _acc
 from blocksew.linalg import QMat, QVec, as_q, solve
@@ -339,6 +345,98 @@ def fraction_exp_coeffs(rho):
         if cm:
             dtab[1][d] = cm * d
     return cs
+
+
+class FractionJet(NamedTuple):
+    """A Laurent jet as its Fraction coefficients on the window [lo, hi], hi None for an exact jet."""
+
+    coeffs: dict
+    lo: int
+    hi: Optional[int]
+
+
+def _lowest_top(*tops):
+    """The smallest of the finite window tops, None when every top is None."""
+    finite = [h for h in tops if h is not None]
+    return min(finite) if finite else None
+
+
+def _nonzero_up_to(coeffs, hi):
+    return {e: v for e, v in coeffs.items() if v and (hi is None or e <= hi)}
+
+
+def fraction_jet_sum(x, y):
+    """x + y for LaurentJets or FractionJets, cut at the lower top."""
+    hi = _lowest_top(x.hi, y.hi)
+    out = {}
+    for src in (x.coeffs, y.coeffs):
+        for e, v in src.items():
+            out[e] = out.get(e, Q(0)) + v
+    return FractionJet(_nonzero_up_to(out, hi), min(x.lo, y.lo), hi)
+
+
+def fraction_jet_scale(x, c):
+    return FractionJet(_nonzero_up_to({e: c * v for e, v in x.coeffs.items()}, None), x.lo, x.hi)
+
+
+def fraction_product(x, y):
+    """x * y by a Fraction double loop on the windows."""
+    lo = x.lo + y.lo
+    hi = _lowest_top(None if x.hi is None else x.hi + y.lo, None if y.hi is None else y.hi + x.lo)
+    out = {}
+    for e1, v1 in x.coeffs.items():
+        for e2, v2 in y.coeffs.items():
+            if hi is None or e1 + e2 <= hi:
+                out[e1 + e2] = out.get(e1 + e2, Q(0)) + v1 * v2
+    return FractionJet(_nonzero_up_to(out, None), lo, hi)
+
+
+def fraction_inverse(x, rel_order=None):
+    """1/x by the Fraction recursion for 1/(1 + t), to the relative order of the window or rel_order."""
+    v = min(x.coeffs)
+    rel = rel_order if x.hi is None else (x.hi - v if rel_order is None else min(x.hi - v, rel_order))
+    lead = x.coeffs[v]
+    u = [x.coeffs.get(v + k, Q(0)) / lead for k in range(rel + 1)]
+    inv = [Q(1)]
+    for n in range(1, rel + 1):
+        inv.append(-sum((u[k] * inv[n - k] for k in range(1, n + 1)), Q(0)))
+    return FractionJet({n - v: c / lead for n, c in enumerate(inv) if c}, -v, -v + rel)
+
+
+def fraction_derivative(x):
+    return FractionJet({e - 1: e * v for e, v in x.coeffs.items() if e}, x.lo - 1, None if x.hi is None else x.hi - 1)
+
+
+def fraction_truncated(x, hi):
+    hi = hi if x.hi is None else min(hi, x.hi)
+    return FractionJet(_nonzero_up_to(x.coeffs, hi), x.lo, hi)
+
+
+def fraction_power(x, e):
+    """x^e as |e| - 1 products of x, or of its inverse below 0, from the left; an
+    exact x is inverted to 4 * its degree terms, and at least 24."""
+    if e == 0:
+        return FractionJet({0: Q(1)}, 0, None)
+    base = FractionJet(dict(x.coeffs), x.lo, x.hi)
+    if e < 0:
+        base = fraction_inverse(x, max(4 * max(x.coeffs), 24) if x.hi is None else None)
+    out = base
+    for _ in range(abs(e) - 1):
+        out = fraction_product(out, base)
+    return out
+
+
+def fraction_jet_compose(outer, inner):
+    """outer(inner(z)) for a rational CoordJet inner: the sum of c_e inner^e, cut at
+    the lowest top of outer and the powers, on a window from the lowest power's lo."""
+    lt = FractionJet({k: c for k, c in enumerate(inner.coeffs, start=1) if c}, 1, None if inner.exact else inner.order)
+    terms = [(c, fraction_power(lt, e)) for e, c in outer.coeffs.items()]
+    hi = _lowest_top(outer.hi, *(p.hi for _, p in terms))
+    out = {}
+    for c, p in terms:
+        for e, v in p.coeffs.items():
+            out[e] = out.get(e, Q(0)) + c * v
+    return FractionJet(_nonzero_up_to(out, hi), min((p.lo for _, p in terms), default=0), hi)
 
 
 def vec_add(a, b):

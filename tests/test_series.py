@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from blocksew.series import (
     VariableMismatch,
     WindowError,
     _is_ring_zero,
+    _powers,
     compose_jets,
     diagonal_contract,
     jet_compose,
@@ -26,7 +28,15 @@ from helpers import (
     JET_LEADS,
     convolve,
     fraction_compose_jets,
+    fraction_derivative,
+    fraction_inverse,
+    fraction_jet_compose,
+    fraction_jet_scale,
+    fraction_jet_sum,
+    fraction_power,
+    fraction_product,
     fraction_reverse_jet,
+    fraction_truncated,
     lagrange_inverse,
     random_jet_coeffs,
     random_rational,
@@ -470,31 +480,6 @@ class TestRationalKernels:
         assert comp.coeffs == [Q(1)] + [Q(0)] * (n - 1) and not comp.exact
 
 
-def fraction_product(x, y):
-    """(coefficients, lo, hi) of x * y by a Fraction double loop on the windows."""
-    lo = x.lo + y.lo
-    tops = [h for h in (None if x.hi is None else x.hi + y.lo, None if y.hi is None else y.hi + x.lo) if h is not None]
-    hi = min(tops) if tops else None
-    out = {}
-    for e1, v1 in x.coeffs.items():
-        for e2, v2 in y.coeffs.items():
-            if hi is None or e1 + e2 <= hi:
-                out[e1 + e2] = out.get(e1 + e2, Q(0)) + v1 * v2
-    return {e: v for e, v in out.items() if v}, lo, hi
-
-
-def fraction_inverse(x, rel_order=None):
-    """(coefficients, lo, hi) of 1/x by the Fraction recursion for 1/(1 + t)."""
-    v = min(x.coeffs)
-    rel = rel_order if x.hi is None else (x.hi - v if rel_order is None else min(x.hi - v, rel_order))
-    lead = x.coeffs[v]
-    u = [x.coeffs.get(v + k, Q(0)) / lead for k in range(rel + 1)]
-    inv = [Q(1)]
-    for n in range(1, rel + 1):
-        inv.append(-sum((u[k] * inv[n - k] for k in range(1, n + 1)), Q(0)))
-    return {n - v: c / lead for n, c in enumerate(inv) if c}, -v, -v + rel
-
-
 def random_laurent(rnd, zero=False):
     """A LaurentJet on a random window that may start below 0 and may be exact."""
     lo = rnd.randint(-3, 2)
@@ -617,6 +602,128 @@ class TestLaurentKernels:
         for k in (-1, -2):
             with pytest.raises(NotInvertible):
                 zero.pow(k)
+
+
+def agrees_with(op, want):
+    """op() against a FractionJet reference: the same coefficients and window,
+    in the stored form; a WindowError where the reference window is empty."""
+    if want.hi is not None and want.hi < want.lo:
+        with pytest.raises(WindowError):
+            op()
+        return
+    got = op()
+    assert_stored_form(got)
+    assert (got.coeffs, got.lo, got.hi) == want
+
+
+def assert_stored_form(jet):
+    """Integer numerators over a positive denominator, in lowest terms, none zero, all in the window."""
+    assert type(jet.den) is int and jet.den > 0
+    assert all(type(x) is int and x for x in jet.nums.values())
+    assert math.gcd(jet.den, *jet.nums.values()) == 1
+    assert all(jet.lo <= e and (jet.hi is None or e <= jet.hi) for e in jet.nums)
+
+
+def check_against_fraction_reference(x, y, c, cut, rel_order, inner):
+    """Every LaurentJet operation on x (and y) against its Fraction reference."""
+    agrees_with(lambda: x + y, fraction_jet_sum(x, y))
+    agrees_with(lambda: x - y, fraction_jet_sum(x, fraction_jet_scale(y, Q(-1))))
+    agrees_with(lambda: -x, fraction_jet_scale(x, Q(-1)))
+    agrees_with(lambda: x.scale(c), fraction_jet_scale(x, c))
+    agrees_with(lambda: x * y, fraction_product(x, y))
+    agrees_with(lambda: y * x, fraction_product(y, x))
+    agrees_with(x.derivative, fraction_derivative(x))
+    agrees_with(lambda: x.truncated(cut), fraction_truncated(x, cut))
+    agrees_with(lambda: jet_compose(x, inner), fraction_jet_compose(x, inner))
+    for r in {None, rel_order}:
+        if x.is_zero():
+            with pytest.raises(NotInvertible):
+                x.inv(r)
+        elif x.hi is None and r is None:
+            with pytest.raises(WindowError):
+                x.inv(r)
+        else:
+            agrees_with(lambda: x.inv(r), fraction_inverse(x, r))
+    power = _powers(x)
+    for e in range(-3, 4):
+        if e < 0 and x.is_zero():
+            with pytest.raises(NotInvertible):
+                power(e)
+        else:
+            agrees_with(lambda: power(e), fraction_power(x, e))
+
+
+@st.composite
+def laurent_jets(draw):
+    """A LaurentJet on a window from -3 up, exact or not; its coefficients may be zero on the whole window."""
+    lo = draw(st.integers(-3, 2))
+    hi = draw(st.one_of(st.none(), st.integers(lo, lo + 5)))
+    exps = draw(st.sets(st.integers(lo, lo + 4 if hi is None else hi), max_size=5))
+    return LaurentJet({e: draw(st.fractions(-9, 9, max_denominator=12)) for e in sorted(exps)}, lo, hi, "z")
+
+
+class TestLaurentStoredForm:
+    """LaurentJet on integer numerators over one denominator, against the Fraction operations it replaced."""
+
+    def test_operations_against_the_fraction_reference(self):
+        rnd = random.Random(SEED + 21)
+        seen = {"exact": 0, "window": 0, "negative lo": 0, "zero on window": 0}
+        for t in range(120):
+            x = random_laurent(rnd, zero=t % 8 == 0)
+            y = random_laurent(rnd, zero=t % 11 == 0)
+            inner = CoordJet(random_jet_coeffs(rnd, rnd.randint(1, 5)), exact=t % 3 == 0)
+            check_against_fraction_reference(x, y, random_rational(rnd), x.lo + rnd.randint(-1, 6), rnd.randint(0, 6), inner)
+            seen["exact"] += x.hi is None
+            seen["window"] += x.hi is not None and not x.is_zero()
+            seen["negative lo"] += x.lo < 0
+            seen["zero on window"] += x.is_zero() and x.hi is not None
+        assert min(seen.values()) >= 5, seen
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        x=laurent_jets(),
+        y=laurent_jets(),
+        c=st.fractions(-5, 5, max_denominator=6),
+        cut=st.integers(-4, 8),
+        rel_order=st.integers(0, 6),
+        inner=st.lists(st.fractions(-5, 5, max_denominator=4), min_size=1, max_size=5),
+        exact=st.booleans(),
+    )
+    def test_property_against_the_fraction_reference(self, x, y, c, cut, rel_order, inner, exact):
+        inner = CoordJet([inner[0] or Q(1)] + inner[1:], exact=exact)
+        check_against_fraction_reference(x, y, c, cut, rel_order, inner)
+
+    def test_coefficients_are_a_read_only_view(self):
+        jet = LaurentJet({-1: Q(1, 2), 2: Q(3)}, -1, 4, "z")
+        assert (jet.nums, jet.den) == ({-1: 1, 2: 6}, 2)
+        with pytest.raises(TypeError):
+            jet.coeffs[0] = Q(1)
+        with pytest.raises(TypeError):
+            del jet.coeffs[2]
+        assert jet.coeffs == {-1: Q(1, 2), 2: Q(3)} and jet.coeff(2) == 3 and type(jet.coeff(2)) is Fraction
+
+    def test_equal_jets_built_different_ways_are_equal_and_hash_equal(self):
+        half = LaurentJet({0: Q(2, 4)}, 0, None, "z")
+        pairs = [
+            (half, LaurentJet.const(Q(1, 2))),
+            (half, LaurentJet({0: "1/2"}, 0, None, "z")),
+            # the denominators 3 and 2 cancel against the numerators' factors
+            (LaurentJet({0: Q(2, 3), 1: Q(4, 3)}, 0, None, "z") * LaurentJet.const(Q(3, 2)), LaurentJet({0: 1, 1: 2}, 0, None, "z")),
+            (LaurentJet({1: Q(5, 6)}, 0, 3, "z") + LaurentJet({1: Q(1, 6)}, 0, None, "z"), LaurentJet.monomial(1, 1)),
+            (LaurentJet({0: Q(3), 1: Q(6)}, 0, 4, "z").inv() * LaurentJet.const(3), LaurentJet({0: 1, 1: -2, 2: 4, 3: -8, 4: 16}, 0, 4, "z")),
+        ]
+        for a, b in pairs:
+            assert_stored_form(a)
+            assert a == b and hash(a) == hash(b), (a, b)
+        assert pairs[2][0].den == 1
+        assert LaurentJet.zero() == LaurentJet({0: Q(0)}, 0, 3, "z") == LaurentJet.const(0)
+
+    def test_a_coefficient_that_is_not_rational_is_a_type_error(self):
+        # a float would otherwise crash later, inside a product
+        for bad in (0.5, 1.0, LaurentJet.const(1), [1], None):
+            with pytest.raises(TypeError):
+                LaurentJet({0: bad}, 0, None, "z")
+        assert LaurentJet({0: 2, 1: "-3/4", 2: True}, 0, None, "z").coeffs == {0: 2, 1: Q(-3, 4), 2: 1}
 
 
 class TestResidue:
