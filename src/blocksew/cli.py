@@ -476,7 +476,7 @@ def cmd_fuchs_certify(args) -> int:
         # a supplied psi must solve the system before its growth is certified
         res = residual(system, psi)
         if not res.is_zero():
-            first = min(exps[0] for exps, _logs in res.terms)
+            first = min(exps[0] for exps, _logs in res.nums)
             message = f"psi does not solve the system: residual nonzero at n={first}"
             return _report(False, {"violation_index": first, "message": message}, args)
     else:
@@ -501,7 +501,7 @@ def cmd_fuchs_residual(args) -> int:
         # psi is what Omega's coefficients multiply: anything for rationals, d rows for d x d matrices
         square = lambda s: not s or (len(s) == 2 and s[0] == s[1])
         omega = _coefficients(doc["Omega"], "Omega", square, "a rational or a square matrix")
-        d = next((c.nrows for c in omega.terms.values() if isinstance(c, QMat)), None)
+        d = next((c.nrows for c in omega.nums.values() if isinstance(c, QMat)), None)
         want = "a rational, a vector or a matrix" if d is None else f"a vector of length {d} or a matrix of {d} rows"
         psi = _psi(doc, omega.vars, lambda s: d is None or s[:1] == (d,), want)
         res = ode_residual(omega, psi, var=psi.vars[0])

@@ -123,15 +123,13 @@ class FuchsSystem:
 
     def _stream_series(self, stream: Dict[Tuple[int, ...], Union[QMat, QVec]], order: int, logmax: int) -> TruncSeries:
         """One coefficient stream (``a[j]`` or ``omega[j]``) as a series truncated at ``order``."""
-        out = TruncSeries(
+        logs = (0,) * self.n_vars
+        return TruncSeries(
             self.variables,
             {v: order for v in self.variables},
             logmax={v: logmax for v in self.variables},
+            terms={(tuple(key), logs): val for key, val in stream.items() if all(k <= order for k in key)},
         )
-        for key, val in stream.items():
-            if all(k <= order for k in key):
-                out._store(tuple(key), (0,) * self.n_vars, val)
-        return out
 
 
 def _step(a0: QMat, n: int) -> QMat:
@@ -203,8 +201,7 @@ def solve_formal(
         # coefficients beyond the truncation exist but are unknown
         if order > t and tail is not None and tail[0]:
             raise FuchsError(f"order {order} exceeds the declared truncation {t} of variable {j}")
-    out = sys._stream_series({}, order, log_bound)  # empty, in the solution's shape
-    psi: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[Dict[int, int], int]] = {}
+    psi: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], QVec] = {}
 
     # A^j_k and omega^j_k as integers over one denominator each, and every
     # psi coefficient likewise, so each step's rhs is summed with int products
@@ -219,12 +216,12 @@ def solve_formal(
         for key, (mat, den) in a_int[j].items():
             pv = psi.get((tuple(e - k for e, k in zip(exps, key)), logs))
             if pv is not None:
-                x, dx = pv
+                x, dx = pv.nums, pv.den
                 nums = {i: sum(a * x[c] for c, a in r.items() if c in x) for i, r in mat.items()}
                 parts.append((nums, Q(1, den * dx)))
         higher = psi.get((exps, logs[:j] + (logs[j] + 1,) + logs[j + 1 :]))
         if higher is not None:
-            parts.append((higher[0], Q(-(logs[j] + 1), higher[1])))
+            parts.append((higher.nums, Q(-(logs[j] + 1), higher.den)))
         return _combine(parts)
 
     a0s = [sys.a0(j) for j in range(m)]
@@ -264,14 +261,14 @@ def solve_formal(
                 exps = (n1,) + outer
                 vec = coefficient((exps, logs), lambda j: step_rhs(j, exps, logs))
                 if not vec.is_zero():
-                    psi[(exps, logs)] = vec.nums, vec.den
-                    out._store(exps, logs, vec)
+                    psi[(exps, logs)] = vec
     # a seed left over must be one the walk reads above the order
     for exps, logs in list(seeds):
         if len(exps) != m or len(logs) != m or min(exps) < 0 or not all(0 <= l <= log_bound for l in logs):
             raise SeedError((exps, logs), f"names no step (natural exponents, log degrees in [0, {log_bound}])")
         coefficient((exps, logs), lambda j: ({}, 1))
-    return out
+    # the coefficients stay QVecs, each over its own denominator: a step's grows with n
+    return sys._stream_series({}, order, log_bound)._like(psi, 1)
 
 
 def _normalize_seeds(seeds: Dict, n_vars: int) -> Dict:
@@ -355,13 +352,8 @@ def _coeff_norms(psi: TruncSeries) -> List[Fraction]:
     order = psi.trunc[0]
     out = []
     for n in range(order + 1):
-        v = psi.terms.get(((n,), (0,)), None)
-        if v is None:
-            out.append(Q(0))
-        elif isinstance(v, QVec):
-            out.append(v.norm_inf())
-        else:
-            out.append(abs(v))
+        v = psi.nums.get(((n,), (0,)), 0)
+        out.append(v.norm_inf() if isinstance(v, QVec) else Q(abs(v), psi.den))
     return out
 
 

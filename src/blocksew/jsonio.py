@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .fuchs import FuchsSystem
 from .linalg import QMat, QVec, format_rational, parse_rational
-from .series import CoordJet, TruncSeries
+from .series import CoordJet, TruncSeries, _numerators
 
 Q = Fraction
 
@@ -185,24 +185,27 @@ def series_from_json(obj: dict, path: str = "series", value=value_from_json) -> 
         require(trunc, v, f"{path}.trunc")
     offset = _per_variable(obj.get("offset", {}), vars_, f"{path}.offset", rational_from_json)
     logmax = _per_variable(obj.get("logmax", {}), vars_, f"{path}.logmax", natural)
-    s = TruncSeries(vars_, trunc, offset=offset, logmax=logmax)
+    shape = TruncSeries(vars_, trunc, offset=offset, logmax=logmax)
     terms = obj.get("terms", [])
     if not isinstance(terms, list):
         raise SchemaError(f"{path}.terms", "expected a list")
     # a term's n and l: one integer per variable, each between 0 and its bound
     keys = [
         (f, [b + 1 for b in bounds], f"{len(bounds)} integers, each between 0 and its bound in {list(bounds)}")
-        for f, bounds in (("n", s.trunc), ("l", s.logmax))
+        for f, bounds in (("n", shape.trunc), ("l", shape.logmax))
     ]
-    first: Dict[tuple, int] = {}
+    values: Dict[tuple, object] = {}
     for i, term in enumerate(terms):
         tp = f"{path}.terms[{i}]"
         _object(term, tp)
         exps, logs = (indices(require(term, f, tp), bounds, f"{tp}.{f}", what) for f, bounds, what in keys)
-        if first.setdefault((exps, logs), i) != i:
-            raise SchemaError(f"{tp}.n", f"repeats the n and l of {path}.terms[{first[exps, logs]}]")
-        s._store(exps, logs, value(require(term, "c", tp), f"{tp}.c"))
-    return s
+        if (exps, logs) in values:
+            first = list(values).index((exps, logs))
+            raise SchemaError(f"{tp}.n", f"repeats the n and l of {path}.terms[{first}]")
+        values[exps, logs] = value(require(term, "c", tp), f"{tp}.c")
+    # every key is checked above; the rationals go over one lcm, and a mix of
+    # coefficient kinds is a TypeError
+    return shape._like(*_numerators(values))
 
 
 def jet_to_json(j: CoordJet) -> dict:

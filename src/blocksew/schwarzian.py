@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .linalg import _combine, _ints, _of_one_den, as_q
+from .linalg import _combine, as_q
 from .series import (
     CoordJet,
     LaurentJet,
@@ -27,6 +27,7 @@ from .series import (
     TruncSeries,
     VariableMismatch,
     WindowError,
+    _kind,
     jet_compose,
     reverse_jet,
 )
@@ -152,30 +153,35 @@ def mobius_from_quadratic(qcoeffs: Sequence, order: int) -> CoordJet:
 # projective term
 
 
-def _abs_coeff(s: TruncSeries, nums: Dict[tuple, int], k: int) -> int:
-    """Numerator, in ``nums = _ints(s.terms)``, of the absolute exponent k in a checked Schwarzian datum."""
+def _abs_coeff(s: TruncSeries, k: int) -> int:
+    """Numerator, over ``s.den``, of the absolute exponent k in a checked Schwarzian datum."""
     rel = k - s.offset[0]
     if rel.denominator != 1 or rel < 0:
         return 0
     if rel > s.trunc[0]:
         raise WindowError(f"Schwarzian datum truncated below exponent {k}")
-    return nums.get(((int(rel),), (0,)), 0)
+    return s.nums.get(((int(rel),), (0,)), 0)
+
+
+def _check_rational(where: str, *series: TruncSeries) -> None:
+    """The term reads integer numerators, so a vector or matrix series is a TypeError."""
+    if any(_kind(s.nums) not in (None, int) for s in series):
+        raise TypeError(f"{where}: the series must have rational coefficients")
 
 
 def _check_datum(where: str, sdat: TruncSeries) -> None:
+    _check_rational(where, sdat)
     if len(sdat.vars) != 1:
         raise VariableMismatch(f"{where}: Schwarzian data must be univariate")
-    if any(logs[0] for _exps, logs in sdat.terms):
+    if any(logs[0] for _exps, logs in sdat.nums):
         raise SeriesError(f"{where}: Schwarzian data cannot carry log terms")
 
 
 def _check_pair(
     j: int, s_xi: TruncSeries, s_pi: TruncSeries, a: TruncSeries, b: TruncSeries, width: int, delta: int, order: int
-) -> Tuple[Tuple[Dict[tuple, int], int], Tuple[Dict[tuple, int], int]]:
-    """Reject pair j unless every coefficient the term reads from it is exact.
-
-    Returns ``_ints`` of the terms of a and of b, on which the lift is checked.
-    """
+) -> None:
+    """Reject pair j unless every coefficient the term reads from it is exact."""
+    _check_rational(f"pair {j}", a, b)
     if a.vars != b.vars:
         raise VariableMismatch(f"pair {j}: a in {a.vars} but b in {b.vars}")
     if len(a.vars) not in (2, width):
@@ -194,15 +200,15 @@ def _check_pair(
     # the lift a + b = delta, key by key on the common window, as
     # a_num db + b_num da = delta da db; with equal truncations every stored
     # key lies in it
-    (an, da), (bn, db) = ints = _ints(a.terms), _ints(b.terms)
+    an, da, bn, db = a.nums, a.den, b.nums, b.den
     unit = ((0,) * len(a.vars),) * 2
     top = None if a.trunc == b.trunc else [min(ta, tb) for ta, tb in zip(a.trunc, b.trunc)]
+    target = delta * da * db
     for key in an.keys() | bn.keys() | {unit}:
         if top is not None and any(n > t for n, t in zip(key[0], top)):
             continue
-        if an.get(key, 0) * db + bn.get(key, 0) * da != (delta * da * db if key == unit else 0):
+        if an.get(key, 0) * db + bn.get(key, 0) * da != (target if key == unit else 0):
             raise SeriesError(f"pair {j}: a_j + b_j must equal delta_(j,k)")
-    return ints
 
 
 def projective_term(
@@ -243,9 +249,10 @@ def projective_term_multi(
     b_j[n, m, s] likewise with S_pi_j.  Each h_i is a series in
     (q_1, .., q_M, eta_i) and adds Res_eta S_eta_i h_i d eta.  Result: a
     series in all q variables.  Truncation shortfalls are errors, not silent
-    zeros.  Each (series, datum) pair is summed on integer numerators over
-    the product of their two denominators, and the parts, each times c/12
-    over that product, meet over the lcm.
+    zeros.  Each (series, datum) pair is summed on their stored integer
+    numerators, over the product of their two denominators, and the parts,
+    each times c/12 over that product, meet over the lcm in one stored
+    series; no input is converted.
     """
     c = as_q(c)
     width = len(pairs) + 1
@@ -257,45 +264,52 @@ def projective_term_multi(
     # (numerators, factor) of each (series, datum) pair's contribution
     parts: List[Tuple[Dict[Tuple[int, ...], int], Fraction]] = []
     for j, (s_xi, s_pi, a, b) in enumerate(pairs):
-        ints = _check_pair(j, s_xi, s_pi, a, b, width, int(j == k_index), order)
+        _check_pair(j, s_xi, s_pi, a, b, width, int(j == k_index), order)
         pad = (0,) * (width - len(a.vars))
         # a is keyed (m, n, spectators), b (n, m, spectators); n - m - 2 lies in [0, order - 2]
-        for (vnums, dv), sdat, mi, ni in zip(ints, (s_xi, s_pi), (0, 1), (1, 0)):
-            snums, ds = _ints(sdat.terms)
-            datum = [_abs_coeff(sdat, snums, k) for k in range(order - 1)]
+        for v, sdat, mi, ni in ((a, s_xi, 0, 1), (b, s_pi, 1, 0)):
+            # a stored key lies in the shape, so only a log bound allows a log term
+            if any(v.logmax) and any(any(logs) for _exps, logs in v.nums):
+                raise SeriesError(f"pair {j}: a and b cannot carry log terms")
+            datum = [_abs_coeff(sdat, k) for k in range(order - 1)]
+            # and only a truncation past order lets a spectator exponent pass it
+            spectators_fit = max(v.trunc[2:], default=0) <= order
             acc: Dict[Tuple[int, ...], int] = {}
-            for (exps, logs), val in vnums.items():
-                if any(logs):
-                    raise SeriesError(f"pair {j}: a and b cannot carry log terms")
-                m, n, rest = exps[mi], exps[ni], exps[2:] + pad
-                if n > order or n - m - 2 < 0 or max(rest, default=0) > order:
+            for (exps, _logs), val in v.nums.items():
+                n = exps[ni]
+                k = n - exps[mi] - 2
+                if n > order or k < 0:
                     continue
-                sv = datum[n - m - 2]
+                rest = exps[2:] + pad
+                if not spectators_fit and max(rest) > order:
+                    continue
+                sv = datum[k]
                 if sv:
                     key = rest[:j] + (n,) + rest[j:]
                     acc[key] = acc.get(key, 0) + val * sv
-            parts.append((acc, c / (12 * dv * ds)))
+            parts.append((acc, c / (12 * v.den * sdat.den)))
     for i, (sdat, hi) in enumerate(zip(s_eta, h)):
         _check_datum(f"marked point {i}", sdat)
+        _check_rational(f"marked point {i}", hi)
         if len(hi.vars) != width:
             raise VariableMismatch(f"marked point {i}: h must be a series in (q_1..q_M, eta)")
         if any(hi.offset[:-1]):
             raise OffsetError(f"marked point {i}: h cannot carry a q-offset")
         if any(t < order for t in hi.trunc[:-1]):
             raise WindowError(f"marked point {i}: h truncated below requested q-order {order}")
-        (vnums, dv), (snums, ds) = _ints(hi.terms), _ints(sdat.terms)
         acc = {}
-        for (exps, logs), val in vnums.items():
+        for (exps, logs), val in hi.nums.items():
             if any(logs):
                 raise SeriesError(f"marked point {i}: h cannot carry log terms")
             key = exps[:-1]
             k = -(hi.offset[-1] + exps[-1]) - 1  # pairs against the eta^k coefficient of the datum
             if max(key, default=0) > order or k < 0 or k.denominator != 1:
                 continue
-            sv = _abs_coeff(sdat, snums, int(k))
+            sv = _abs_coeff(sdat, int(k))
             if sv:
                 acc[key] = acc.get(key, 0) + val * sv
-        parts.append((acc, c / (12 * dv * ds)))
+        parts.append((acc, c / (12 * hi.den * sdat.den)))
+    acc, den = _combine(parts)
     logs = (0,) * len(names)
-    terms = {(key, logs): x for key, x in _of_one_den(*_combine(parts)).items()}
-    return TruncSeries(names, dict.fromkeys(names, order), terms=terms)
+    shape = TruncSeries(names, dict.fromkeys(names, order))
+    return shape._like({(key, logs): x for key, x in acc.items()}, den)

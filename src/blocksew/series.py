@@ -21,6 +21,14 @@ Three series-like objects cover everything downstream:
 * TruncSeries  -- several variables, truncation order per variable, one
                   rational exponent offset per variable (the monomials are
                   q^(offset+n)), and a bounded log degree per variable.
+                  Stored as numerators ``nums`` over one denominator ``den``:
+                  integers in lowest terms, or for a vector or matrix
+                  series the QVec or QMat values over 1; every operation
+                  ends in one TruncSeries._of_ints.
+
+LaurentJet and TruncSeries compare their stored forms; ``coeffs`` and
+``terms`` are read-only views for emitters.  A coefficient that is not
+rational (a float, a Decimal), or a mix of kinds, is a TypeError.
 
 The zero series has an empty coefficient map in all three.
 """
@@ -313,13 +321,8 @@ class LaurentJet:
         else:
             hi = self.hi
         lo = min(self.valuation() if self.nums else 0, 0)
-        name = var or self.var
-        return TruncSeries(
-            (name,),
-            trunc={name: hi - lo},
-            offset={name: Q(lo)},
-            terms={((e - lo,), (0,)): Q(x, self.den) for e, x in self.nums.items()},
-        )
+        nums = {((e - lo,), (0,)): x for e, x in self.nums.items()}
+        return TruncSeries._of_ints((var or self.var,), (hi - lo,), (Q(lo),), (0,), nums, self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -612,6 +615,7 @@ def residue(f: LaurentJet):
 
 
 Value = Union[Fraction, QVec, QMat]
+Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 def _vmul(x: Value, y: Value) -> Value:
@@ -624,15 +628,61 @@ def _vmul(x: Value, y: Value) -> Value:
     return x * y
 
 
+def _kind(nums: Mapping[Key, object]) -> Optional[type]:
+    """What a series' numerators are: int for a rational series, QVec or QMat
+    for a vector or matrix series, None when there are none."""
+    for x in nums.values():
+        return type(x)
+    return None
+
+
+def _numerators(terms: Mapping[Key, Value]) -> Tuple[Dict[Key, object], int]:
+    """Coefficients of one kind as stored numerators over one denominator:
+    rationals over their lcm, or QVec or QMat values over 1.  A coefficient
+    that is none of these, or a mix of kinds, is a TypeError."""
+    kinds = {type(v) if isinstance(v, (QVec, QMat)) else Fraction for v in terms.values()}
+    if len(kinds) > 1:
+        raise TypeError(f"a series holds one kind of coefficient, not {sorted(k.__name__ for k in kinds)}")
+    if kinds == {Fraction}:
+        # as_q raises TypeError for a float, a Decimal or anything else not rational
+        return _ints({key: as_q(v) for key, v in terms.items()})
+    return dict(terms), 1
+
+
+def _stored(nums: Dict[Key, object], den: int) -> Tuple[Dict[Key, object], int]:
+    """Numerators of one kind over a nonzero ``den`` in the stored form:
+    integers through ``linalg._lowest_terms``; QVec or QMat values divided by
+    den, over 1, with the zero ones dropped."""
+    if _kind(nums) in (None, int):
+        return _lowest_terms(nums, den)
+    if den != 1:
+        f = Q(1, den)
+        nums = {key: x.scale(f) for key, x in nums.items()}
+    return {key: x for key, x in nums.items() if not x.is_zero()}, 1
+
+
+def _accumulate(acc: Dict[Key, object], key: Key, x) -> None:
+    """acc[key] += x, for integer and for QVec or QMat numerators; a sum that cancels stays."""
+    cur = acc.get(key)
+    acc[key] = x if cur is None else cur + x
+
+
 class TruncSeries:
     """Truncated formal series in several variables with offsets and log terms.
 
-    A stored key ((n_1..n_k), (l_1..l_k)) with value c represents the monomial
+    A key ((n_1..n_k), (l_1..l_k)) with coefficient c represents the monomial
     c * prod_j q_j^(offset_j + n_j) (log q_j)^(l_j), with 0 <= n_j <= trunc_j
     and 0 <= l_j <= logmax_j.
+
+    The coefficients are stored as nonzero numerators ``nums`` ({key:
+    numerator}) over one denominator ``den``, of one kind: integers in lowest
+    terms with ``den > 0`` for a rational series, or QVec or QMat values (each
+    already integers over its own denominator) with ``den == 1`` for a vector
+    or matrix series.  Equality and hashing read that stored form; ``terms``
+    is the coefficient view.
     """
 
-    __slots__ = ("vars", "trunc", "offset", "logmax", "terms")
+    __slots__ = ("vars", "trunc", "offset", "logmax", "nums", "den")
 
     def __init__(
         self,
@@ -640,7 +690,7 @@ class TruncSeries:
         trunc: Dict[str, int],
         offset: Optional[Dict[str, Fraction]] = None,
         logmax: Optional[Dict[str, int]] = None,
-        terms: Optional[Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Value]] = None,
+        terms: Optional[Mapping[Key, Value]] = None,
     ):
         self.vars: Tuple[str, ...] = tuple(vars)
         if len(set(self.vars)) != len(self.vars):
@@ -650,12 +700,27 @@ class TruncSeries:
         self.offset: Tuple[Fraction, ...] = tuple(as_q(off.get(v, 0)) for v in self.vars)
         lm = logmax or {}
         self.logmax: Tuple[int, ...] = tuple(int(lm.get(v, 0)) for v in self.vars)
-        self.terms: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Value] = {}
-        if terms:
-            for (exps, logs), val in terms.items():
-                self._store(tuple(exps), tuple(logs), val)
+        checked = {self._key(exps, logs): val for (exps, logs), val in (terms or {}).items()}
+        self.nums, self.den = _stored(*_numerators(checked))
 
-    def _store(self, exps: Tuple[int, ...], logs: Tuple[int, ...], val: Value) -> None:
+    @classmethod
+    def _of_ints(cls, vars, trunc, offset, logmax, nums: Dict[Key, object], den: int) -> "TruncSeries":
+        """nums / den on the shape (vars, trunc, offset, logmax), as tuples, in the
+        stored form (:func:`_stored`); the keys must lie in the shape."""
+        s = cls.__new__(cls)
+        s.vars, s.trunc, s.offset, s.logmax = vars, trunc, offset, logmax
+        s.nums, s.den = _stored(nums, den)
+        return s
+
+    def _like(self, nums: Dict[Key, object], den: int, trunc=None, offset=None, logmax=None) -> "TruncSeries":
+        """nums / den on the same variables; a tuple given replaces that part of the shape."""
+        trunc = self.trunc if trunc is None else trunc
+        offset = self.offset if offset is None else offset
+        return TruncSeries._of_ints(self.vars, trunc, offset, self.logmax if logmax is None else logmax, nums, den)
+
+    def _key(self, exps: Sequence[int], logs: Sequence[int]) -> Key:
+        """The key of a term, once it is checked to lie in the shape."""
+        key = exps, logs = tuple(exps), tuple(logs)
         if len(exps) != len(self.vars) or len(logs) != len(self.vars):
             raise VariableMismatch("key arity does not match variables")
         for n, t in zip(exps, self.trunc):
@@ -664,49 +729,32 @@ class TruncSeries:
         for l, m in zip(logs, self.logmax):
             if not 0 <= l <= m:
                 raise LogOverflow(f"log degree {logs} beyond declared bound {self.logmax}")
-        if isinstance(val, (int, str)):
-            val = as_q(val)
-        if not _is_ring_zero(val):
-            key = (exps, logs)
-            if key in self.terms:
-                cur = self.terms[key] + val
-                if _is_ring_zero(cur):
-                    del self.terms[key]
-                else:
-                    self.terms[key] = cur
-            else:
-                self.terms[key] = val
+        return key
 
-    def _like(
-        self,
-        trunc: Optional[Tuple[int, ...]] = None,
-        offset: Optional[Tuple[Fraction, ...]] = None,
-        logmax: Optional[Tuple[int, ...]] = None,
-    ) -> "TruncSeries":
-        """An empty series on the same variables; a tuple given replaces that part of the shape."""
-        out = TruncSeries.__new__(TruncSeries)
-        out.vars, out.terms = self.vars, {}
-        out.trunc = self.trunc if trunc is None else trunc
-        out.offset = self.offset if offset is None else offset
-        out.logmax = self.logmax if logmax is None else logmax
-        return out
+    def _store(self, exps: Tuple[int, ...], logs: Tuple[int, ...], val: Value) -> None:
+        """Add val to the coefficient at (exps, logs) in place, as a sum of two series."""
+        total = self + self._like(*_numerators({self._key(exps, logs): val}))
+        self.nums, self.den = total.nums, total.den
+
+    @property
+    def terms(self) -> Mapping[Key, Value]:
+        """The coefficients, rationals built on each read or the stored QVec or
+        QMat values; a write into it raises TypeError."""
+        if _kind(self.nums) is int:
+            return MappingProxyType(_of_one_den(self.nums, self.den))
+        return MappingProxyType(self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, c, vars: Sequence[str], trunc: Dict[str, int], **kw) -> "TruncSeries":
-        s = cls(vars, trunc, **kw)
-        k = len(s.vars)
-        s._store((0,) * k, (0,) * k, c)
-        return s
+        return cls.monomial(c, vars, trunc, **kw)
 
     @classmethod
     def monomial(cls, c, vars: Sequence[str], trunc: Dict[str, int], exps: Optional[Dict[str, int]] = None, logs: Optional[Dict[str, int]] = None, **kw) -> "TruncSeries":
-        s = cls(vars, trunc, **kw)
-        e = tuple(int((exps or {}).get(v, 0)) for v in s.vars)
-        l = tuple(int((logs or {}).get(v, 0)) for v in s.vars)
-        s._store(e, l, c)
-        return s
+        e = tuple(int((exps or {}).get(v, 0)) for v in vars)
+        l = tuple(int((logs or {}).get(v, 0)) for v in vars)
+        return cls(vars, trunc, terms={(e, l): c}, **kw)
 
     # -- access ------------------------------------------------------------
 
@@ -716,10 +764,13 @@ class TruncSeries:
         for n, t in zip(e, self.trunc):
             if n > t:
                 raise WindowError(f"coefficient {exps} beyond truncation")
-        return self.terms.get((e, l), Q(0))
+        x = self.nums.get((e, l))
+        if x is None:
+            return Q(0)
+        return Q(x, self.den) if isinstance(x, int) else x
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def var_index(self, var: str) -> int:
         try:
@@ -758,96 +809,102 @@ class TruncSeries:
         trunc, offset = tuple(map(int, tops)), tuple(new_off)
 
         def rebase(s: "TruncSeries", shifts: List[int]) -> "TruncSeries":
-            out = s._like(trunc, offset)
-            for (exps, logs), val in s.terms.items():
-                e = tuple(n + sh for n, sh in zip(exps, shifts))
-                if all(x <= t for x, t in zip(e, trunc)):
-                    out._store(e, logs, val)
-            return out
+            nums = {}
+            for (exps, logs), x in s.nums.items():
+                e = tuple(map(operator.add, exps, shifts))
+                if all(map(operator.le, e, trunc)):
+                    nums[e, logs] = x
+            return s._like(nums, s.den, trunc, offset)
 
         return rebase(self, shifts_a), rebase(other, shifts_b)
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         a, b = self._aligned(other)
-        out = a._like(tuple(map(min, a.trunc, b.trunc)), logmax=tuple(map(max, a.logmax, b.logmax)))
+        kinds = {_kind(a.nums), _kind(b.nums)} - {None}
+        if len(kinds) > 1:
+            raise TypeError(f"cannot add series of {sorted(k.__name__ for k in kinds)} coefficients")
+        trunc = tuple(map(min, a.trunc, b.trunc))
+        den = math.lcm(a.den, b.den)
+        out: Dict[Key, object] = {}
         for src in (a, b):
-            for (exps, logs), val in src.terms.items():
-                if all(n <= t for n, t in zip(exps, out.trunc)):
-                    out._store(exps, logs, val)
-        return out
+            f = den // src.den
+            cut = src.trunc != trunc
+            for key, x in src.nums.items():
+                if not cut or all(map(operator.le, key[0], trunc)):
+                    _accumulate(out, key, x if f == 1 else x * f)
+        return a._like(out, den, trunc, logmax=tuple(map(max, a.logmax, b.logmax)))
 
     def __neg__(self) -> "TruncSeries":
-        out = self._like()
-        out.terms = {key: -val for key, val in self.terms.items()}
-        return out
+        return self._like({key: -x for key, x in self.nums.items()}, self.den)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         return self + (-other)
 
     def scale(self, c) -> "TruncSeries":
         c = as_q(c)
-        out = self._like()
-        if c:
-            out.terms = {key: c * val for key, val in self.terms.items()}
-        return out
+        p = c.numerator
+        return self._like({key: p * x for key, x in self.nums.items()} if p else {}, self.den * c.denominator)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             return self.scale(other)
         if self.vars != other.vars:
             raise VariableMismatch(f"{self.vars} vs {other.vars}")
-        out = self._like(
-            tuple(map(min, self.trunc, other.trunc)),
-            tuple(map(operator.add, self.offset, other.offset)),
-            tuple(map(max, self.logmax, other.logmax)),
-        )
-        for (e1, l1), v1 in self.terms.items():
-            for (e2, l2), v2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if any(n > t for n, t in zip(e, out.trunc)):
+        trunc = tuple(map(min, self.trunc, other.trunc))
+        logmax = tuple(map(max, self.logmax, other.logmax))
+        # integers multiply as integers; a QVec or QMat factor through _vmul
+        mul = operator.mul if {_kind(self.nums), _kind(other.nums)} <= {None, int} else _vmul
+        right = list(other.nums.items())
+        acc: Dict[Key, object] = {}
+        for (e1, l1), x1 in self.nums.items():
+            for (e2, l2), x2 in right:
+                e = tuple(map(operator.add, e1, e2))
+                if any(map(operator.gt, e, trunc)):
                     continue
-                l = tuple(a + b for a, b in zip(l1, l2))
-                for lv, lm in zip(l, out.logmax):
-                    if lv > lm:
-                        raise LogOverflow(
-                            f"product log degree {l} exceeds declared bound {out.logmax}"
-                        )
-                out._store(e, l, _vmul(v1, v2))
-        return out
+                l = tuple(map(operator.add, l1, l2))
+                if any(map(operator.gt, l, logmax)):
+                    raise LogOverflow(f"product log degree {l} exceeds declared bound {logmax}")
+                _accumulate(acc, (e, l), mul(x1, x2))
+        return self._like(acc, self.den * other.den, trunc, tuple(map(operator.add, self.offset, other.offset)), logmax)
 
     __rmul__ = scale
 
     def qdq(self, var: str) -> "TruncSeries":
-        """Logarithmic derivative q d/dq in the given variable (offset-aware)."""
+        """Logarithmic derivative q d/dq in the given variable (offset-aware).
+
+        With offset p/r the monomial q^(p/r + n) log(q)^l goes to
+        ((p + r n) q^(p/r + n) log(q)^l + r l q^(p/r + n) log(q)^(l-1)) / r,
+        so the numerators stay integers over r times the denominator.
+        """
         j = self.var_index(var)
-        out = self._like()
         lam = self.offset[j]
-        for (exps, logs), val in self.terms.items():
-            power = lam + exps[j]
+        p, r = lam.numerator, lam.denominator
+        acc: Dict[Key, object] = {}
+        for (exps, logs), x in self.nums.items():
+            power = p + r * exps[j]
             if power:
-                out._store(exps, logs, power * val)
+                _accumulate(acc, (exps, logs), power * x)
             if logs[j]:
                 lowered = logs[:j] + (logs[j] - 1,) + logs[j + 1 :]
-                out._store(exps, lowered, Q(logs[j]) * val)
-        return out
+                _accumulate(acc, (exps, lowered), logs[j] * r * x)
+        return self._like(acc, self.den * r)
 
     def normalized(self) -> "TruncSeries":
         """Fold integer offsets into exponents when all exponents remain >= 0."""
         shifts = [int(o) if o.denominator == 1 and o >= 0 else 0 for o in self.offset]
-        out = self._like(tuple(map(operator.add, self.trunc, shifts)), tuple(map(operator.sub, self.offset, shifts)))
-        out.terms = {(tuple(map(operator.add, exps, shifts)), logs): val for (exps, logs), val in self.terms.items()}
-        return out
+        nums = {(tuple(map(operator.add, exps, shifts)), logs): x for (exps, logs), x in self.nums.items()}
+        return self._like(nums, self.den, tuple(map(operator.add, self.trunc, shifts)), tuple(map(operator.sub, self.offset, shifts)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         a = self.normalized()
         b = other.normalized()
-        return a.vars == b.vars and a.offset == b.offset and a.terms == b.terms
+        return (a.vars, a.offset, a.den, a.nums) == (b.vars, b.offset, b.den, b.nums)
 
     def __hash__(self):
         n = self.normalized()
-        return hash((n.vars, n.offset, tuple(sorted(n.terms))))
+        return hash((n.vars, n.offset, n.den, tuple(sorted(n.nums))))
 
     def __repr__(self):
         def mono(exps, logs):
@@ -877,8 +934,5 @@ def diagonal_contract(d: TruncSeries) -> TruncSeries:
     if any(d.offset) or any(d.logmax):
         raise OffsetError("diagonal contraction requires zero offsets and no log terms")
     t = min(d.trunc)
-    out = TruncSeries(("q",), {"q": t})
-    for (exps, _logs), val in d.terms.items():
-        if exps[0] == exps[1] and exps[0] <= t:
-            out._store((exps[0],), (0,), val)
-    return out
+    nums = {((exps[0],), (0,)): x for (exps, _logs), x in d.nums.items() if exps[0] == exps[1] <= t}
+    return TruncSeries._of_ints(("q",), (t,), (Q(0),), (0,), nums, d.den)

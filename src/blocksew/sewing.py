@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from operator import lt
+from operator import ge
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -27,6 +27,7 @@ from .series import (
     LaurentJet,
     TruncSeries,
     WindowError,
+    _accumulate,
     _powers,
     _vmul,
     diagonal_contract,
@@ -67,13 +68,13 @@ def q_l0_resolvent(module, order: int) -> TruncSeries:
         for b in range(start, start + d):
             for a in range(start, start + d) if logbound else (b,):
                 identity[b, a, b, a] = 1
-    out = TruncSeries(("q",), {"q": order}, offset={"q": module.offset}, logmax={"q": logbound})
+    values = {}
     for (n, l), (part, den) in _contract_pair(identity, 1, dims, module, logbound).items():
         rows: Dict[int, Dict[int, int]] = {}
         for (b, a), x in part.items():
             rows.setdefault(b, {})[a] = x
-        out._store((n,), (l,), QMat._of_ints(total, total, rows, den))
-    return out
+        values[(n,), (l,)] = QMat._of_ints(total, total, rows, den)
+    return TruncSeries(("q",), {"q": order}, offset={"q": module.offset}, logmax={"q": logbound}, terms=values)
 
 
 def l0_times(module, series: TruncSeries) -> TruncSeries:
@@ -82,14 +83,14 @@ def l0_times(module, series: TruncSeries) -> TruncSeries:
     dims = module.weight_dims(series.trunc[0])
     total = sum(dims)
     lam = module.offset
-    out = series._like()
-    for (exps, logs), mat in series.terms.items():
+    values = {}
+    for (exps, logs), mat in series.nums.items():
         n = exps[0]
         start = sum(dims[:n])
         nil = module.nilpotent_block(n)
         rows = {start + i: {start + j: x for j, x in row.items()} for i, row in nil.nums.items()}
-        out._store(exps, logs, mat.scale(lam + n) + QMat._of_ints(total, total, rows, nil.den) @ mat)
-    return out
+        values[exps, logs] = mat.scale(lam + n) + QMat._of_ints(total, total, rows, nil.den) @ mat
+    return series._like(values, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +291,7 @@ def sew(
     if not normalized:
         return out
     # no log term feeds l = 0, so the l = 0 terms are the integer-graded contraction
-    flat = out._like(offset=(Q(0),), logmax=(0,))
-    flat.terms = {key: v for key, v in out.terms.items() if key[1] == (0,)}
-    return flat
+    return out._like({key: x for key, x in out.nums.items() if key[1] == (0,)}, out.den, offset=(Q(0),), logmax=(0,))
 
 
 def sew_multi(
@@ -306,7 +305,10 @@ def sew_multi(
 
     ``pairs[j]`` is (module_slot, dual_slot, module); multilinearity makes the
     order of contraction irrelevant, and each pair gets an independent formal
-    variable with its own offset and log bound.
+    variable with its own offset and log bound.  Each (n, l) of the
+    contraction ends with one numerator over its own denominator; the
+    numerators that share a denominator are gathered, and the groups meet
+    over the lcm in one stored series.
     """
     m = len(pairs)
     if len(orders) != m:
@@ -321,17 +323,19 @@ def sew_multi(
         offset={v: mod.offset for v, mod in zip(names, modules)},
         logmax=dict(zip(names, bounds)),
     )
+    # denominator -> {(exps, logs): numerator}
+    by_den: Dict[int, Dict[tuple, int]] = {}
 
     # keys hold the pair indices of pairs j.. in pair order, numerators over den
     def rec(j: int, exps: Tuple[int, ...], logs: Tuple[int, ...], partial: Dict[Tuple[int, ...], int], den: int):
         if j == m:
-            out._store(exps, logs, Q(partial.get((), 0), den))
+            by_den.setdefault(den, {})[exps, logs] = partial.get((), 0)
             return
         for (n, l), (part, pden) in _contract_pair(partial, den, dims[j], modules[j], bounds[j]).items():
             rec(j + 1, exps + (n,), logs + (l,), part, pden)
 
     rec(0, (), (), *block.reduce_retained(inputs, [s for (pm, pd, _) in pairs for s in (pm, pd)]))
-    return out
+    return out._like(*_combine((nums, Q(1, den)) for den, nums in by_den.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +348,18 @@ def _diagonal_of_product(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     Only the pairs of terms that land on the diagonal are multiplied, in the
     order a * b visits them; the window is that of a * b.
     """
-    out = a._like(tuple(map(min, a.trunc, b.trunc)))
-    top = min(out.trunc)
+    trunc = tuple(map(min, a.trunc, b.trunc))
+    top = min(trunc)
     # (i, j) + (k, l) is on the diagonal when l - k = i - j
     by_gap: Dict[int, list] = {}
-    for ((k, l), _logs), val in b.terms.items():
-        by_gap.setdefault(l - k, []).append((k, val))
-    for ((i, j), _logs), v1 in a.terms.items():
-        for k, v2 in by_gap.get(i - j, ()):
+    for ((k, l), _logs), y in b.nums.items():
+        by_gap.setdefault(l - k, []).append((k, y))
+    acc: Dict[tuple, object] = {}
+    for ((i, j), _logs), x in a.nums.items():
+        for k, y in by_gap.get(i - j, ()):
             if i + k <= top:
-                out._store((i + k, i + k), (0, 0), _vmul(v1, v2))
-    return out
+                _accumulate(acc, ((i + k, i + k), (0, 0)), _vmul(x, y))
+    return a._like(acc, a.den * b.den, trunc)
 
 
 def residue_identity_check(
@@ -406,18 +411,13 @@ def residue_identity_check(
                     r, c = (j, i) if flip else (i, j)
                     acc = groups.setdefault((weights[r], weights[c]), {}).setdefault(r, {})
                     acc[c] = acc.get(c, 0) + mult * x
-        side = TruncSeries(("xi", "pi"), {"xi": order, "pi": order})
-        for key, rows in groups.items():
-            side._store(key, (0, 0), QMat._of_ints(total, total, rows, den))
-        sides.append(side)
+        values = {(key, (0, 0)): QMat._of_ints(total, total, rows, den) for key, rows in groups.items()}
+        sides.append(TruncSeries(("xi", "pi"), {"xi": order, "pi": order}, terms=values))
 
-    f2 = TruncSeries(("xi", "pi"), {"xi": order, "pi": order})
-    for (exps, logs), val in f.terms.items():
-        if exps[0] <= order and exps[1] <= order:
-            f2._store(exps, logs, val)
+    f2 = f._like({key: x for key, x in f.nums.items() if max(key[0]) <= order}, f.den, (order, order))
     lhs = diagonal_contract(_diagonal_of_product(sides[0], f2))
     rhs = diagonal_contract(_diagonal_of_product(sides[1], f2))
-    dressed = TruncSeries(("q",), {"q": lhs.trunc[0]}, offset={"q": module.offset}, terms=lhs.terms)
+    dressed = lhs._like(lhs.nums, lhs.den, offset=(as_q(module.offset),))
     return lhs == rhs, order, dressed
 
 
@@ -515,6 +515,18 @@ def genus0_invariance_check(
     work = weight_cap + abs(k) + dv + 6
     # indices below limits[s] are the inputs of weight <= weight_cap in slot s
     limits = [sum(dims[: weight_cap + 1]) for dims in block.slot_dims]
+    # only checked keys are computed: a key is checked for slot s when every
+    # other slot stays within the weight cap (slot s itself is read whole);
+    # one pass counts each key's slots past their limit: none puts it in
+    # every slot's table, one in that slot's, more in none
+    checked: List[Dict[Tuple[int, ...], int]] = [{} for _ in points]
+    for key, c in block.nums.items():
+        over = sum(map(ge, key, limits))
+        if not over:
+            for nums in checked:
+                nums[key] = c
+        elif over == 1:
+            checked[[*map(ge, key, limits)].index(True)][key] = c
     acted_tables: List[SewingBlock] = []
     for s, pt in enumerate(points):
         n_slot = block.slot_trunc(s)
@@ -560,12 +572,9 @@ def genus0_invariance_check(
         for (mode, _), f in zip(modes, fs):
             _add_scaled(rows, mode.nums, f)
         act = QMat._of_ints(*shape, rows, den)
-        # only checked keys are computed: other slots and the new index of
-        # slot s stay within the weight cap; slot s itself is read whole
-        bounds = limits[:s] + [block.slot_dim(s)] + limits[s + 1 :]
-        nums = {key: c for key, c in block.nums.items() if all(map(lt, key, bounds))}
-        checked = SewingBlock._of_clean(block.slot_dims, nums, block.den, block.pair_slots)
-        acted_tables.append(checked.contract_slot(s, act))
+        # the new index of slot s stays within the weight cap: act has limits[s] columns
+        acted = SewingBlock._of_clean(block.slot_dims, checked[s], block.den, block.pair_slots)
+        acted_tables.append(acted.contract_slot(s, act))
 
     sums, den = _combine((t.nums, Q(1, t.den)) for t in acted_tables)
     failures = [(key, Q(x, den)) for key, x in sorted(sums.items()) if x]

@@ -20,7 +20,8 @@ operations (sum, scaling, product, inverse, derivative, truncation, powers
 and ``fraction_jet_compose``) are those of ``LaurentJet`` when it stored one
 Fraction per coefficient; they read a LaurentJet or a ``FractionJet`` and
 return a ``FractionJet``, which compares equal to the triple
-``(coeffs, lo, hi)``;
+``(coeffs, lo, hi)``; ``FractionSeries`` is ``TruncSeries`` when it
+stored one Fraction (or QVec or QMat) per key, added term by term;
 ``vec_add`` and ``vec_scale`` are the Fock vector sum and scaling they and
 the tests build expected vectors with, and ``heisenberg_reference`` is the
 Fraction a_k action that the Fock mode images are built without.  The last four
@@ -37,7 +38,7 @@ from typing import NamedTuple, Optional
 
 from blocksew.fock import _acc
 from blocksew.linalg import QMat, QVec, as_q, solve
-from blocksew.series import CoordJet, LaurentJet, NotInvertible, WindowError
+from blocksew.series import CoordJet, LaurentJet, LogOverflow, NotInvertible, OffsetError, VariableMismatch, WindowError
 
 Q = Fraction
 
@@ -437,6 +438,154 @@ def fraction_jet_compose(outer, inner):
         for e, v in p.coeffs.items():
             out[e] = out.get(e, Q(0)) + c * v
     return FractionJet(_nonzero_up_to(out, hi), min((p.lo for _, p in terms), default=0), hi)
+
+
+def _value_is_zero(x) -> bool:
+    return x.is_zero() if isinstance(x, (QVec, QMat)) else not x
+
+
+def _value_product(x, y):
+    """The product of two series coefficients: a matrix acts on a vector, matrices multiply, a rational scales."""
+    if isinstance(x, QMat) and isinstance(y, QMat):
+        return x @ y
+    if isinstance(x, QMat) and isinstance(y, QVec):
+        return x.apply(y)
+    return x * y
+
+
+class FractionSeries:
+    """TruncSeries as it was when it stored one Fraction, QVec or QMat per key in ``terms``.
+
+    The reference the integer-numerator TruncSeries is compared with: the
+    same shape rules, the same errors, every coefficient added one at a time.
+    """
+
+    def __init__(self, vars, trunc, offset=None, logmax=None, terms=None):
+        self.vars = tuple(vars)
+        self.trunc = tuple(int(trunc[v]) for v in self.vars)
+        self.offset = tuple(as_q((offset or {}).get(v, 0)) for v in self.vars)
+        self.logmax = tuple(int((logmax or {}).get(v, 0)) for v in self.vars)
+        self.terms = {}
+        for (exps, logs), val in (terms or {}).items():
+            self._store(tuple(exps), tuple(logs), val)
+
+    def _store(self, exps, logs, val):
+        for n, t in zip(exps, self.trunc):
+            if not 0 <= n <= t:
+                raise WindowError(f"exponent {exps} outside truncation {self.trunc}")
+        for l, m in zip(logs, self.logmax):
+            if not 0 <= l <= m:
+                raise LogOverflow(f"log degree {logs} beyond declared bound {self.logmax}")
+        if isinstance(val, (int, str)):
+            val = as_q(val)
+        if not _value_is_zero(val):
+            key = (exps, logs)
+            if key in self.terms:
+                cur = self.terms[key] + val
+                if _value_is_zero(cur):
+                    del self.terms[key]
+                else:
+                    self.terms[key] = cur
+            else:
+                self.terms[key] = val
+
+    def _like(self, trunc=None, offset=None, logmax=None):
+        out = FractionSeries.__new__(FractionSeries)
+        out.vars, out.terms = self.vars, {}
+        out.trunc = self.trunc if trunc is None else trunc
+        out.offset = self.offset if offset is None else offset
+        out.logmax = self.logmax if logmax is None else logmax
+        return out
+
+    def _aligned(self, other):
+        if self.vars != other.vars:
+            raise VariableMismatch(f"{self.vars} vs {other.vars}")
+        if self.offset == other.offset:
+            return self, other
+        shifts_a, shifts_b, new_off, tops = [], [], [], []
+        for oa, ta, ob, tb in zip(self.offset, self.trunc, other.offset, other.trunc):
+            if (oa - ob).denominator != 1:
+                raise OffsetError(f"offsets {oa} and {ob} differ by a non-integer")
+            base = min(oa, ob)
+            new_off.append(base)
+            shifts_a.append(int(oa - base))
+            shifts_b.append(int(ob - base))
+            tops.append(min(oa + ta, ob + tb) - base)
+        if min(tops) < 0:
+            raise WindowError("no common exact window after offset renormalization")
+        trunc, offset = tuple(map(int, tops)), tuple(new_off)
+
+        def rebase(s, shifts):
+            out = s._like(trunc, offset)
+            for (exps, logs), val in s.terms.items():
+                e = tuple(n + sh for n, sh in zip(exps, shifts))
+                if all(x <= t for x, t in zip(e, trunc)):
+                    out._store(e, logs, val)
+            return out
+
+        return rebase(self, shifts_a), rebase(other, shifts_b)
+
+    def __add__(self, other):
+        a, b = self._aligned(other)
+        out = a._like(tuple(map(min, a.trunc, b.trunc)), logmax=tuple(map(max, a.logmax, b.logmax)))
+        for src in (a, b):
+            for (exps, logs), val in src.terms.items():
+                if all(n <= t for n, t in zip(exps, out.trunc)):
+                    out._store(exps, logs, val)
+        return out
+
+    def __neg__(self):
+        out = self._like()
+        out.terms = {key: -val for key, val in self.terms.items()}
+        return out
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = as_q(c)
+        out = self._like()
+        if c:
+            out.terms = {key: c * val for key, val in self.terms.items()}
+        return out
+
+    def __mul__(self, other):
+        if self.vars != other.vars:
+            raise VariableMismatch(f"{self.vars} vs {other.vars}")
+        out = self._like(
+            tuple(map(min, self.trunc, other.trunc)),
+            tuple(a + b for a, b in zip(self.offset, other.offset)),
+            tuple(map(max, self.logmax, other.logmax)),
+        )
+        for (e1, l1), v1 in self.terms.items():
+            for (e2, l2), v2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                if any(n > t for n, t in zip(e, out.trunc)):
+                    continue
+                l = tuple(a + b for a, b in zip(l1, l2))
+                if any(lv > lm for lv, lm in zip(l, out.logmax)):
+                    raise LogOverflow(f"product log degree {l} exceeds declared bound {out.logmax}")
+                out._store(e, l, _value_product(v1, v2))
+        return out
+
+    def qdq(self, var):
+        j = self.vars.index(var)
+        out = self._like()
+        lam = self.offset[j]
+        for (exps, logs), val in self.terms.items():
+            power = lam + exps[j]
+            if power:
+                out._store(exps, logs, power * val)
+            if logs[j]:
+                lowered = logs[:j] + (logs[j] - 1,) + logs[j + 1 :]
+                out._store(exps, lowered, Q(logs[j]) * val)
+        return out
+
+    def normalized(self):
+        shifts = [int(o) if o.denominator == 1 and o >= 0 else 0 for o in self.offset]
+        out = self._like(tuple(t + s for t, s in zip(self.trunc, shifts)), tuple(o - s for o, s in zip(self.offset, shifts)))
+        out.terms = {(tuple(n + s for n, s in zip(exps, shifts)), logs): val for (exps, logs), val in self.terms.items()}
+        return out
 
 
 def vec_add(a, b):

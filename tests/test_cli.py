@@ -941,14 +941,23 @@ class TestFlags:
 
 class TestJsonRoundTrip:
     def test_series_roundtrip_with_matrix_values(self):
+        # one kind of coefficient per series
         rnd = random.Random(4)
-        s = TruncSeries(("q",), {"q": 3}, offset={"q": Q(1, 2)}, logmax={"q": 1})
-        s._store((1,), (1,), QMat.from_rows([[Q(1, 2), 0], [3, Q(-7, 3)]]))
-        s._store((2,), (0,), QVec.from_list([1, Q(5, 9)]))
-        s._store((0,), (0,), random_rational(rnd))
-        doc = jsonio.series_to_json(s)
-        back = jsonio.series_from_json(doc)
-        assert back == s
+        for terms in (
+            {((1,), (1,)): QMat.from_rows([[Q(1, 2), 0], [3, Q(-7, 3)]]), ((2,), (0,)): QMat.from_rows([[0, 1], [Q(5, 9), 0]])},
+            {((2,), (0,)): QVec.from_list([1, Q(5, 9)])},
+            {((0,), (0,)): random_rational(rnd), ((3,), (1,)): Q(-7, 6)},
+        ):
+            s = TruncSeries(("q",), {"q": 3}, offset={"q": Q(1, 2)}, logmax={"q": 1}, terms=terms)
+            doc = jsonio.series_to_json(s)
+            back = jsonio.series_from_json(doc)
+            assert back == s and back.terms == terms
+
+    def test_a_series_document_mixing_coefficient_kinds_is_a_type_error(self):
+        # the command line rejects it first, as a schema error naming the term
+        doc = {"vars": ["q"], "trunc": {"q": 3}, "terms": [{"n": [0], "l": [0], "c": ["1"]}, {"n": [1], "l": [0], "c": "2"}]}
+        with pytest.raises(TypeError):
+            jsonio.series_from_json(doc)
 
     def test_emitted_json_reparses_to_equal_value(self, capsys):
         code, out = run(["sew", "character", "--order", "6", "--format", "json"], capsys)

@@ -82,17 +82,23 @@ class TestStreamedJson:
 
 class TestCsvCoefficients:
     def test_vector_and_matrix_fields(self, capsys):
-        s = TruncSeries(("q", "x"), {"q": 2, "x": 1}, offset={"q": Q(1, 2)}, logmax={"x": 1})
-        s._store((1, 0), (0, 1), QVec.from_list([Q(1, 2), -3, 0]))
-        s._store((2, 1), (0, 0), QMat.from_rows([[1, Q(-2, 3)], [0, 4]]))
-        s._store((0, 0), (0, 0), Q(-5, 7))
-        emit(s, "csv")
-        assert capsys.readouterr().out == (
-            "monomial,log,coefficient\n"
-            "1/2;0,0;0,-5/7\n"
-            "3/2;0,0;1,1/2;-3;0\n"
-            "5/2;1,0;0,1;-2/3|0;4\n"
-        )
+        # a series holds one kind of coefficient, so each kind is its own series
+        rows = []
+        for key, val in (
+            (((0, 0), (0, 0)), Q(-5, 7)),
+            (((1, 0), (0, 1)), QVec.from_list([Q(1, 2), -3, 0])),
+            (((2, 1), (0, 0)), QMat.from_rows([[1, Q(-2, 3)], [0, 4]])),
+        ):
+            s = TruncSeries(("q", "x"), {"q": 2, "x": 1}, offset={"q": Q(1, 2)}, logmax={"x": 1}, terms={key: val})
+            emit(s, "csv")
+            header, row = capsys.readouterr().out.splitlines(keepends=True)
+            assert header == "monomial,log,coefficient\n"
+            rows.append(row)
+        assert rows == [
+            "1/2;0,0;0,-5/7\n",
+            "3/2;0,0;1,1/2;-3;0\n",
+            "5/2;1,0;0,1;-2/3|0;4\n",
+        ]
 
     @pytest.mark.parametrize("kind", ["scalar", "vector", "matrix"])
     def test_every_row_has_three_fields(self, kind, capsys):

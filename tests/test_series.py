@@ -1,20 +1,25 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blocksew import jsonio
+from blocksew.linalg import QMat, QVec
 from blocksew.series import (
     CoordJet,
     LaurentJet,
     LogOverflow,
     NotInvertible,
     OffsetError,
+    SeriesError,
     TruncSeries,
     VariableMismatch,
     WindowError,
     _is_ring_zero,
+    _kind,
     _powers,
     compose_jets,
     diagonal_contract,
@@ -26,6 +31,7 @@ from blocksew.series import (
 )
 from helpers import (
     JET_LEADS,
+    FractionSeries,
     convolve,
     fraction_compose_jets,
     fraction_derivative,
@@ -801,3 +807,216 @@ class TestQdq:
         d = s.qdq("q")
         assert d.coefficient({"q": 2}, {"q": 1}) == Q(5, 2)
         assert d.coefficient({"q": 2}, {"q": 0}) == 1
+
+
+DIM = 2
+KINDS = ("rational", "vector", "matrix")
+
+
+def series_value(kind, rational):
+    """A coefficient of the kind, from a source of rationals (called once per entry)."""
+    if kind == "rational":
+        return rational()
+    if kind == "vector":
+        return QVec.from_list([rational() for _ in range(DIM)])
+    return QMat.from_rows([[rational() for _ in range(DIM)] for _ in range(DIM)])
+
+
+def series_and_reference(vars_, trunc, offset, logmax, terms):
+    """The same data as a TruncSeries and as its Fraction reference."""
+    return TruncSeries(vars_, trunc, offset, logmax, terms), FractionSeries(vars_, trunc, offset, logmax, terms)
+
+
+def assert_series_stored_form(s):
+    """Numerators of one kind: integers over a positive denominator in lowest terms, none zero,
+    or nonzero QVec or QMat values over 1; every key inside the shape."""
+    kinds = {type(x) for x in s.nums.values()}
+    assert len(kinds) <= 1, kinds
+    assert type(s.den) is int and s.den > 0
+    if kinds <= {int}:
+        assert all(s.nums.values()) and math.gcd(s.den, *s.nums.values()) == 1
+    else:
+        assert s.den == 1 and not any(x.is_zero() for x in s.nums.values())
+    for exps, logs in s.nums:
+        assert all(0 <= n <= t for n, t in zip(exps, s.trunc)) and len(exps) == len(s.vars)
+        assert all(0 <= l <= m for l, m in zip(logs, s.logmax)) and len(logs) == len(s.vars)
+
+
+def series_agrees(op, ref):
+    """op() against the FractionSeries ref(): the same shape and coefficients, in
+    the stored form; the same error type where the reference raises."""
+    try:
+        want = ref()
+    except (SeriesError, TypeError) as e:
+        with pytest.raises(type(e)):
+            op()
+        return type(e)
+    got = op()
+    assert_series_stored_form(got)
+    assert (got.vars, got.trunc, got.offset, got.logmax) == (want.vars, want.trunc, want.offset, want.logmax)
+    assert dict(got.terms) == want.terms
+    return None
+
+
+def check_series_against_reference(x, fx, y, fy, c):
+    """Every TruncSeries operation on x (and y) against the Fraction reference;
+    the errors raised, by type."""
+    errors = set()
+    if _kind(x.nums) == _kind(y.nums) or not x.nums or not y.nums:
+        errors.add(series_agrees(lambda: x + y, lambda: fx + fy))
+        errors.add(series_agrees(lambda: x - y, lambda: fx - fy))
+    series_agrees(lambda: -x, lambda: -fx)
+    series_agrees(lambda: x - x, lambda: fx - fx)
+    for k in (0, Q(-997, 5), c):
+        series_agrees(lambda: x.scale(k), lambda: fx.scale(k))
+    errors.add(series_agrees(lambda: x * y, lambda: fx * fy))
+    errors.add(series_agrees(lambda: y * x, lambda: fy * fx))
+    for v in x.vars:
+        series_agrees(lambda: x.qdq(v), lambda: fx.qdq(v))
+    series_agrees(x.normalized, fx.normalized)
+    # == and hash read the stored form of the normalized series
+    again = TruncSeries(x.vars, dict(zip(x.vars, x.trunc)), dict(zip(x.vars, x.offset)), dict(zip(x.vars, x.logmax)), x.terms)
+    for other in (again, x.normalized()):
+        assert other == x and hash(other) == hash(x)
+    assert (x == y) == (x.normalized().terms == y.normalized().terms and x.normalized().offset == y.normalized().offset)
+    with pytest.raises(TypeError):
+        x.terms[((0,) * len(x.vars),) * 2] = Q(1)
+    return errors - {None}
+
+
+def random_series_pair(rnd, kinds, nvars):
+    """Two series of the given kinds whose offsets differ by integers, with random windows and log bounds."""
+    vars_ = ("q", "x")[:nvars]
+    base = rnd.choice([Q(0), Q(1, 3), Q(-5, 2)])
+    out = []
+    for kind in kinds:
+        trunc = {v: rnd.randint(0, 4) for v in vars_}
+        offset = {v: base + rnd.randint(-2, 2) for v in vars_}
+        logmax = {v: rnd.randint(0, 2) for v in vars_}
+        terms = {}
+        for _ in range(rnd.choice([0, 1, 3, 6])):
+            key = (tuple(rnd.randint(0, trunc[v]) for v in vars_), tuple(rnd.randint(0, logmax[v]) for v in vars_))
+            terms[key] = series_value(kind, lambda: random_rational(rnd, num=9, den=6))
+        out += series_and_reference(vars_, trunc, offset, logmax, terms)
+    return out
+
+
+KIND_PAIRS = [(a, b) for a in KINDS for b in KINDS if (a, b) != ("vector", "vector")] + [("vector", "vector")]
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series and their references: kinds with a product or a sum, offsets one sector apart by integers."""
+    vars_ = ("q", "x")[: draw(st.integers(1, 2))]
+    kinds = draw(st.sampled_from(KIND_PAIRS))
+    base = draw(st.sampled_from([Q(0), Q(1, 3), Q(-5, 2)]))
+    rational = st.fractions(-9, 9, max_denominator=12)
+    out = []
+    for kind in kinds:
+        trunc = {v: draw(st.integers(0, 3)) for v in vars_}
+        offset = {v: base + draw(st.integers(-2, 2)) for v in vars_}
+        logmax = {v: draw(st.integers(0, 2)) for v in vars_}
+        keys = draw(
+            st.lists(
+                st.tuples(
+                    st.tuples(*(st.integers(0, trunc[v]) for v in vars_)),
+                    st.tuples(*(st.integers(0, logmax[v]) for v in vars_)),
+                ),
+                max_size=5,
+                unique=True,
+            )
+        )
+        out += series_and_reference(vars_, trunc, offset, logmax, {k: series_value(kind, lambda: draw(rational)) for k in keys})
+    return out
+
+
+class TestSeriesStoredForm:
+    """TruncSeries on numerators over one denominator, against the Fraction series it replaced."""
+
+    def test_operations_against_the_fraction_reference(self):
+        rnd = random.Random(SEED + 31)
+        seen = dict.fromkeys(["rational", "vector", "matrix", "offsets differ", "truncations differ", "logs", "zero"], 0)
+        errors = set()
+        for t in range(150):
+            kinds = KIND_PAIRS[t % len(KIND_PAIRS)]
+            x, fx, y, fy = random_series_pair(rnd, kinds, rnd.randint(1, 2))
+            errors |= check_series_against_reference(x, fx, y, fy, random_rational(rnd))
+            seen[kinds[0]] += 1
+            seen["offsets differ"] += x.offset != y.offset
+            seen["truncations differ"] += x.trunc != y.trunc
+            seen["logs"] += any(any(logs) for _e, logs in x.nums)
+            seen["zero"] += x.is_zero()
+        assert min(seen.values()) >= 5, seen
+        # shapes that do not fit are errors in both, of one type
+        assert {LogOverflow, TypeError} <= errors, errors
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(pair=series_pairs(), c=st.fractions(-5, 5, max_denominator=6))
+    def test_property_against_the_fraction_reference(self, pair, c):
+        x, fx, y, fy = pair
+        check_series_against_reference(x, fx, y, fy, c)
+
+    def test_terms_is_a_read_only_view(self):
+        s = TruncSeries(("q",), {"q": 3}, terms={((0,), (0,)): Q(1, 2), ((2,), (0,)): Q(3)})
+        assert (s.nums, s.den) == ({((0,), (0,)): 1, ((2,), (0,)): 6}, 2)
+        assert s.terms == {((0,), (0,)): Q(1, 2), ((2,), (0,)): Q(3)}
+        vec = TruncSeries(("q",), {"q": 3}, terms={((1,), (0,)): QVec.from_list([Q(1, 2), 0])})
+        assert (vec.nums, vec.den) == ({((1,), (0,)): QVec.from_list([Q(1, 2), 0])}, 1)
+        for series in (s, vec):
+            with pytest.raises(TypeError):
+                series.terms[(0,), (0,)] = Q(1)
+            with pytest.raises(TypeError):
+                del series.terms[next(iter(series.nums))]
+        assert s.coefficient({"q": 2}) == 3 and type(s.coefficient({"q": 2})) is Fraction and s.coefficient({"q": 1}) == 0
+
+    def test_equal_series_built_different_ways_are_equal_and_hash_equal(self):
+        shape = (("q",), {"q": 3})
+        half = TruncSeries(*shape, terms={((1,), (0,)): Q(2, 4)})
+        stored = TruncSeries(*shape)
+        stored._store((1,), (0,), Q(1, 4))
+        stored._store((1,), (0,), "1/4")
+        stored._store((2,), (0,), Q(1, 3))
+        stored._store((2,), (0,), Q(-1, 3))
+        doc = {"vars": ["q"], "trunc": {"q": 3}, "terms": [{"n": [1], "l": [0], "c": "1/2"}, {"n": [2], "l": [0], "c": "0"}]}
+        routes = [
+            TruncSeries.monomial(Q(1, 2), *shape, {"q": 1}),
+            TruncSeries(*shape, terms={((1,), (0,)): "1/2", ((0,), (0,)): 0}),
+            TruncSeries.monomial(Q(1, 6), *shape, {"q": 1}) + TruncSeries.monomial(Q(1, 3), *shape, {"q": 1}),
+            TruncSeries.monomial(Q(3, 4), *shape, {"q": 1}).scale(Q(2, 3)),
+            stored,
+            jsonio.series_from_json(doc),
+            # an integer offset folds into the exponents
+            TruncSeries.monomial(Q(1, 2), ("q",), {"q": 2}, offset={"q": 1}),
+            LaurentJet.monomial(Q(1, 2), 1, "q").to_trunc_series(),
+            TruncSeries.monomial(Q(1, 2), *shape, {"q": 1}).qdq("q"),
+            TruncSeries.monomial(Q(2, 3), *shape) * TruncSeries.monomial(Q(3, 4), *shape, {"q": 1}),
+        ]
+        for other in routes:
+            assert_series_stored_form(other)
+            assert other == half and hash(other) == hash(half), other
+        assert (half.nums, half.den) == ({((1,), (0,)): 1}, 2)
+        vec = TruncSeries(*shape, terms={((1,), (0,)): QVec.from_list([Q(1, 2), 1])})
+        halves = TruncSeries(*shape, terms={((1,), (0,)): QVec.from_list([Q(1, 4), Q(1, 2)])})
+        assert halves + halves == vec and hash(halves + halves) == hash(vec) and halves.scale(2) == vec
+        assert TruncSeries(*shape) == TruncSeries(*shape, terms={((0,), (0,)): QMat(2, 2)}) == half - half
+
+    def test_a_coefficient_that_is_not_rational_is_a_type_error(self):
+        # a float or a Decimal would be kept and printed as one
+        for bad in (0.5, Decimal("0.5"), LaurentJet.const(1), [1], None):
+            with pytest.raises(TypeError):
+                TruncSeries.constant(bad, ["q"], {"q": 3})
+        assert TruncSeries.constant(True, ["q"], {"q": 3}).terms == {((0,), (0,)): 1}
+
+    def test_a_mix_of_coefficient_kinds_is_a_type_error(self):
+        shape = (("q",), {"q": 3})
+        vec, mat = QVec.from_list([1, 2]), QMat.from_rows([[1, 0], [0, 1]])
+        for a, b in ((Q(1), vec), (vec, mat), (mat, Q(1))):
+            with pytest.raises(TypeError):
+                TruncSeries(*shape, terms={((0,), (0,)): a, ((1,), (0,)): b})
+            s = TruncSeries(*shape, terms={((0,), (0,)): a})
+            with pytest.raises(TypeError):
+                s + TruncSeries(*shape, terms={((1,), (0,)): b})
+            with pytest.raises(TypeError):
+                s._store((1,), (0,), b)
+            # a zero series has no kind, so it adds to any
+            assert s + TruncSeries(*shape, terms={((1,), (0,)): b}).scale(0) == s

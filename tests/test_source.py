@@ -3,7 +3,7 @@
 Every top-level import of a module is used in it, every named function
 is reached from something (its name appears somewhere in src/, tests/ or
 bench/ besides its own def), and no kernel reads the rational views of a
-matrix or vector.
+matrix, a vector or a series.
 """
 
 from __future__ import annotations
@@ -59,6 +59,18 @@ def test_only_linalg_and_jsonio_read_the_rational_views():
             if isinstance(node, ast.Attribute) and node.attr in ("rows", "data"):
                 readers.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert not readers, f"rational views read outside linalg and jsonio: {readers}"
+
+
+def test_only_series_jsonio_and_cli_read_the_series_view():
+    # TruncSeries.terms builds Fractions on each read; kernels read nums and den
+    readers = []
+    for path in MODULES:
+        if path.name in ("series.py", "jsonio.py", "cli.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "terms":
+                readers.append(f"{path.name}:{node.lineno} .terms")
+    assert not readers, f"series coefficient view read outside series, jsonio and cli: {readers}"
 
 
 def test_every_named_function_is_referenced():
